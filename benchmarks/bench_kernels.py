@@ -1,118 +1,151 @@
-"""Benchmark the numba kernels against the pure-numpy fallback.
+"""Time the attention kernel and greedy decoding, optionally against a
+baseline source tree, and write ``BENCH_kernels.json``.
 
-Times the two hot kernels directly and a model-level encode/decode
-workload. Run from a checkout:
+    python3 benchmarks/bench_kernels.py [--baseline OTHER/src]
 
-    python3 benchmarks/bench_kernels.py
+Workloads, on the default ``ModelConfig`` (4 layers, 4 query heads over
+2 KV heads, head_dim 16):
 
-The active model path follows LAG_NUMBA; this script times both
-implementations explicitly regardless of the flag.
+* ``attention.prefill``: ``causal_attention`` at the kv_agent prefill shape,
+  q [4 x 1200 x 16] over 1394 keys (a 194-token KV prefix);
+* ``attention.decode``: one query over 2048 keys;
+* ``greedy_decode.prefixN``: 64 greedy tokens after a 16-token prompt and a
+  KV prefix of N = 0, 512 and 2048 tokens.
+
+Every measurement runs in a fresh child interpreter with one BLAS thread.
+With ``--baseline`` the children alternate between this checkout's ``src/``
+and the baseline tree, round by round, so that a drift in the host's speed
+falls on both sides alike; each figure is the median over the rounds of
+each child's median of its repeats. Only names both trees define are used:
+``lag._kernels.causal_attention`` and ``lag.model.{build_model, encode,
+greedy_decode}``.
 """
 
 from __future__ import annotations
 
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
 import time
+from pathlib import Path
 
-import numpy as np
-
-from lag._kernels import (
-    HAS_NUMBA,
-    causal_attention_numba,
-    causal_attention_numpy,
-    rotate_pairs_numba,
-    rotate_pairs_numpy,
-    backend_name,
-)
-from lag.config import ModelConfig
-from lag.model import build_model, encode, greedy_decode
+ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / "BENCH_kernels.json"
+ROUNDS = 5
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _time(fn, *args, repeat: int = 5) -> float:
-    fn(*args)  # warm-up / JIT compile
-    best = float("inf")
+def _median_ms(fn, repeat: int) -> float:
+    fn()  # warm-up
+    times = []
     for _ in range(repeat):
         t0 = time.perf_counter()
-        fn(*args)
-        best = min(best, time.perf_counter() - t0)
-    return best
+        fn()
+        times.append((time.perf_counter() - t0) * 1e3)
+    return statistics.median(times)
 
 
-def bench_kernels() -> list[tuple[str, float, float | None]]:
+def measure() -> dict[str, float]:
+    """One child's figures, in ms, for the lag on its sys.path."""
+    import numpy as np
+
+    from lag._kernels import causal_attention
+    from lag.config import ModelConfig
+    from lag.model import build_model, encode, greedy_decode
+
     rng = np.random.default_rng(0)
-    n_heads, n_kv, seq, d = 8, 4, 512, 32
-    q = rng.standard_normal((n_heads, seq, d)).astype(np.float32)
-    k = rng.standard_normal((n_kv, seq, d)).astype(np.float32)
-    v = rng.standard_normal((n_kv, seq, d)).astype(np.float32)
-    cos = rng.standard_normal((seq, d // 2)).astype(np.float32)
-    sin = rng.standard_normal((seq, d // 2)).astype(np.float32)
+    cfg = ModelConfig()
+    heads, kv_heads, d = cfg.num_heads, cfg.num_kv_heads, cfg.head_dim
 
-    rows = []
-    t_np = _time(causal_attention_numpy, q, k, v, 0)
-    t_nb = _time(causal_attention_numba, q, k, v, 0) if HAS_NUMBA else None
-    rows.append((f"causal_attention  [{n_heads}h x {seq} x {d}]", t_np, t_nb))
+    def qkv(t_new, n_keys):
+        return (
+            rng.standard_normal((heads, t_new, d)).astype(np.float32),
+            rng.standard_normal((kv_heads, n_keys, d)).astype(np.float32),
+            rng.standard_normal((kv_heads, n_keys, d)).astype(np.float32),
+        )
 
-    t_np = _time(rotate_pairs_numpy, k, cos, sin)
-    t_nb = _time(rotate_pairs_numba, k, cos, sin) if HAS_NUMBA else None
-    rows.append((f"rotate_pairs      [{n_kv}h x {seq} x {d}]", t_np, t_nb))
-    return rows
+    out = {}
+    q, k, v = qkv(1200, 1394)
+    out["attention.prefill"] = _median_ms(lambda: causal_attention(q, k, v, 194), 7)
+    q, k, v = qkv(1, 2048)
+    out["attention.decode"] = _median_ms(lambda: causal_attention(q, k, v, 2047), 200)
 
-
-def bench_model() -> list[tuple[str, float, float | None]]:
-    import lag._kernels as kernels
-    import lag.model as model_mod
-
-    cfg = ModelConfig(num_layers=4, num_heads=8, num_kv_heads=4, head_dim=32,
-                      vocab_size=257, max_positions=2048)
     model = build_model(cfg)
-    rng = np.random.default_rng(1)
-    tokens = rng.integers(0, 256, 512).tolist()
-    prompt = rng.integers(0, 256, 64).tolist()
-
-    def with_backend(att, rot, fn):
-        saved = kernels.causal_attention, kernels.rotate_pairs
-        saved_model = model_mod.causal_attention, model_mod.rotate_pairs
-        kernels.causal_attention, kernels.rotate_pairs = att, rot
-        model_mod.causal_attention, model_mod.rotate_pairs = att, rot
-        try:
-            return fn()
-        finally:
-            kernels.causal_attention, kernels.rotate_pairs = saved
-            model_mod.causal_attention, model_mod.rotate_pairs = saved_model
-
-    rows = []
-    enc_np = with_backend(
-        causal_attention_numpy, rotate_pairs_numpy,
-        lambda: _time(lambda: encode(model, tokens, 0), repeat=3),
-    )
-    enc_nb = None
-    if HAS_NUMBA:
-        enc_nb = with_backend(
-            causal_attention_numba, rotate_pairs_numba,
-            lambda: _time(lambda: encode(model, tokens, 0), repeat=3),
+    prompt = rng.integers(0, 256, 16).tolist()
+    for n in (0, 512, 2048):
+        prefix = encode(model, rng.integers(0, 256, n).tolist(), 0)[0] if n else None
+        out[f"greedy_decode.prefix{n}"] = _median_ms(
+            lambda: greedy_decode(model, prefix, prompt, 64), 3
         )
-    rows.append(("encode 512 tokens (4 layers)", enc_np, enc_nb))
+    return out
 
-    dec_np = with_backend(
-        causal_attention_numpy, rotate_pairs_numpy,
-        lambda: _time(lambda: greedy_decode(model, None, prompt, 64), repeat=3),
+
+def cpu_name() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def run_child(src: Path) -> dict[str, float]:
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.update({var: "1" for var in THREAD_VARS})
+    proc = subprocess.run(
+        [sys.executable, __file__, "--measure"], env=env, capture_output=True,
+        text=True, check=True,
     )
-    dec_nb = None
-    if HAS_NUMBA:
-        dec_nb = with_backend(
-            causal_attention_numba, rotate_pairs_numba,
-            lambda: _time(lambda: greedy_decode(model, None, prompt, 64), repeat=3),
-        )
-    rows.append(("greedy decode 64 tokens", dec_np, dec_nb))
-    return rows
+    return json.loads(proc.stdout)
 
 
 def main() -> None:
-    print(f"active backend: {backend_name()} (numba available: {HAS_NUMBA})")
-    print(f"{'workload':<42} {'numpy':>10} {'numba':>10} {'speedup':>8}")
-    for name, t_np, t_nb in bench_kernels() + bench_model():
-        nb = f"{t_nb * 1e3:.2f}ms" if t_nb is not None else "n/a"
-        speed = f"{t_np / t_nb:.2f}x" if t_nb else "-"
-        print(f"{name:<42} {t_np * 1e3:>8.2f}ms {nb:>10} {speed:>8}")
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--baseline", type=Path, help="a baseline tree's src/ directory")
+    ap.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.measure:
+        print(json.dumps(measure()))
+        return
+
+    sides = {"src": ROOT / "src"}
+    if args.baseline:
+        sides["baseline"] = args.baseline.resolve()
+    runs: dict[str, list[dict[str, float]]] = {side: [] for side in sides}
+    order = list(sides)
+    for r in range(ROUNDS):
+        for side in order if r % 2 == 0 else order[::-1]:
+            runs[side].append(run_child(sides[side]))
+            print(f"round {r + 1}/{ROUNDS} {side}", file=sys.stderr)
+
+    results = {
+        side: {
+            name: statistics.median(run[name] for run in rs) for name in rs[0]
+        }
+        for side, rs in runs.items()
+    }
+    print(f"{'workload':<26}" + "".join(f"{side:>12}" for side in results))
+    for name in results["src"]:
+        print(f"{name:<26}" + "".join(f"{results[s][name]:>10.3f}ms" for s in results))
+    report = {
+        "unit": "ms",
+        "rounds": ROUNDS,
+        "blas_threads": 1,
+        "machine": {
+            "cpu": cpu_name(),
+            "nproc": os.cpu_count(),
+            "python": platform.python_version(),
+        },
+        "results": results,
+        "runs": runs,
+    }
+    OUT.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ from .model import (
 )
 from .orchestrator import RunConfig, assemble_kv_prefix, run_task
 from .rope import RopeParams, angles, reposition_segment, rope_apply, rope_strip
-from .segment import KvSegment
+from .segment import KvCache, KvSegment
 from .store import LogStore, RetrievalResult, StoreManifest
 
 __all__ = [
@@ -54,6 +54,7 @@ __all__ = [
     "GeneratorBackend",
     "HashedBagOfWordsEmbedder",
     "HttpGeneratorBackend",
+    "KvCache",
     "KvSegment",
     "LogEntry",
     "LogStore",

@@ -1,26 +1,24 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels in numpy: pairwise rotary rotation and query-tiled
+causal grouped-KV attention.
 
-The two inner loops that dominate runtime are the pairwise rotary rotation
-of key/query vectors and the causal grouped-KV attention. Both exist in a
-vectorized numpy form and a numba ``@njit`` form; the active path is chosen
-at import time. Set ``LAG_NUMBA=0`` to force the numpy path (the numpy path
-is also used automatically when numba is not importable).
-
-Both paths compute in float32 with identical per-element arithmetic so that
-results agree to float32 rounding.
+Attention walks the new-token queries in tiles of ``TILE`` rows, after
+FlashAttention's tiling (Dao et al., 2022, arXiv 2205.14135). A tile scores
+only the keys its queries may see, ``[0, n_prefix + tile_end)``, and masks
+only its diagonal block, so each row gets an exact softmax while the score
+buffer stays O(TILE x keys) instead of O(t_new x keys). Everything is float32.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_flag = os.environ.get("LAG_NUMBA", "1").strip().lower()
-_WANT_NUMBA = _flag not in ("0", "false", "no", "off")
+TILE = 128
+
+# added to a tile's diagonal block: query row r must not see key c > r
+_FUTURE = np.triu(np.full((TILE, TILE), -np.inf, dtype=np.float32), k=1)
 
 
-def rotate_pairs_numpy(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+def rotate_pairs(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     """Rotate interleaved 2D subvectors (x[2i], x[2i+1]) of each head vector.
 
     x: [heads, seq, head_dim]; cos/sin: [seq, head_dim // 2].
@@ -33,7 +31,7 @@ def rotate_pairs_numpy(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.nd
     return out
 
 
-def causal_attention_numpy(
+def causal_attention(
     q: np.ndarray, k: np.ndarray, v: np.ndarray, n_prefix: int
 ) -> np.ndarray:
     """Causal attention of new-token queries over [prefix + new] keys/values.
@@ -48,90 +46,20 @@ def causal_attention_numpy(
     scale = np.float32(1.0) / np.float32(np.sqrt(d))
 
     qg = q.reshape(n_kv, group, t_new, d)
-    scores = np.matmul(qg, k[:, None, :, :].transpose(0, 1, 3, 2)) * scale
-    # mask key j for query t when j > n_prefix + t
-    t_idx = np.arange(t_new)[:, None]
-    j_idx = np.arange(k.shape[1])[None, :]
-    scores[:, :, j_idx > n_prefix + t_idx] = -np.float32(np.inf)
-    scores -= scores.max(axis=-1, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
-    out = np.matmul(scores, v[:, None, :, :])
+    out = np.empty((n_kv, group, t_new, d), dtype=np.float32)
+    for lo in range(0, t_new, TILE):
+        hi = min(lo + TILE, t_new)
+        n_keys = n_prefix + hi
+        scores = np.matmul(qg[:, :, lo:hi], k[:, None, :n_keys].transpose(0, 1, 3, 2))
+        scores *= scale
+        if hi - lo > 1:
+            scores[..., n_prefix + lo:] += _FUTURE[: hi - lo, : hi - lo]
+        scores -= scores.max(axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=-1, keepdims=True)
+        np.matmul(scores, v[:, None, :n_keys], out=out[:, :, lo:hi])
     return out.reshape(n_heads, t_new, d)
 
 
-HAS_NUMBA = False
-rotate_pairs_numba = None
-causal_attention_numba = None
-
-if _WANT_NUMBA:
-    try:
-        from numba import njit
-
-        @njit(cache=True)
-        def rotate_pairs_numba(x, cos, sin):  # type: ignore[no-redef]
-            n_h, n_t, d = x.shape
-            out = np.empty_like(x)
-            for h in range(n_h):
-                for t in range(n_t):
-                    for i in range(d // 2):
-                        a = x[h, t, 2 * i]
-                        b = x[h, t, 2 * i + 1]
-                        c = cos[t, i]
-                        s = sin[t, i]
-                        out[h, t, 2 * i] = a * c - b * s
-                        out[h, t, 2 * i + 1] = a * s + b * c
-            return out
-
-        @njit(cache=True)
-        def causal_attention_numba(q, k, v, n_prefix):  # type: ignore[no-redef]
-            # scalar loops only: BLAS calls inside njit thrash the thread
-            # pool numpy's own BLAS uses, slowing the surrounding matmuls
-            n_heads, t_new, d = q.shape
-            n_kv = k.shape[0]
-            group = n_heads // n_kv
-            scale = np.float32(1.0) / np.float32(np.sqrt(d))
-            out = np.empty((n_heads, t_new, d), dtype=np.float32)
-            scores = np.empty(k.shape[1], dtype=np.float32)
-            for h in range(n_heads):
-                kv_h = h // group
-                for t in range(t_new):
-                    limit = n_prefix + t + 1
-                    m = np.float32(-np.inf)
-                    for j in range(limit):
-                        s = np.float32(0.0)
-                        for c in range(d):
-                            s += q[h, t, c] * k[kv_h, j, c]
-                        s *= scale
-                        scores[j] = s
-                        if s > m:
-                            m = s
-                    z = np.float32(0.0)
-                    for j in range(limit):
-                        e = np.exp(scores[j] - m)
-                        scores[j] = e
-                        z += e
-                    inv = np.float32(1.0) / z
-                    for c in range(d):
-                        acc = np.float32(0.0)
-                        for j in range(limit):
-                            acc += scores[j] * v[kv_h, j, c]
-                        out[h, t, c] = acc * inv
-            return out
-
-        HAS_NUMBA = True
-    except ImportError:
-        HAS_NUMBA = False
-
-if HAS_NUMBA:
-    rotate_pairs = rotate_pairs_numba
-    causal_attention = causal_attention_numba
-    ACTIVE_BACKEND = "numba"
-else:
-    rotate_pairs = rotate_pairs_numpy
-    causal_attention = causal_attention_numpy
-    ACTIVE_BACKEND = "numpy"
-
-
 def backend_name() -> str:
-    return ACTIVE_BACKEND
+    return "numpy"

@@ -12,8 +12,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from scipy import stats
-
 from .errors import DegenerateStatisticError, InputError
 
 _ARTICLES_RE = re.compile(r"\b(a|an|the)\b")
@@ -242,6 +240,8 @@ def paired_ttest(scores_a: list[float], scores_b: list[float]) -> tuple[float, f
             "score differences are constant and nonzero; t is undefined"
         )
     t = mean / math.sqrt(var / n)
+    from scipy import stats  # lazily: importing it takes longer than the rest of lag
+
     p = 2.0 * float(stats.t.sf(abs(t), n - 1))
     return t, p
 

@@ -14,7 +14,7 @@ from ._kernels import causal_attention, rotate_pairs
 from .config import ModelConfig
 from .errors import CapacityError, IncompatibilityError, InputError, PositionError
 from .rope import RopeParams, cos_sin_table
-from .segment import KvSegment
+from .segment import KvCache, KvSegment
 
 _NORM_EPS = np.float32(1e-5)
 
@@ -84,31 +84,31 @@ class Model:
         if tokens.size and (tokens.min() < 0 or tokens.max() >= self.config.vocab_size):
             raise InputError("token id out of vocabulary")
 
-    def _check_prefix(self, prefix: KvSegment | None, start_position: int) -> int:
-        if prefix is None or prefix.span_len == 0:
-            return 0
-        if prefix.model_fingerprint != self.fingerprint:
+    def new_cache(self, capacity: int) -> KvCache:
+        cfg = self.config
+        return KvCache(
+            cfg.num_layers, cfg.num_kv_heads, cfg.head_dim, capacity, self.fingerprint
+        )
+
+    def _check_cache(self, cache: KvCache, start_position: int) -> None:
+        """O(1): a cache's positions increase by construction."""
+        cfg = self.config
+        if cache.model_fingerprint != self.fingerprint:
             raise IncompatibilityError("KV prefix was produced by a different model")
-        if prefix.num_layers != self.config.num_layers:
+        if cache.num_layers != cfg.num_layers:
             raise IncompatibilityError("KV prefix layer count mismatch")
-        pos = prefix.positions
-        if pos.shape[0] > 1 and not (np.diff(pos) > 0).all():
-            raise PositionError("prefix positions must be strictly increasing")
-        if int(pos.max()) >= start_position:
+        if cache.num_kv_heads != cfg.num_kv_heads or cache.head_dim != cfg.head_dim:
+            raise IncompatibilityError("KV prefix head shape mismatch")
+        if cache.last_position >= start_position:
             raise PositionError(
-                f"prefix positions reach {int(pos.max())}, new tokens start at "
+                f"prefix positions reach {cache.last_position}, new tokens start at "
                 f"{start_position}"
             )
-        return prefix.span_len
 
-    def _forward(
-        self,
-        tokens,
-        start_position: int,
-        prefix: KvSegment | None,
-    ) -> tuple[np.ndarray, KvSegment]:
-        """Returns (final hidden states [T, hidden], KvSegment of the new
-        tokens). New keys are stored rotated at their absolute positions."""
+    def _forward(self, tokens, start_position: int, cache: KvCache) -> np.ndarray:
+        """Runs the new tokens over the cache, extends it in place with their
+        KV (keys rotated at their absolute positions) and returns the final
+        hidden states [T, hidden]."""
         tokens = np.asarray(tokens, dtype=np.int64)
         self._check_tokens(tokens)
         t_new = tokens.shape[0]
@@ -119,7 +119,8 @@ class Model:
                 f"sequence end {start_position + t_new} exceeds max_positions "
                 f"{self.config.max_positions}"
             )
-        n_prefix = self._check_prefix(prefix, start_position)
+        self._check_cache(cache, start_position)
+        n_prefix = cache.span_len
 
         cfg = self.config
         nh, nkv, d = cfg.num_heads, cfg.num_kv_heads, cfg.head_dim
@@ -127,44 +128,21 @@ class Model:
         cos, sin = cos_sin_table(self.rope_params, positions)
 
         x = self.embedding[tokens]
-        new_keys: list[np.ndarray] = []
-        new_values: list[np.ndarray] = []
         for li, layer in enumerate(self.layers):
             xn = _rmsnorm(x)
             q = np.ascontiguousarray(
                 (xn @ layer["wq"]).reshape(t_new, nh, d).transpose(1, 0, 2)
             )
-            k = np.ascontiguousarray(
-                (xn @ layer["wk"]).reshape(t_new, nkv, d).transpose(1, 0, 2)
-            )
-            v = np.ascontiguousarray(
-                (xn @ layer["wv"]).reshape(t_new, nkv, d).transpose(1, 0, 2)
-            )
+            k = (xn @ layer["wk"]).reshape(t_new, nkv, d).transpose(1, 0, 2)
+            v = (xn @ layer["wv"]).reshape(t_new, nkv, d).transpose(1, 0, 2)
             q = rotate_pairs(q, cos, sin)
-            k = rotate_pairs(k, cos, sin)
-            new_keys.append(k)
-            new_values.append(v)
-            if n_prefix:
-                k_all = np.ascontiguousarray(
-                    np.concatenate([prefix.keys[li], k], axis=1)
-                )
-                v_all = np.ascontiguousarray(
-                    np.concatenate([prefix.values[li], v], axis=1)
-                )
-            else:
-                k_all, v_all = k, v
+            k_all, v_all = cache.stage(li, rotate_pairs(k, cos, sin), v)
             att = causal_attention(q, k_all, v_all, n_prefix)
             x = x + att.transpose(1, 0, 2).reshape(t_new, nh * d) @ layer["wo"]
             xf = _rmsnorm(x)
             x = x + _gelu(xf @ layer["w1"]) @ layer["w2"]
-
-        segment = KvSegment(
-            keys=new_keys,
-            values=new_values,
-            positions=positions,
-            model_fingerprint=self.fingerprint,
-        )
-        return _rmsnorm(x), segment
+        cache.commit(positions)
+        return _rmsnorm(x)
 
 
 def build_model(config: ModelConfig) -> Model:
@@ -178,36 +156,45 @@ def encode(
 ) -> tuple[KvSegment, np.ndarray]:
     """Full KV cache for a token sequence encoded at the given positions,
     plus the final hidden states."""
-    hidden, segment = model._forward(tokens, start_position, None)
-    return segment, hidden
+    cache = model.new_cache(len(tokens))
+    hidden = model._forward(tokens, start_position, cache)
+    return cache.segment(), hidden
 
 
 def forward_with_prefix(
     model: Model,
-    prefix: KvSegment | None,
+    prefix: KvSegment | KvCache | None,
     tokens,
     start_position: int,
-) -> tuple[np.ndarray, KvSegment]:
+) -> tuple[np.ndarray, KvCache]:
     """Logits for new tokens attending to an injected KV prefix; returns the
-    combined cache (prefix followed by the new tokens' KV)."""
-    hidden, new_segment = model._forward(tokens, start_position, prefix)
-    logits = hidden @ model.head
-    if prefix is not None and prefix.span_len:
-        combined = KvSegment.concat([prefix, new_segment])
+    combined cache (prefix followed by the new tokens' KV).
+
+    A KvSegment prefix is validated and copied into a new KvCache of
+    ``max_positions`` slots, and is left unchanged. A KvCache prefix is
+    extended in place and returned, so passing it back decodes the next
+    token without copying the cache.
+    """
+    if isinstance(prefix, KvCache):
+        cache = prefix
+    elif prefix is None or prefix.span_len == 0:
+        cache = model.new_cache(model.config.max_positions)
     else:
-        combined = new_segment
-    return logits, combined
+        cache = KvCache.from_segment(prefix, model.config.max_positions)
+    hidden = model._forward(tokens, start_position, cache)
+    return hidden @ model.head, cache
 
 
 def greedy_decode(
     model: Model,
-    prefix: KvSegment | None,
+    prefix: KvSegment | KvCache | None,
     prompt,
     max_new: int,
     stop_ids=frozenset(),
 ) -> list[int]:
     """Deterministic argmax decoding. A generated stop id is consumed but
-    excluded from the returned sequence."""
+    excluded from the returned sequence. A KvCache prefix is extended in
+    place; a KvSegment prefix is left unchanged."""
     out: list[int] = []
     if max_new <= 0:
         return out

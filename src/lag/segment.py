@@ -1,4 +1,5 @@
-"""KV segments: the per-layer key/value arrays stored, moved, and injected."""
+"""KV segments, the per-layer key/value arrays stored, moved and injected,
+and the KV cache a forward pass extends in place."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IncompatibilityError, InputError, PositionError
+from .errors import CapacityError, IncompatibilityError, InputError, PositionError
 
 FP32_BYTES = 4
 
@@ -120,3 +121,111 @@ class KvSegment:
             ):
                 return False
         return True
+
+
+class KvCache:
+    """Per-layer key/value buffers preallocated to ``capacity`` slots and
+    filled in place, after the preallocated KV blocks of vLLM/PagedAttention
+    (Kwon et al., 2023, arXiv 2309.06180).
+
+    The first ``span_len`` slots are live. A forward pass writes its new
+    tokens after them with ``stage`` and makes them live with ``commit``;
+    live slots are never rewritten, so the views ``keys``/``values``/
+    ``positions`` return stay valid. Positions increase by construction: a
+    segment is validated on the way in and commits only append later
+    positions, so checking a new start against ``last_position`` is O(1).
+    """
+
+    def __init__(
+        self,
+        num_layers: int,
+        num_kv_heads: int,
+        head_dim: int,
+        capacity: int,
+        model_fingerprint: str,
+    ):
+        shape = (num_kv_heads, capacity, head_dim)
+        self._keys = [np.empty(shape, dtype=np.float32) for _ in range(num_layers)]
+        self._values = [np.empty(shape, dtype=np.float32) for _ in range(num_layers)]
+        self._positions = np.empty(capacity, dtype=np.int64)
+        self.capacity = capacity
+        self.model_fingerprint = model_fingerprint
+        self.span_len = 0
+
+    @classmethod
+    def from_segment(cls, segment: KvSegment, capacity: int) -> "KvCache":
+        """A validated copy of ``segment`` in a new cache."""
+        segment.validate()
+        n = segment.span_len
+        if n > capacity:
+            raise CapacityError(f"span {n} exceeds cache capacity {capacity}")
+        cache = cls(
+            segment.num_layers, segment.num_kv_heads, segment.head_dim, capacity,
+            segment.model_fingerprint,
+        )
+        for l in range(segment.num_layers):
+            cache._keys[l][:, :n] = segment.keys[l]
+            cache._values[l][:, :n] = segment.values[l]
+        cache._positions[:n] = segment.positions
+        cache.span_len = n
+        return cache
+
+    @property
+    def num_layers(self) -> int:
+        return len(self._keys)
+
+    @property
+    def num_kv_heads(self) -> int:
+        return int(self._keys[0].shape[0])
+
+    @property
+    def head_dim(self) -> int:
+        return int(self._keys[0].shape[2])
+
+    @property
+    def keys(self) -> list[np.ndarray]:
+        return [k[:, : self.span_len] for k in self._keys]
+
+    @property
+    def values(self) -> list[np.ndarray]:
+        return [v[:, : self.span_len] for v in self._values]
+
+    @property
+    def positions(self) -> np.ndarray:
+        return self._positions[: self.span_len]
+
+    @property
+    def last_position(self) -> int:
+        """Position of the last live token, or -1 when the cache is empty."""
+        return int(self._positions[self.span_len - 1]) if self.span_len else -1
+
+    def stage(
+        self, layer: int, keys: np.ndarray, values: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Write ``layer``'s new keys/values [kv_heads, t, head_dim] after the
+        live span; returns views of the live span plus them. They become
+        live on ``commit``."""
+        n, t = self.span_len, keys.shape[1]
+        if n + t > self.capacity:
+            raise CapacityError(f"{n} + {t} tokens exceed cache capacity {self.capacity}")
+        k, v = self._keys[layer], self._values[layer]
+        k[:, n : n + t] = keys
+        v[:, n : n + t] = values
+        return k[:, : n + t], v[:, : n + t]
+
+    def commit(self, positions: np.ndarray) -> None:
+        """Make the staged tokens live at ``positions``, which the caller has
+        checked lie after ``last_position`` and increase."""
+        n, t = self.span_len, positions.shape[0]
+        self._positions[n : n + t] = positions
+        self.span_len = n + t
+
+    def segment(self) -> KvSegment:
+        """The live span as a KvSegment of views; no copy is made, and live
+        slots are never rewritten."""
+        return KvSegment(
+            keys=self.keys,
+            values=self.values,
+            positions=self.positions,
+            model_fingerprint=self.model_fingerprint,
+        )

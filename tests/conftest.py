@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+import lag
 from lag.backends import HashedBagOfWordsEmbedder
 from lag.config import ModelConfig
 from lag.model import build_model
@@ -29,3 +32,11 @@ def embedder():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+def child_env(**extra: str) -> dict:
+    """Environment for a child interpreter that imports the same ``lag`` as
+    this suite, installed or from a source tree."""
+    lag_root = os.path.dirname(os.path.dirname(os.path.abspath(lag.__file__)))
+    pythonpath = os.pathsep.join(p for p in (lag_root, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": pythonpath, **extra}

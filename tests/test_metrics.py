@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -16,6 +18,7 @@ from lag.metrics import (
     split,
     transitions,
 )
+from tests.conftest import child_env
 
 # hand-computed scoring fixtures (the expected values were worked out by
 # applying the normalization rules on paper, not by running the code)
@@ -240,3 +243,8 @@ def test_report_aggregates_recompute_from_rows(tmp_path):
     assert loaded.mean_em == report.mean_em
     assert [r.id for r in loaded.rows] == ["1", "2"]
     assert loaded.to_json()["aggregates"]["mean_em"] == report.mean_em
+
+
+def test_import_lag_leaves_scipy_stats_unloaded():
+    code = "import sys, lag; assert 'scipy.stats' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, env=child_env())

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,8 @@ from lag.errors import (
     PositionError,
 )
 from lag.model import ByteTokenizer, build_model, encode, forward_with_prefix, greedy_decode
-from tests.conftest import SMALL_CONFIG
+from lag.segment import KvCache
+from tests.conftest import SMALL_CONFIG, child_env
 
 
 def test_build_is_deterministic(small_model):
@@ -158,6 +162,106 @@ def test_greedy_with_prefix_matches_decoding_over_concat(small_model, rng):
     with_prefix = greedy_decode(small_model, prefix, t2, 8)
     plain = greedy_decode(small_model, None, t1 + t2, 8)
     assert with_prefix == plain
+
+
+def _copy(seg):
+    return [k.copy() for k in seg.keys], [v.copy() for v in seg.values], seg.positions.copy()
+
+
+def test_segment_prefix_is_left_unchanged(small_model, rng):
+    t1 = rng.integers(0, 256, 9).tolist()
+    t2 = rng.integers(0, 256, 6).tolist()
+    prefix, _ = encode(small_model, t1, 0)
+    keys, values, positions = _copy(prefix)
+    _, cache = forward_with_prefix(small_model, prefix, t2, len(t1))
+    greedy_decode(small_model, prefix, t2, 8)
+    assert cache.span_len == len(t1) + len(t2) and prefix.span_len == len(t1)
+    assert np.array_equal(prefix.positions, positions)
+    for l in range(prefix.num_layers):
+        assert np.array_equal(prefix.keys[l], keys[l])
+        assert np.array_equal(prefix.values[l], values[l])
+
+
+def test_cache_is_extended_in_place(small_model, rng):
+    tokens = rng.integers(0, 256, 10).tolist()
+    _, cache = forward_with_prefix(small_model, None, tokens[:7], 0)
+    keys, values, positions = _copy(cache)
+    for pos in range(7, 10):
+        _, again = forward_with_prefix(small_model, cache, [tokens[pos]], pos)
+        assert again is cache
+    full, _ = encode(small_model, tokens, 0)
+    assert list(cache.positions) == list(range(10))
+    for l in range(cache.num_layers):
+        # live slots are never rewritten by an extension
+        assert np.array_equal(cache.keys[l][:, :7], keys[l])
+        assert np.array_equal(cache.values[l][:, :7], values[l])
+        assert np.abs(cache.keys[l] - full.keys[l]).max() <= 1e-4
+    assert np.array_equal(cache.positions[:7], positions)
+
+
+def test_cache_rejects_a_stale_start(small_model, rng):
+    tokens = rng.integers(0, 256, 5).tolist()
+    _, cache = forward_with_prefix(small_model, None, tokens, 0)
+    forward_with_prefix(small_model, cache, [7], 5)
+    for stale in (5, 3):
+        with pytest.raises(PositionError):
+            forward_with_prefix(small_model, cache, [8], stale)
+    assert cache.span_len == 6 and cache.last_position == 5
+
+
+def test_cache_capacity():
+    model = build_model(
+        ModelConfig(num_layers=2, num_heads=2, num_kv_heads=1, head_dim=4,
+                    vocab_size=257, max_positions=8)
+    )
+    _, cache = forward_with_prefix(model, None, [1] * 7, 0)
+    forward_with_prefix(model, cache, [2], 7)
+    assert cache.span_len == model.config.max_positions
+    with pytest.raises(CapacityError):
+        forward_with_prefix(model, cache, [3], 8)
+    assert cache.span_len == 8
+    # the cache itself refuses to overflow its buffers
+    small = model.new_cache(2)
+    k = np.zeros((1, 3, 4), dtype=np.float32)
+    with pytest.raises(CapacityError):
+        small.stage(0, k, k)
+    with pytest.raises(CapacityError):
+        KvCache.from_segment(encode(model, [1, 2, 3], 0)[0], 2)
+
+
+def test_nonfinite_segment_prefix_is_rejected(small_model, rng):
+    t1 = rng.integers(0, 256, 6).tolist()
+    prefix, _ = encode(small_model, t1, 0)
+    prefix.values[1][0, 2, 3] = np.nan
+    with pytest.raises(InputError):
+        forward_with_prefix(small_model, prefix, [1, 2], len(t1))
+    with pytest.raises(InputError):
+        greedy_decode(small_model, prefix, [1, 2], 4)
+
+
+def test_prefill_memory_is_bounded():
+    # growth of peak RSS (ru_maxrss: KB on Linux, bytes on macOS) over the
+    # set-up's during a 4000-token encode; one BLAS thread, so per-thread
+    # BLAS buffers do not scale with the host
+    code = (
+        "import resource, sys\n"
+        "import numpy as np\n"
+        "from lag.config import ModelConfig\n"
+        "from lag.model import build_model, encode\n"
+        "model = build_model(ModelConfig())\n"
+        "tokens = np.random.default_rng(0).integers(0, 256, 4000).tolist()\n"
+        "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "encode(model, tokens, 0)\n"
+        "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print((peak - base) / (1 << 20 if sys.platform == 'darwin' else 1 << 10))\n"
+    )
+    threads = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True, text=True,
+        env=child_env(**threads),
+    )
+    grown_mb = float(out.stdout)
+    assert grown_mb < 64, f"a 4000-token encode grew peak RSS by {grown_mb:.0f} MB"
 
 
 def test_injection_tolerance_is_calibrated_not_slack():
