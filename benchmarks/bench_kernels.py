@@ -1,5 +1,5 @@
-"""Time the attention kernel and greedy decoding, optionally against a
-baseline source tree, and write ``BENCH_kernels.json``.
+"""Time the attention kernel, greedy decoding and KV-prefix assembly,
+optionally against a baseline source tree, and write ``BENCH_kernels.json``.
 
     python3 benchmarks/bench_kernels.py [--baseline OTHER/src]
 
@@ -10,15 +10,19 @@ Workloads, on the default ``ModelConfig`` (4 layers, 4 query heads over
   q [4 x 1200 x 16] over 1394 keys (a 194-token KV prefix);
 * ``attention.decode``: one query over 2048 keys;
 * ``greedy_decode.prefixN``: 64 greedy tokens after a 16-token prompt and a
-  KV prefix of N = 0, 512 and 2048 tokens.
+  KV prefix of N = 0, 512 and 2048 tokens;
+* ``assemble.prefixN``: ``assemble_kv_prefix`` over N = 3 and 10 stored logs
+  of 133 tokens each (the hop_reuse stored span), which repositions every
+  log to its slot in the prefix and concatenates them.
 
 Every measurement runs in a fresh child interpreter with one BLAS thread.
 With ``--baseline`` the children alternate between this checkout's ``src/``
 and the baseline tree, round by round, so that a drift in the host's speed
 falls on both sides alike; each figure is the median over the rounds of
 each child's median of its repeats. Only names both trees define are used:
-``lag._kernels.causal_attention`` and ``lag.model.{build_model, encode,
-greedy_decode}``.
+``lag._kernels.causal_attention``, ``lag.model.{build_model, encode,
+greedy_decode}``, ``lag.codec.{LogEntry, SelectionStrategy}`` and
+``lag.orchestrator.assemble_kv_prefix``.
 """
 
 from __future__ import annotations
@@ -54,8 +58,10 @@ def measure() -> dict[str, float]:
     import numpy as np
 
     from lag._kernels import causal_attention
+    from lag.codec import LogEntry, SelectionStrategy
     from lag.config import ModelConfig
     from lag.model import build_model, encode, greedy_decode
+    from lag.orchestrator import assemble_kv_prefix
 
     rng = np.random.default_rng(0)
     cfg = ModelConfig()
@@ -80,6 +86,21 @@ def measure() -> dict[str, float]:
         prefix = encode(model, rng.integers(0, 256, n).tolist(), 0)[0] if n else None
         out[f"greedy_decode.prefix{n}"] = _median_ms(
             lambda: greedy_decode(model, prefix, prompt, 64), 3
+        )
+
+    # logs stored from later rounds of their transcripts, so every one moves
+    logs = [
+        LogEntry(
+            task_text=f"log {i}", retrieval_key_text=f"log {i}",
+            embedding=np.zeros(4, dtype=np.float32),
+            strategy=SelectionStrategy("last_round"),
+            kv=encode(model, rng.integers(0, 256, 133).tolist(), 150 + 200 * i)[0],
+        )
+        for i in range(10)
+    ]
+    for n in (3, 10):
+        out[f"assemble.prefix{n}"] = _median_ms(
+            lambda: assemble_kv_prefix(logs[:n], model), 50
         )
     return out
 

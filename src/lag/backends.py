@@ -110,8 +110,9 @@ class ScriptedGenerator(GeneratorBackend):
 
 class HttpGeneratorBackend(GeneratorBackend):
     """POSTs {"messages": [...], "max_tokens": n, "temperature": 0} and
-    expects {"text": "..."} back. Credentials come from LAG_API_KEY (sent as
-    a bearer token), never from flags."""
+    expects {"text": "..."} back; connection errors, timeouts, 5xx, 429 and
+    bad JSON are retried, other 4xx fail at once. Credentials come from
+    LAG_API_KEY (sent as a bearer token), never from flags."""
 
     accepts_kv_prefix = False
 
@@ -138,12 +139,18 @@ class HttpGeneratorBackend(GeneratorBackend):
             try:
                 with urllib.request.urlopen(req, timeout=self.timeout) as resp:
                     payload = json.loads(resp.read().decode("utf-8"))
+            except urllib.error.HTTPError as err:
+                err.close()  # the unread error response holds the connection
+                if 400 <= err.code < 500 and err.code != 429:  # a resend fails alike
+                    raise BackendError(f"generator endpoint refused the request: {err}") from err
+                last_err = err
+            except (OSError, json.JSONDecodeError) as err:  # URLError, timeouts, drops
+                last_err = err
+            else:
                 if "text" not in payload:
                     raise BackendError("generator response carries no 'text' field")
                 return payload["text"]
-            except (urllib.error.URLError, TimeoutError, json.JSONDecodeError) as err:
-                last_err = err
-                time.sleep(0.05)
+            time.sleep(0.05)
         raise BackendError(f"generator endpoint failed: {last_err}")
 
 

@@ -2,10 +2,11 @@
 
 A key vector is split into interleaved 2D subvectors (x[2i], x[2i+1]); each
 subvector is rotated by an angle that depends on the token position and the
-subvector index. Stripping multiplies by the inverse rotation, after which
-the rotation for a new position can be applied, moving a cached key to a new
-slot in a different context. Values never carry the rotation and are left
-untouched.
+subvector index. Stripping multiplies by the inverse rotation. Rotations
+compose by adding angles and the angle is linear in the position, so
+stripping position p and applying p' is one rotation by the angle of p' - p,
+which moves a cached key to a new slot in a different context. Values never
+carry the rotation and are left untouched.
 """
 
 from __future__ import annotations
@@ -58,24 +59,12 @@ def cos_sin_table(params: RopeParams, positions: np.ndarray) -> tuple[np.ndarray
     return np.cos(grid).astype(np.float32), np.sin(grid).astype(np.float32)
 
 
-def rotate_keys(keys: np.ndarray, positions: np.ndarray, params: RopeParams) -> np.ndarray:
-    """Apply the per-position rotation to keys [heads, span, head_dim]."""
-    cos, sin = cos_sin_table(params, positions)
-    return rotate_pairs(np.ascontiguousarray(keys), cos, sin)
-
-
-def strip_keys(keys: np.ndarray, positions: np.ndarray, params: RopeParams) -> np.ndarray:
-    """Remove the per-position rotation (rotation by the negated angle)."""
-    cos, sin = cos_sin_table(params, positions)
-    return rotate_pairs(np.ascontiguousarray(keys), cos, -sin)
-
-
 def reposition_segment(
     segment: KvSegment, new_positions, params: RopeParams
 ) -> KvSegment:
-    """Move a stored segment to new positions: strip each key subvector of
-    its original rotation, then rotate it for the new position. Values and
-    the model fingerprint are unchanged."""
+    """Move a stored segment to new positions: one rotation of each key by
+    the angle of (new - original) position, equal to stripping the original
+    rotation and applying the new one. Values and fingerprint are unchanged."""
     new_positions = np.asarray(new_positions, dtype=np.int64)
     if new_positions.shape[0] != segment.span_len:
         raise PositionError(
@@ -83,12 +72,9 @@ def reposition_segment(
         )
     if new_positions.shape[0] > 1 and not (np.diff(new_positions) > 0).all():
         raise PositionError("new positions must be strictly increasing")
-    new_keys = [
-        rotate_keys(strip_keys(k, segment.positions, params), new_positions, params)
-        for k in segment.keys
-    ]
+    cos, sin = cos_sin_table(params, new_positions - segment.positions)
     return KvSegment(
-        keys=new_keys,
+        keys=[rotate_pairs(np.ascontiguousarray(k), cos, sin) for k in segment.keys],
         values=segment.values,
         positions=new_positions,
         model_fingerprint=segment.model_fingerprint,

@@ -82,7 +82,7 @@ class KvSegment:
 
     @staticmethod
     def concat(segments: list["KvSegment"]) -> "KvSegment":
-        """Concatenate spans layerwise; positions must end up increasing."""
+        """Concatenate spans layerwise, unvalidated: the model validates a prefix on entry."""
         segments = [s for s in segments if s.span_len > 0]
         if not segments:
             return KvSegment()
@@ -92,7 +92,7 @@ class KvSegment:
                 raise IncompatibilityError("cannot concat segments of different models")
             if s.num_layers != first.num_layers:
                 raise InputError("cannot concat segments with different layer counts")
-        out = KvSegment(
+        return KvSegment(
             keys=[
                 np.concatenate([s.keys[l] for s in segments], axis=1)
                 for l in range(first.num_layers)
@@ -104,8 +104,6 @@ class KvSegment:
             positions=np.concatenate([s.positions for s in segments]),
             model_fingerprint=first.model_fingerprint,
         )
-        out.validate()
-        return out
 
     def allclose(self, other: "KvSegment", atol: float = 0.0) -> bool:
         if (

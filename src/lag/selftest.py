@@ -3,7 +3,8 @@
 Each suite re-checks one load-bearing contract against an independent
 oracle: rotary round trips, repositioning vs a scalar longhand, KV-prefix
 injection vs a full forward pass, top-k retrieval vs brute force, and the
-entry wire format round trip with CRC detection.
+entry wire format round trip with CRC detection. The tests call the same
+oracle functions, each with its own seeds, sizes and tolerances.
 """
 
 from __future__ import annotations
@@ -22,15 +23,68 @@ from .segment import KvSegment
 from .store import LogStore, normalize
 
 
+def rope_round_trip_error(xs, thetas) -> float:
+    """Worst |strip(apply(x, theta), theta) - x| over 2-vectors and angles."""
+    return max(
+        float(np.abs(rope_strip(rope_apply(x, theta), theta) - x).max())
+        for x, theta in zip(xs, thetas)
+    )
+
+
+def reposition_error(original: KvSegment, moved: KvSegment, params: RopeParams) -> float:
+    """Worst key error of ``moved`` against a scalar longhand that moves each
+    key 2-vector of ``original`` to ``moved.positions``: strip the rotation
+    of the old position, then apply that of the new one."""
+    worst = 0.0
+    for k_old, k_new in zip(original.keys, moved.keys):
+        for t in range(original.span_len):
+            th_old = angles(params, int(original.positions[t]))
+            th_new = angles(params, int(moved.positions[t]))
+            for h in range(k_old.shape[0]):
+                for i in range(params.head_dim // 2):
+                    pair = slice(2 * i, 2 * i + 2)
+                    want = rope_apply(rope_strip(k_old[h, t, pair], th_old[i]), th_new[i])
+                    worst = max(worst, float(np.abs(want - k_new[h, t, pair]).max()))
+    return worst
+
+
+def injection_error(model, t1, t2) -> float:
+    """Worst logit difference between t2 run after the injected KV of t1 and
+    the tail of one forward pass over t1 + t2."""
+    prefix, _ = encode(model, t1, 0)
+    got, _ = forward_with_prefix(model, prefix, t2, len(t1))
+    full, _ = forward_with_prefix(model, None, list(t1) + list(t2), 0)
+    return float(np.abs(got - full[len(t1):]).max())
+
+
+def random_injection_error(model, rng, pairs: int, vocab: int) -> float:
+    """Worst ``injection_error`` over random (t1, t2) pairs of at most 64
+    tokens in all, with token ids below ``vocab``."""
+    worst = 0.0
+    for _ in range(pairs):
+        n1 = int(rng.integers(1, 32))
+        n2 = int(rng.integers(1, 65 - n1))
+        t1 = rng.integers(0, vocab, n1).tolist()
+        t2 = rng.integers(0, vocab, n2).tolist()
+        worst = max(worst, injection_error(model, t1, t2))
+    return worst
+
+
+def brute_force_topk(embeddings, query, k: int) -> list[int]:
+    """Ids of the k embeddings with the highest float64 cosine to the query,
+    ties by ascending id."""
+    q = np.asarray(query, dtype=np.float64)
+    qn = q / np.linalg.norm(q)
+    sims = [float(np.asarray(e, dtype=np.float64) @ qn) for e in embeddings]
+    return sorted(range(len(sims)), key=lambda i: (-sims[i], i))[:k]
+
+
 def _suite_rope_round_trip() -> tuple[bool, str]:
     rng = np.random.default_rng(11)
     xs = rng.standard_normal((10_000, 2)).astype(np.float32)
     thetas = rng.uniform(-50.0, 50.0, 10_000)
     t0 = time.perf_counter()
-    worst = 0.0
-    for x, theta in zip(xs, thetas):
-        back = rope_strip(rope_apply(x, theta), theta)
-        worst = max(worst, float(np.abs(back - x).max()))
+    worst = rope_round_trip_error(xs, thetas)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 and elapsed < 1.0
     return ok, f"max abs err {worst:.2e} over 10000 pairs in {elapsed:.2f}s"
@@ -42,31 +96,15 @@ def _suite_repositioning() -> tuple[bool, str]:
     model = build_model(cfg)
     rng = np.random.default_rng(5)
     seg, _ = encode(model, rng.integers(0, 64, 12).tolist(), 4)
-    params = RopeParams(cfg.head_dim, cfg.rope_base)
+    params = model.rope_params
     new_pos = np.arange(40, 52)
     moved = reposition_segment(seg, new_pos, params)
-
-    worst = 0.0
-    for l in range(seg.num_layers):
-        for h in range(seg.num_kv_heads):
-            for t in range(seg.span_len):
-                th_old = angles(params, int(seg.positions[t]))
-                th_new = angles(params, int(new_pos[t]))
-                for i in range(cfg.head_dim // 2):
-                    pair = seg.keys[l][h, t, 2 * i : 2 * i + 2]
-                    expect = rope_apply(rope_strip(pair, th_old[i]), th_new[i])
-                    got = moved.keys[l][h, t, 2 * i : 2 * i + 2]
-                    worst = max(worst, float(np.abs(expect - got).max()))
-    values_ok = all(
-        np.array_equal(moved.values[l], seg.values[l]) for l in range(seg.num_layers)
-    )
+    worst = reposition_error(seg, moved, params)
+    values_ok = all(np.array_equal(a, b) for a, b in zip(moved.values, seg.values))
     two_step = reposition_segment(
         reposition_segment(seg, np.arange(100, 112), params), new_pos, params
     )
-    comp = max(
-        float(np.abs(two_step.keys[l] - moved.keys[l]).max())
-        for l in range(seg.num_layers)
-    )
+    comp = max(float(np.abs(a - b).max()) for a, b in zip(two_step.keys, moved.keys))
     ok = worst <= 1e-6 and values_ok and comp <= 1e-5
     return ok, f"oracle err {worst:.2e}, composition err {comp:.2e}, values intact {values_ok}"
 
@@ -74,56 +112,26 @@ def _suite_repositioning() -> tuple[bool, str]:
 def _suite_kv_injection() -> tuple[bool, str]:
     cfg = ModelConfig(num_layers=3, num_heads=4, num_kv_heads=2, head_dim=8,
                       vocab_size=128, weight_seed=1, max_positions=128)
-    model = build_model(cfg)
-    rng = np.random.default_rng(7)
-    worst = 0.0
-    for _ in range(50):
-        n1 = int(rng.integers(1, 32))
-        n2 = int(rng.integers(1, 65 - n1))
-        t1 = rng.integers(0, 128, n1).tolist()
-        t2 = rng.integers(0, 128, n2).tolist()
-        prefix, _ = encode(model, t1, 0)
-        got, _ = forward_with_prefix(model, prefix, t2, n1)
-        full, _ = forward_with_prefix(model, None, t1 + t2, 0)
-        worst = max(worst, float(np.abs(got - full[n1:]).max()))
-    ok = worst <= 1e-4
-    return ok, f"max abs logit diff {worst:.2e} over 50 random pairs"
+    worst = random_injection_error(build_model(cfg), np.random.default_rng(7), 50, 128)
+    return worst <= 1e-4, f"max abs logit diff {worst:.2e} over 50 random pairs"
 
 
 def _suite_retrieval() -> tuple[bool, str]:
     rng = np.random.default_rng(13)
     dim, n, queries, k = 16, 300, 30, 5
+    embeddings = [normalize(rng.standard_normal(dim).astype(np.float32)) for _ in range(n)]
+    for i in range(10, n, 10):
+        # duplicated embeddings force ties that must resolve by insertion order
+        embeddings[i] = embeddings[0]
     with tempfile.TemporaryDirectory() as tmp:
         store = LogStore(tmp, mode="w")
-        for i in range(n):
-            vec = normalize(rng.standard_normal(dim).astype(np.float32))
-            if i and i % 10 == 0:
-                # duplicated embeddings force ties that must resolve by
-                # insertion order
-                vec = store.get(0).embedding.copy()
-            store.put(
-                LogEntry(
-                    task_text=f"t{i}",
-                    retrieval_key_text=f"k{i}",
-                    embedding=vec,
-                    strategy=SelectionStrategy("last_round_text"),
-                    text_payload=f"p{i}",
-                )
-            )
-        agree = True
-        for _ in range(queries):
-            q = rng.standard_normal(dim).astype(np.float32)
-            qn = q.astype(np.float64) / np.linalg.norm(q.astype(np.float64))
-            brute = sorted(
-                range(n),
-                key=lambda i: (
-                    -float(store.get(i).embedding.astype(np.float64) @ qn),
-                    i,
-                ),
-            )[:k]
-            got = [r.entry_id for r in store.retrieve_topk(q, k)]
-            if got != brute:
-                agree = False
+        for i, vec in enumerate(embeddings):
+            strategy = SelectionStrategy("last_round_text")
+            store.put(LogEntry(f"t{i}", f"k{i}", vec, strategy, text_payload=f"p{i}"))
+        agree = all(
+            [r.entry_id for r in store.retrieve_topk(q, k)] == brute_force_topk(embeddings, q, k)
+            for q in rng.standard_normal((queries, dim)).astype(np.float32)
+        )
         store.close()
     return agree, f"{queries} queries over {n} entries, ties included"
 

@@ -15,11 +15,17 @@ from lag.codec import LogEntry, SelectionStrategy, deserialize, encode_log, seri
 from lag.config import ModelConfig
 from lag.errors import DegenerateStatisticError, FormatError
 from lag.metrics import paired_ttest
-from lag.model import build_model, encode, forward_with_prefix
+from lag.model import build_model, encode
 from lag.orchestrator import RunConfig
-from lag.rope import angles, reposition_segment, rope_apply, rope_strip
+from lag.rope import reposition_segment
 from lag.runner import ingest_tasks, run_tasks
 from lag.segment import KvSegment
+from lag.selftest import (
+    brute_force_topk,
+    random_injection_error,
+    reposition_error,
+    rope_round_trip_error,
+)
 from lag.store import LogStore, normalize
 from lag.synth import FactChainGenerator, build_reuse_suite
 
@@ -47,9 +53,7 @@ def test_criterion_01_rope_round_trip():
     xs = rng.standard_normal((10_000, 2)).astype(np.float32)
     thetas = rng.uniform(-100.0, 100.0, 10_000)
     start = time.perf_counter()
-    worst = 0.0
-    for x, theta in zip(xs, thetas):
-        worst = max(worst, float(np.abs(rope_strip(rope_apply(x, theta), theta) - x).max()))
+    worst = rope_round_trip_error(xs, thetas)
     elapsed = time.perf_counter() - start
     assert worst <= 1e-6
     assert elapsed < 1.0
@@ -61,18 +65,7 @@ def test_criterion_02_repositioning(small_model, rng):
     seg, _ = encode(small_model, rng.integers(0, 256, 14).tolist(), 9)
     new_positions = np.arange(120, 134)
     moved = reposition_segment(seg, new_positions, params)
-
-    worst = 0.0
-    for l in range(seg.num_layers):
-        for h in range(seg.num_kv_heads):
-            for t in range(seg.span_len):
-                theta_old = angles(params, int(seg.positions[t]))
-                theta_new = angles(params, int(new_positions[t]))
-                for i in range(params.head_dim // 2):
-                    pair = seg.keys[l][h, t, 2 * i : 2 * i + 2]
-                    want = rope_apply(rope_strip(pair, theta_old[i]), theta_new[i])
-                    got = moved.keys[l][h, t, 2 * i : 2 * i + 2]
-                    worst = max(worst, float(np.abs(want - got).max()))
+    worst = reposition_error(seg, moved, params)
     assert worst <= 1e-6
     for l in range(seg.num_layers):
         assert np.array_equal(moved.values[l], seg.values[l])
@@ -91,18 +84,10 @@ def test_criterion_03_kv_injection_equivalence():
         ModelConfig(num_layers=3, num_heads=4, num_kv_heads=2, head_dim=8,
                     vocab_size=257, weight_seed=9, max_positions=256)
     )
-    rng = np.random.default_rng(31)
-    worst = 0.0
-    for _ in range(50):
-        n1 = int(rng.integers(1, 32))
-        n2 = int(rng.integers(1, 65 - n1))
-        t1 = rng.integers(0, 256, n1).tolist()
-        t2 = rng.integers(0, 256, n2).tolist()
-        prefix, _ = encode(model, t1, 0)
-        injected, _ = forward_with_prefix(model, prefix, t2, n1)
-        full, _ = forward_with_prefix(model, None, t1 + t2, 0)
-        worst = max(worst, float(np.abs(injected - full[n1:]).max()))
-    assert worst <= 1e-4
+    worst = random_injection_error(model, np.random.default_rng(31), 50, 256)
+    # fp32 error on the injection suite really is above 1e-9: a tighter gate
+    # would reject correct behavior, so 1e-4 is a calibrated bound
+    assert 1e-9 < worst <= 1e-4
     _ok(3, f"50 random (t1, t2) pairs <= 64 tokens, max logit err {worst:.2e}")
 
 
@@ -157,13 +142,8 @@ def test_criterion_05_retrieval_exactness(tmp_path):
     agreements = 0
     for _ in range(n_queries):
         q = rng.standard_normal(dim)
-        qn = q / np.linalg.norm(q)
-        brute = sorted(
-            range(n_entries),
-            key=lambda i: (-float(vectors[i].astype(np.float64) @ qn), i),
-        )[:k]
         got = [r.entry_id for r in store.retrieve_topk(q, k)]
-        agreements += got == brute
+        agreements += got == brute_force_topk(vectors, q, k)
     store.close()
     assert agreements == n_queries
     _ok(5, f"{n_queries}/{n_queries} queries over {n_entries} entries match brute force, ties included")

@@ -18,14 +18,19 @@ from lag.model import encode
 
 class _Handler(BaseHTTPRequestHandler):
     requests: list[dict] = []
-    fail_first = 0
+    # one entry per request to fail, in order: an HTTP status to answer
+    # with, or None to close the connection without a response
+    failures: list[int | None] = []
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         _Handler.requests.append(body)
-        if _Handler.fail_first > 0:
-            _Handler.fail_first -= 1
-            self.send_response(500)
+        if _Handler.failures:
+            status = _Handler.failures.pop(0)
+            if status is None:
+                self.close_connection = True
+                return
+            self.send_response(status)
             self.end_headers()
             return
         reply = json.dumps(
@@ -47,9 +52,10 @@ def http_server():
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     _Handler.requests = []
-    _Handler.fail_first = 0
+    _Handler.failures = []
     yield f"http://127.0.0.1:{server.server_port}/generate"
     server.shutdown()
+    server.server_close()
 
 
 def test_http_wire_contract(http_server):
@@ -65,9 +71,33 @@ def test_http_wire_contract(http_server):
 
 
 def test_http_retries_then_succeeds(http_server):
-    _Handler.fail_first = 1
+    _Handler.failures = [500]
     backend = HttpGeneratorBackend(http_server, retries=2)
     assert backend.generate([{"role": "user", "content": "retry me"}]).startswith("echo")
+
+
+@pytest.mark.parametrize("status", [503, 429])
+def test_http_retries_unavailable_and_throttled(http_server, status):
+    _Handler.failures = [status]
+    backend = HttpGeneratorBackend(http_server, retries=2)
+    assert backend.generate([{"role": "user", "content": "retry me"}]).startswith("echo")
+    assert len(_Handler.requests) == 2
+
+
+def test_http_client_error_is_not_retried(http_server):
+    _Handler.failures = [400] * 3
+    backend = HttpGeneratorBackend(http_server, retries=2)
+    with pytest.raises(BackendError):
+        backend.generate([{"role": "user", "content": "bad request"}])
+    assert len(_Handler.requests) == 1
+
+
+def test_http_dropped_connection_is_retried(http_server):
+    _Handler.failures = [None] * 3
+    backend = HttpGeneratorBackend(http_server, retries=2)
+    with pytest.raises(BackendError):
+        backend.generate([{"role": "user", "content": "dropped"}])
+    assert len(_Handler.requests) == 3
 
 
 def test_http_unreachable_is_backend_error():

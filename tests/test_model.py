@@ -14,6 +14,7 @@ from lag.errors import (
 )
 from lag.model import ByteTokenizer, build_model, encode, forward_with_prefix, greedy_decode
 from lag.segment import KvCache
+from lag.selftest import injection_error
 from tests.conftest import SMALL_CONFIG, child_env
 
 
@@ -96,12 +97,7 @@ def test_prefix_empty_equals_plain_forward(small_model, rng):
 def test_prefix_injection_matches_full_forward(small_model, rng, n1, n2):
     t1 = rng.integers(0, 256, n1).tolist()
     t2 = rng.integers(0, 256, n2).tolist()
-    prefix, _ = encode(small_model, t1, 0)
-    with_prefix, combined = forward_with_prefix(small_model, prefix, t2, n1)
-    full, _ = forward_with_prefix(small_model, None, t1 + t2, 0)
-    assert np.abs(with_prefix - full[n1:]).max() <= 1e-4
-    assert combined.span_len == n1 + n2
-    assert list(combined.positions) == list(range(n1 + n2))
+    assert injection_error(small_model, t1, t2) <= 1e-4
 
 
 def test_prefix_fingerprint_mismatch(small_model, rng):
@@ -176,6 +172,7 @@ def test_segment_prefix_is_left_unchanged(small_model, rng):
     _, cache = forward_with_prefix(small_model, prefix, t2, len(t1))
     greedy_decode(small_model, prefix, t2, 8)
     assert cache.span_len == len(t1) + len(t2) and prefix.span_len == len(t1)
+    assert list(cache.positions) == list(range(len(t1) + len(t2)))
     assert np.array_equal(prefix.positions, positions)
     for l in range(prefix.num_layers):
         assert np.array_equal(prefix.keys[l], keys[l])
@@ -262,27 +259,6 @@ def test_prefill_memory_is_bounded():
     )
     grown_mb = float(out.stdout)
     assert grown_mb < 64, f"a 4000-token encode grew peak RSS by {grown_mb:.0f} MB"
-
-
-def test_injection_tolerance_is_calibrated_not_slack():
-    # fp32 error on the injection suite really is above 1e-9: a tighter gate
-    # would reject correct behavior, so 1e-4 is a calibrated bound
-    model = build_model(
-        ModelConfig(num_layers=3, num_heads=4, num_kv_heads=2, head_dim=8,
-                    vocab_size=257, weight_seed=9, max_positions=256)
-    )
-    gen = np.random.default_rng(31)
-    worst = 0.0
-    for _ in range(50):
-        n1 = int(gen.integers(1, 32))
-        n2 = int(gen.integers(1, 65 - n1))
-        t1 = gen.integers(0, 256, n1).tolist()
-        t2 = gen.integers(0, 256, n2).tolist()
-        prefix, _ = encode(model, t1, 0)
-        got, _ = forward_with_prefix(model, prefix, t2, n1)
-        full, _ = forward_with_prefix(model, None, t1 + t2, 0)
-        worst = max(worst, float(np.abs(got - full[n1:]).max()))
-    assert 1e-9 < worst <= 1e-4
 
 
 def test_tokenizer_round_trip():

@@ -2,13 +2,19 @@ import numpy as np
 import pytest
 
 from lag.actions import Action
-from lag.backends import Backends, HashedBagOfWordsEmbedder, ScriptedGenerator
+from lag.backends import (
+    Backends,
+    HashedBagOfWordsEmbedder,
+    ReferenceModelGenerator,
+    ScriptedGenerator,
+)
 from lag.codec import LogEntry, SelectionStrategy, encode_log
 from lag.datasets import TaskRecord
-from lag.errors import ConfigurationError, IncompatibilityError
-from lag.model import encode
+from lag.errors import ConfigurationError, IncompatibilityError, InputError
+from lag.model import Model, encode
 from lag.orchestrator import RunConfig, TaskError, assemble_kv_prefix, run_task
-from lag.rope import angles, rope_apply, rope_strip
+from lag.segment import KvSegment
+from lag.selftest import reposition_error
 from lag.store import LogStore, normalize
 from tests.test_codec import transcript
 
@@ -375,22 +381,15 @@ def test_prefix_two_logs_concatenate_contiguously(small_model, embedder):
     prefix = assemble_kv_prefix([e1, e2], small_model)
     assert prefix.span_len == 8
     assert list(prefix.positions) == list(range(8))
-    params = small_model.rope_params
     for l in range(prefix.num_layers):
         assert np.array_equal(
             prefix.values[l],
             np.concatenate([e1.kv.values[l], e2.kv.values[l]], axis=1),
         )
-        # longhand strip/reapply oracle on the second segment
-        for h in range(e2.kv.num_kv_heads):
-            for t in range(e2.kv.span_len):
-                old = angles(params, int(e2.kv.positions[t]))
-                new = angles(params, 3 + t)
-                for i in range(params.head_dim // 2):
-                    pair = e2.kv.keys[l][h, t, 2 * i : 2 * i + 2]
-                    want = rope_apply(rope_strip(pair, old[i]), new[i])
-                    got = prefix.keys[l][h, 3 + t, 2 * i : 2 * i + 2]
-                    assert np.abs(want - got).max() <= 1e-6
+    # longhand strip/reapply oracle on each segment's part of the prefix
+    params = small_model.rope_params
+    assert reposition_error(e1.kv, prefix.slice(0, 3), params) <= 1e-6
+    assert reposition_error(e2.kv, prefix.slice(3, 8), params) <= 1e-6
 
 
 def test_prefix_empty_list(small_model):
@@ -407,8 +406,6 @@ def test_prefix_rejects_foreign_fingerprint(small_model, embedder):
 def test_reference_generator_consumes_injected_prefix(tmp_path, small_model, embedder):
     # end-to-end KV mode on the real model: the prompt decodes at positions
     # past the injected prefix and the run is deterministic
-    from lag.backends import ReferenceModelGenerator
-
     store = LogStore(tmp_path / "s", mode="w")
     store.put(kv_entry(small_model, embedder, "some stored reasoning trace"))
     store.put(kv_entry(small_model, embedder, "another remembered span"))
@@ -427,3 +424,47 @@ def test_reference_generator_consumes_injected_prefix(tmp_path, small_model, emb
     assert t1.turns == t2.turns
     assert t1.iterations >= 1
     assert sorted(ids1) == sorted(ids2) == [0, 1]
+
+
+def test_lag_kv_round_validates_its_prefix_once(tmp_path, small_model, embedder, monkeypatch):
+    store = LogStore(tmp_path / "s", mode="w")
+    for text in ("some stored reasoning trace", "another remembered span", "a third log"):
+        store.put(kv_entry(small_model, embedder, text))
+    store.close()
+    store = LogStore(tmp_path / "s", mode="r")
+    validated = []
+    validate = KvSegment.validate
+    monkeypatch.setattr(
+        KvSegment, "validate", lambda seg: (validated.append(seg.span_len), validate(seg))
+    )
+    backends = Backends(
+        generator=ReferenceModelGenerator(small_model, max_new=4),
+        embedder=HashedBagOfWordsEmbedder(dimension=64, seed=0),
+        model=small_model,
+    )
+    task = TaskRecord(id="t", question="stored reasoning", answers=["?"])
+    cfg = RunConfig(mode="lag_kv", max_steps=1, k_docs=0, k_logs=3)
+    _, _, ids = run_task(task, cfg, backends, store)
+    assert len(ids) == 3
+    # once, on the whole assembled prefix, where it enters the model
+    assert validated == [sum(store.get(i).kv.span_len for i in ids)]
+    store.close()
+
+
+def test_nonfinite_stored_kv_is_caught_before_the_forward_pass(
+    small_model, embedder, monkeypatch
+):
+    # a damaged store could hand back a NaN key: assembly passes it through,
+    # and the generator refuses the prefix before running the model
+    damaged = kv_entry(small_model, embedder, "damaged log", start=4)
+    damaged.kv.keys[1][0, 2, 3] = np.nan
+    prefix = assemble_kv_prefix(
+        [kv_entry(small_model, embedder, "healthy log"), damaged], small_model
+    )
+    forwards = []
+    monkeypatch.setattr(Model, "_forward", lambda *args: forwards.append(args))
+    with pytest.raises(InputError):
+        ReferenceModelGenerator(small_model, max_new=4).generate(
+            [{"role": "user", "content": "question"}], kv_prefix=prefix
+        )
+    assert forwards == []

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
+from lag._kernels import rotate_pairs
+from lag.config import ModelConfig
 from lag.errors import ConfigurationError, PositionError
-from lag.model import encode
+from lag.model import build_model, encode
 from lag.rope import (
     RopeParams,
     angles,
+    cos_sin_table,
     reposition_segment,
     rope_apply,
     rope_strip,
-    rotate_keys,
 )
+from lag.selftest import reposition_error
 
 
 def test_angles_zero_position():
@@ -84,21 +87,16 @@ def test_reposition_same_positions_is_identity(segment, params):
         assert np.abs(moved.keys[l] - segment.keys[l]).max() <= 1e-6
 
 
-def test_reposition_matches_longhand_oracle(segment, params):
-    new_positions = np.arange(50, 60)
-    moved = reposition_segment(segment, new_positions, params)
-    worst = 0.0
-    for l in range(segment.num_layers):
-        for h in range(segment.num_kv_heads):
-            for t in range(segment.span_len):
-                theta_old = angles(params, int(segment.positions[t]))
-                theta_new = angles(params, int(new_positions[t]))
-                for i in range(params.head_dim // 2):
-                    pair = segment.keys[l][h, t, 2 * i : 2 * i + 2]
-                    want = rope_apply(rope_strip(pair, theta_old[i]), theta_new[i])
-                    got = moved.keys[l][h, t, 2 * i : 2 * i + 2]
-                    worst = max(worst, float(np.abs(want - got).max()))
-    assert worst <= 1e-6
+def test_reposition_matches_longhand_oracle(segment, params, rng):
+    moved = reposition_segment(segment, np.arange(50, 60), params)
+    assert reposition_error(segment, moved, params) <= 1e-6
+    # large jumps on the default model: far back to the start, and from the
+    # start to near max_positions (4096)
+    model = build_model(ModelConfig())
+    for start, new_start in ((3000, 0), (0, 3900)):
+        seg, _ = encode(model, rng.integers(0, 256, 12).tolist(), start)
+        moved = reposition_segment(seg, np.arange(new_start, new_start + 12), model.rope_params)
+        assert reposition_error(seg, moved, model.rope_params) <= 1e-6
 
 
 def test_reposition_leaves_values_bit_identical(segment, params):
@@ -144,7 +142,7 @@ def test_rotate_keys_matches_scalar_apply(rng):
     params = RopeParams(6, 500.0)
     keys = rng.standard_normal((2, 4, 6)).astype(np.float32)
     positions = np.array([3, 10, 11, 40])
-    rotated = rotate_keys(keys, positions, params)
+    rotated = rotate_pairs(keys, *cos_sin_table(params, positions))
     for h in range(2):
         for t in range(4):
             theta = angles(params, int(positions[t]))

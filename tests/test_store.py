@@ -3,6 +3,7 @@ import pytest
 
 from lag.codec import LogEntry, SelectionStrategy, encode_log
 from lag.errors import IncompatibilityError, InputError, NotFoundError
+from lag.selftest import brute_force_topk
 from lag.store import LogStore, normalize
 from tests.test_codec import THREE_ROUNDS, _random_entry
 
@@ -121,15 +122,11 @@ def test_retrieval_matches_brute_force_with_ties(tmp_path, rng):
         if i % 7 == 0 and i:
             vec = store.get(0).embedding.copy()  # forced exact ties
         store.put(text_entry(vec, tag=str(i)))
+    embeddings = [store.get(i).embedding for i in range(n)]
     for _ in range(25):
         q = rng.standard_normal(dim)
-        qn = q / np.linalg.norm(q)
-        brute = sorted(
-            range(n),
-            key=lambda i: (-float(store.get(i).embedding.astype(np.float64) @ qn), i),
-        )
         got = [r.entry_id for r in store.retrieve_topk(q, 10)]
-        assert got == brute[:10]
+        assert got == brute_force_topk(embeddings, q, 10)
         sims = [r.similarity for r in store.retrieve_topk(q, n)]
         assert all(-1.0 - 1e-9 <= s <= 1.0 + 1e-9 for s in sims)
     store.close()
