@@ -40,9 +40,9 @@ from .model import (
     greedy_decode,
 )
 from .orchestrator import RunConfig, assemble_kv_prefix, run_task
-from .rope import RopeParams, angles, reposition_segment, rope_apply, rope_strip
+from .rope import RopeParams, reposition_segment
 from .segment import KvCache, KvSegment
-from .store import LogStore, RetrievalResult, StoreManifest
+from .store import LogStore, RetrievalResult
 
 __all__ = [
     "Action",
@@ -67,8 +67,6 @@ __all__ = [
     "ScriptedGenerator",
     "SelectionStrategy",
     "SplitSpec",
-    "StoreManifest",
-    "angles",
     "assemble_kv_prefix",
     "build_model",
     "choice_accuracy",
@@ -82,8 +80,6 @@ __all__ = [
     "greedy_decode",
     "paired_ttest",
     "reposition_segment",
-    "rope_apply",
-    "rope_strip",
     "run_task",
     "serialize",
     "split",

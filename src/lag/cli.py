@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .backends import (
@@ -26,7 +27,7 @@ from .backends import (
     ReferenceModelGenerator,
     ScriptedGenerator,
 )
-from .codec import KINDS, SelectionStrategy
+from .codec import FORMAT_VERSION, KINDS, SelectionStrategy
 from .config import ModelConfig
 from .datasets import load_tasks
 from .errors import ConfigurationError, InputError, LagError
@@ -43,7 +44,7 @@ from .model import build_model
 from .orchestrator import KV_MODES, MODES, STANDARD, RunConfig, default_strategy
 from .runner import ingest_tasks, run_tasks
 from .selftest import run_selftest
-from .store import LogStore
+from .store import ENTRIES_NAME, LogStore
 from .synth import FactChainGenerator
 
 
@@ -100,6 +101,11 @@ def _strategy(args) -> SelectionStrategy:
     return SelectionStrategy(args.strategy, encoding)
 
 
+def _strategy_histogram(store: LogStore) -> list[tuple[str, int]]:
+    """(strategy kind, entry count) pairs, sorted by kind."""
+    return sorted(Counter(e.strategy.kind for e in store.scan()).items())
+
+
 def cmd_ingest(args) -> int:
     tasks = _pick_split(load_tasks(args.dataset), args)
     backends = _backends(args)
@@ -112,10 +118,9 @@ def cmd_ingest(args) -> int:
         gen_max_new=args.max_new,
         k_docs=args.k_docs,
     )
-    m = store.manifest()
-    print(f"store {args.store}: {m.count} entries, dim {m.embedding_dim}")
-    print(f"fingerprint {m.fingerprint}")
-    for kind, count in sorted(m.strategy_histogram.items()):
+    print(f"store {args.store}: {store.count} entries, dim {store.embedding_dim}")
+    print(f"fingerprint {store.fingerprint}")
+    for kind, count in _strategy_histogram(store):
         print(f"  {kind}: {count}")
     return 0
 
@@ -182,7 +187,7 @@ def cmd_sweep(args) -> int:
             run_args.store = str(out_dir / f"store_{kind}")
             run_args.split = "seen"
             cmd_ingest(run_args)
-            size = (Path(run_args.store) / "entries.lag").stat().st_size
+            size = (Path(run_args.store) / ENTRIES_NAME).stat().st_size
             run_args.split = "unseen"
             run_args.out = str(out_dir / f"report_{kind}.json")
             run_args.label = kind
@@ -213,17 +218,16 @@ def cmd_sweep(args) -> int:
 
 def cmd_store_inspect(args) -> int:
     store = LogStore(args.store, mode="r")
-    m = store.manifest()
-    entries_size = (Path(args.store) / "entries.lag").stat().st_size
+    entries_size = (Path(args.store) / ENTRIES_NAME).stat().st_size
     print(f"store {args.store}")
-    print(f"  version: {m.version}")
-    print(f"  entries: {m.count}")
-    print(f"  embedding dim: {m.embedding_dim}")
-    print(f"  fingerprint: {m.fingerprint}")
-    print(f"  entries.lag bytes: {entries_size}")
+    print(f"  version: {FORMAT_VERSION}")
+    print(f"  entries: {store.count}")
+    print(f"  embedding dim: {store.embedding_dim}")
+    print(f"  fingerprint: {store.fingerprint}")
+    print(f"  {ENTRIES_NAME} bytes: {entries_size}")
     total_payload = sum(e.payload_nbytes for e in store.scan())
     print(f"  payload bytes: {total_payload}")
-    for kind, count in sorted(m.strategy_histogram.items()):
+    for kind, count in _strategy_histogram(store):
         print(f"  strategy {kind}: {count}")
     return 0
 

@@ -240,10 +240,47 @@ def paired_ttest(scores_a: list[float], scores_b: list[float]) -> tuple[float, f
             "score differences are constant and nonzero; t is undefined"
         )
     t = mean / math.sqrt(var / n)
-    from scipy import stats  # lazily: importing it takes longer than the rest of lag
+    return t, _student_t_two_sided_p(t, n - 1)
 
-    p = 2.0 * float(stats.t.sf(abs(t), n - 1))
-    return t, p
+
+def _student_t_two_sided_p(t: float, df: int) -> float:
+    """P(|T| >= |t|) for Student's t with df degrees of freedom: the
+    regularized incomplete beta I_x(df/2, 1/2) at x = df / (df + t^2)."""
+    t2 = t * t
+    if t2 == 0.0:
+        return 1.0
+    a, b = df / 2.0, 0.5
+    x, y = df / (df + t2), t2 / (df + t2)  # y = 1 - x without cancellation
+    front = math.exp(
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+        + a * math.log(x) + b * math.log(y)
+    )
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_fraction(a, b, x) / a
+    return 1.0 - front * _beta_fraction(b, a, y) / b
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of the incomplete beta function, evaluated by the
+    modified Lentz method (Numerical Recipes, 3rd ed., section 6.4)."""
+    tiny = 1e-300
+    c = 1.0
+    d = 1.0 / _nonzero(1.0 - (a + b) * x / (a + 1.0), tiny)
+    h = d
+    for m in range(1, 10_000):
+        even = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        odd = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))
+        for coef in (even, odd):
+            d = 1.0 / _nonzero(1.0 + coef * d, tiny)
+            c = _nonzero(1.0 + coef / c, tiny)
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-16:
+            return h
+    raise DegenerateStatisticError("incomplete beta fraction did not converge")
+
+
+def _nonzero(v: float, tiny: float) -> float:
+    return v if abs(v) > tiny else tiny
 
 
 # -- rendering ---------------------------------------------------------------

@@ -119,8 +119,7 @@ def run_task(
         if backends.model is None:
             raise ConfigurationError(f"mode {cfg.mode} needs a model for the prefix")
         if log_store is not None and log_store.count:
-            store_fp = log_store.manifest().fingerprint
-            if store_fp != backends.model.fingerprint:
+            if log_store.fingerprint != backends.model.fingerprint:
                 raise IncompatibilityError(
                     "log store fingerprint does not match the generation model"
                 )

@@ -1,4 +1,4 @@
-"""Rotary position embedding: apply, strip, and reposition stored keys.
+"""Rotary position embedding: reposition stored keys.
 
 A key vector is split into interleaved 2D subvectors (x[2i], x[2i+1]); each
 subvector is rotated by an angle that depends on the token position and the
@@ -30,24 +30,6 @@ class RopeParams:
             raise ConfigurationError("head_dim must be a positive even number")
         if self.base <= 1.0:
             raise ConfigurationError("base must be > 1")
-
-
-def angles(params: RopeParams, position: int | float) -> np.ndarray:
-    """Rotation angles for one position: position * base^(-2i/head_dim)."""
-    i = np.arange(params.head_dim // 2, dtype=np.float64)
-    return position * params.base ** (-2.0 * i / params.head_dim)
-
-
-def rope_apply(x, theta: float) -> np.ndarray:
-    """Rotate a 2-vector by theta (the position-dependent rotation matrix)."""
-    x = np.asarray(x, dtype=np.float64)
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([c * x[0] - s * x[1], s * x[0] + c * x[1]])
-
-
-def rope_strip(y, theta: float) -> np.ndarray:
-    """Inverse rotation: rope_strip(rope_apply(x, t), t) == x."""
-    return rope_apply(y, -theta)
 
 
 def cos_sin_table(params: RopeParams, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -18,9 +18,27 @@ from .codec import LogEntry, SelectionStrategy, deserialize, serialize
 from .config import ModelConfig
 from .errors import ChecksumError, FormatError
 from .model import build_model, encode, forward_with_prefix
-from .rope import RopeParams, angles, reposition_segment, rope_apply, rope_strip
+from .rope import RopeParams, reposition_segment
 from .segment import KvSegment
 from .store import LogStore, normalize
+
+
+def angles(params: RopeParams, position: int | float) -> np.ndarray:
+    """Rotation angles for one position: position * base^(-2i/head_dim)."""
+    i = np.arange(params.head_dim // 2, dtype=np.float64)
+    return position * params.base ** (-2.0 * i / params.head_dim)
+
+
+def rope_apply(x, theta: float) -> np.ndarray:
+    """Rotate a 2-vector by theta (the position-dependent rotation matrix)."""
+    x = np.asarray(x, dtype=np.float64)
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([c * x[0] - s * x[1], s * x[0] + c * x[1]])
+
+
+def rope_strip(y, theta: float) -> np.ndarray:
+    """Inverse rotation: rope_strip(rope_apply(x, t), t) == x."""
+    return rope_apply(y, -theta)
 
 
 def rope_round_trip_error(xs, thetas) -> float:

@@ -2,9 +2,11 @@
 retrieval over precomputed embeddings.
 
 Layout of a store directory:
-    manifest.json  counts, fingerprint hex, embedding dimension, version
     entries.lag    concatenated serialized entries
     offsets.idx    little-endian u64 byte offset of each entry
+
+Nothing else is read or written: the count, model fingerprint, embedding
+dimension and strategy mix are derived from the entries on open.
 
 Embeddings are L2-normalized once at put time; retrieval is a brute-force
 dot product, which at the store sizes this system targets is both exact and
@@ -14,9 +16,8 @@ opens read-only and never mutates the store.
 
 from __future__ import annotations
 
-import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,38 +25,8 @@ import numpy as np
 from .codec import LogEntry, deserialize, serialize
 from .errors import IncompatibilityError, InputError, NotFoundError
 
-MANIFEST_NAME = "manifest.json"
 ENTRIES_NAME = "entries.lag"
 OFFSETS_NAME = "offsets.idx"
-STORE_VERSION = 1
-
-
-@dataclass
-class StoreManifest:
-    fingerprint: str | None
-    count: int
-    embedding_dim: int | None
-    strategy_histogram: dict[str, int] = field(default_factory=dict)
-    version: int = STORE_VERSION
-
-    def to_json(self) -> dict:
-        return {
-            "version": self.version,
-            "count": self.count,
-            "fingerprint": self.fingerprint,
-            "embedding_dim": self.embedding_dim,
-            "strategy_histogram": self.strategy_histogram,
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "StoreManifest":
-        return StoreManifest(
-            fingerprint=data.get("fingerprint"),
-            count=int(data.get("count", 0)),
-            embedding_dim=data.get("embedding_dim"),
-            strategy_histogram=dict(data.get("strategy_histogram", {})),
-            version=int(data.get("version", STORE_VERSION)),
-        )
 
 
 @dataclass(frozen=True)
@@ -89,12 +60,10 @@ class LogStore:
         self.path = Path(path)
         self.mode = mode
         self._entries: list[LogEntry] = []
-        self._offsets: list[int] = []
-        self._manifest = StoreManifest(None, 0, None)
+        self._matrix = None
         self._entries_fh = None
 
-        manifest_path = self.path / MANIFEST_NAME
-        if manifest_path.exists():
+        if (self.path / ENTRIES_NAME).exists():
             self._load()
         elif mode == "r":
             raise InputError(f"no log store at {self.path}")
@@ -102,7 +71,6 @@ class LogStore:
             self.path.mkdir(parents=True, exist_ok=True)
             (self.path / ENTRIES_NAME).touch()
             (self.path / OFFSETS_NAME).touch()
-            self._write_manifest()
         if mode == "w":
             self._entries_fh = open(self.path / ENTRIES_NAME, "ab")
             self._offsets_fh = open(self.path / OFFSETS_NAME, "ab")
@@ -110,23 +78,14 @@ class LogStore:
     # -- persistence -----------------------------------------------------
 
     def _load(self) -> None:
-        with open(self.path / MANIFEST_NAME, "r", encoding="utf-8") as fh:
-            self._manifest = StoreManifest.from_json(json.load(fh))
         raw_offsets = (self.path / OFFSETS_NAME).read_bytes()
-        self._offsets = list(
-            struct.unpack(f"<{len(raw_offsets) // 8}Q", raw_offsets)
-        )
+        offsets = list(struct.unpack(f"<{len(raw_offsets) // 8}Q", raw_offsets))
         blob = (self.path / ENTRIES_NAME).read_bytes()
-        bounds = self._offsets + [len(blob)]
-        for i in range(len(self._offsets)):
+        bounds = offsets + [len(blob)]
+        for i in range(len(offsets)):
             entry = deserialize(blob[bounds[i] : bounds[i + 1]])
             entry.entry_id = i
             self._entries.append(entry)
-        if len(self._entries) != self._manifest.count:
-            raise InputError(
-                f"manifest count {self._manifest.count} != "
-                f"{len(self._entries)} stored entries"
-            )
         self._rebuild_matrix()
 
     def _rebuild_matrix(self) -> None:
@@ -137,18 +96,21 @@ class LogStore:
         else:
             self._matrix = None
 
-    def _write_manifest(self) -> None:
-        tmp = self.path / (MANIFEST_NAME + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self._manifest.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        tmp.replace(self.path / MANIFEST_NAME)
-
     # -- operations --------------------------------------------------------
 
     @property
     def count(self) -> int:
         return len(self._entries)
+
+    @property
+    def fingerprint(self) -> str | None:
+        """Model fingerprint shared by every entry; None when empty."""
+        return self._entries[0].fingerprint if self._entries else None
+
+    @property
+    def embedding_dim(self) -> int | None:
+        """Embedding dimension shared by every entry; None when empty."""
+        return None if self._matrix is None else self._matrix.shape[1]
 
     def put(self, entry: LogEntry) -> int:
         """Store an entry; returns its id. The embedding is L2-normalized
@@ -157,14 +119,11 @@ class LogStore:
             raise InputError("store is open read-only")
         entry.validate()
         dim = int(np.asarray(entry.embedding).shape[0])
-        if self._manifest.embedding_dim is not None and dim != self._manifest.embedding_dim:
+        if self.embedding_dim is not None and dim != self.embedding_dim:
             raise IncompatibilityError(
-                f"embedding dim {dim} != store dim {self._manifest.embedding_dim}"
+                f"embedding dim {dim} != store dim {self.embedding_dim}"
             )
-        if (
-            self._manifest.fingerprint is not None
-            and entry.fingerprint != self._manifest.fingerprint
-        ):
+        if self.fingerprint is not None and entry.fingerprint != self.fingerprint:
             raise IncompatibilityError("entry fingerprint does not match store")
 
         stored = LogEntry(
@@ -187,14 +146,6 @@ class LogStore:
 
         stored.entry_id = len(self._entries)
         self._entries.append(stored)
-        self._offsets.append(offset)
-        self._manifest.count = len(self._entries)
-        self._manifest.embedding_dim = dim
-        if self._manifest.fingerprint is None:
-            self._manifest.fingerprint = stored.fingerprint
-        hist = self._manifest.strategy_histogram
-        hist[stored.strategy.kind] = hist.get(stored.strategy.kind, 0) + 1
-        self._write_manifest()
         self._rebuild_matrix()
         return stored.entry_id
 
@@ -207,19 +158,14 @@ class LogStore:
         """Entries in insertion order."""
         return iter(self._entries)
 
-    def manifest(self) -> StoreManifest:
-        return self._manifest
-
     def retrieve_topk(self, query_embedding, k: int) -> list[RetrievalResult]:
         """Exact top-k by cosine similarity; equal similarities rank older
         entries first."""
         if k < 0:
             raise InputError("k must be >= 0")
         q = np.asarray(query_embedding, dtype=np.float64)
-        if self._manifest.embedding_dim is not None and q.shape[0] != self._manifest.embedding_dim:
-            raise InputError(
-                f"query dim {q.shape[0]} != store dim {self._manifest.embedding_dim}"
-            )
+        if self.embedding_dim is not None and q.shape[0] != self.embedding_dim:
+            raise InputError(f"query dim {q.shape[0]} != store dim {self.embedding_dim}")
         if k == 0 or not self._entries:
             return []
         norm = float(np.linalg.norm(q))
@@ -239,8 +185,6 @@ class LogStore:
             self._entries_fh.close()
             self._offsets_fh.close()
             self._entries_fh = None
-        if self.mode == "w":
-            self._write_manifest()
 
     def __enter__(self) -> "LogStore":
         return self

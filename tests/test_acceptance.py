@@ -278,7 +278,7 @@ def test_criterion_11_persistence(tmp_path, rng):
     store.close()
 
     reopened = LogStore(path, mode="r")
-    assert reopened.manifest().count == 500
+    assert reopened.count == 500
     for i, entry in enumerate(entries):
         back = reopened.get(i)
         assert back.same_content(entry)

@@ -5,6 +5,7 @@ import pytest
 from lag.cli import main
 from lag.datasets import TaskRecord, save_tasks
 from lag.metrics import EvalReport
+from lag.store import LogStore
 from lag.synth import build_reuse_suite
 
 
@@ -42,8 +43,8 @@ def test_ingest_split_seventy_percent(tmp_path):
         "ingest", "--dataset", dataset, "--store", tmp_path / "store",
         "--generator", "synth-hop", "--seed", "0", "--k-docs", "1",
     ) == 0
-    manifest = json.loads((tmp_path / "store" / "manifest.json").read_text())
-    assert manifest["count"] == 7
+    assert {p.name for p in (tmp_path / "store").iterdir()} == {"entries.lag", "offsets.idx"}
+    assert LogStore(tmp_path / "store").count == 7
 
 
 def test_ingest_rerun_is_byte_identical(tmp_path, suite_files):
@@ -185,6 +186,20 @@ def test_store_inspect(tmp_path, suite_files, capsys):
     out = capsys.readouterr().out
     assert "entries: 4" in out
     assert "payload bytes:" in out
+
+
+def test_histogram_counts_each_strategy_of_a_mixed_store(tmp_path, suite_files, capsys):
+    seen_path, _ = suite_files
+    ingest_suite(seen_path, tmp_path / "store", strategy="last_round")
+    capsys.readouterr()
+    ingest_suite(seen_path, tmp_path / "store", strategy="last_action")
+    ingested = capsys.readouterr().out.splitlines()
+    assert ingested[0] == f"store {tmp_path / 'store'}: 8 entries, dim 256"
+    assert ingested[2:] == ["  last_action: 4", "  last_round: 4"]
+    assert run_cli("store", "inspect", "--store", tmp_path / "store") == 0
+    inspected = capsys.readouterr().out.splitlines()
+    assert inspected[1:3] == ["  version: 1", "  entries: 8"]
+    assert inspected[-2:] == ["  strategy last_action: 4", "  strategy last_round: 4"]
 
 
 def test_selftest_passes(capsys):

@@ -9,6 +9,7 @@ from lag.metrics import (
     EvalReport,
     SplitSpec,
     TaskRow,
+    _student_t_two_sided_p,
     choice_accuracy,
     exact_match,
     f1,
@@ -221,7 +222,29 @@ def test_ttest_longhand_five_pairs():
     want_t = 0.2 / math.sqrt(0.7 / 5)
     t, p = paired_ttest(a, b)
     assert abs(t - want_t) <= 1e-9
-    assert 0.0 < p < 1.0
+    assert p == pytest.approx(0.6213082950374971, rel=1e-10)
+
+
+# two-sided p = 2 * scipy.stats.t.sf(|t|, df), recorded from scipy 1.17.1
+TTEST_P = [
+    (0.5345224838248488, 4, 0.6213082950374971),
+    (2.0, 1, 0.2951672353008665),
+    (2.0, 5, 0.10193947882985835),
+    (10.0, 3, 0.0021283990584141503),
+    (0.001, 2, 0.9992928933955901),
+    (40.0, 100, 2.462107602140071e-63),
+]
+
+
+@pytest.mark.parametrize("t,df,want", TTEST_P)
+def test_ttest_p_matches_recorded_student_t(t, df, want):
+    assert _student_t_two_sided_p(t, df) == pytest.approx(want, rel=1e-10)
+    assert _student_t_two_sided_p(-t, df) == pytest.approx(want, rel=1e-10)
+
+
+def test_ttest_zero_mean_difference_has_p_one():
+    t, p = paired_ttest([1.0, 0.0], [0.0, 1.0])
+    assert t == 0.0 and p == 1.0
 
 
 def test_ttest_input_validation():
@@ -246,5 +269,9 @@ def test_report_aggregates_recompute_from_rows(tmp_path):
 
 
 def test_import_lag_leaves_scipy_stats_unloaded():
-    code = "import sys, lag; assert 'scipy.stats' not in sys.modules"
+    code = (
+        "import sys, lag; assert 'scipy.stats' not in sys.modules; "
+        "lag.paired_ttest([1.0, 0.0, 1.0], [0.0, 0.0, 1.0]); "
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']"
+    )
     subprocess.run([sys.executable, "-c", code], check=True, env=child_env())

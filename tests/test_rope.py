@@ -5,15 +5,8 @@ from lag._kernels import rotate_pairs
 from lag.config import ModelConfig
 from lag.errors import ConfigurationError, PositionError
 from lag.model import build_model, encode
-from lag.rope import (
-    RopeParams,
-    angles,
-    cos_sin_table,
-    reposition_segment,
-    rope_apply,
-    rope_strip,
-)
-from lag.selftest import reposition_error
+from lag.rope import RopeParams, cos_sin_table, reposition_segment
+from lag.selftest import angles, reposition_error, rope_apply, rope_strip
 
 
 def test_angles_zero_position():

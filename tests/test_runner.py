@@ -29,7 +29,7 @@ def test_ingest_stores_unanswered_transcripts(tmp_path, embedder):
         tasks, SelectionStrategy("last_round_text"), backends, tmp_path / "s",
         max_steps=2, k_docs=0,
     )
-    assert store.manifest().count == 3
+    assert store.count == 3
     reopened = LogStore(tmp_path / "s", mode="r")
     assert all(e.answer_extracted is None for e in reopened.scan())
     reopened.close()

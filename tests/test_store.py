@@ -23,24 +23,31 @@ def test_put_into_empty_store_adopts_fingerprint(tmp_path, small_model, embedder
     entry = encode_log(small_model, THREE_ROUNDS, SelectionStrategy("last_round"), embedder)
     entry_id = store.put(entry)
     assert entry_id == 0
-    m = store.manifest()
-    assert m.count == 1
-    assert m.fingerprint == small_model.fingerprint
-    assert m.embedding_dim == embedder.dimension
+    assert store.count == 1
+    assert store.fingerprint == small_model.fingerprint
+    assert store.embedding_dim == embedder.dimension
     store.close()
 
 
-def test_put_wrong_dimension_rejected(tmp_path):
+@pytest.mark.parametrize("reopen", [False, True], ids=["kept_open", "reopened"])
+def test_put_wrong_dimension_rejected(tmp_path, reopen):
     store = LogStore(tmp_path / "s", mode="w")
     store.put(text_entry(normalize(np.ones(4, dtype=np.float32))))
+    if reopen:
+        store.close()
+        store = LogStore(tmp_path / "s", mode="w")
     with pytest.raises(IncompatibilityError):
         store.put(text_entry(normalize(np.ones(5, dtype=np.float32))))
     store.close()
 
 
-def test_put_wrong_fingerprint_rejected(tmp_path, small_model, embedder):
+@pytest.mark.parametrize("reopen", [False, True], ids=["kept_open", "reopened"])
+def test_put_wrong_fingerprint_rejected(tmp_path, small_model, embedder, reopen):
     store = LogStore(tmp_path / "s", mode="w")
     store.put(encode_log(small_model, THREE_ROUNDS, SelectionStrategy("last_round"), embedder))
+    if reopen:
+        store.close()
+        store = LogStore(tmp_path / "s", mode="w")
     with pytest.raises(IncompatibilityError):
         store.put(text_entry(np.ones(embedder.dimension, dtype=np.float32)))
     store.close()
@@ -50,7 +57,7 @@ def test_seventy_puts(tmp_path, rng):
     store = LogStore(tmp_path / "s", mode="w")
     for i in range(70):
         store.put(text_entry(normalize(rng.standard_normal(8).astype(np.float32)), tag=str(i)))
-    assert store.manifest().count == 70
+    assert store.count == 70
     store.close()
 
 
@@ -76,7 +83,7 @@ def test_scan_in_insertion_order(tmp_path, rng):
     for i in range(3):
         store.put(text_entry(normalize(rng.standard_normal(4).astype(np.float32)), tag=str(i)))
     assert [e.task_text for e in store.scan()] == ["task 0", "task 1", "task 2"]
-    assert store.manifest().count == 3
+    assert store.count == 3
     store.close()
 
 
@@ -145,7 +152,7 @@ def test_close_reopen_preserves_everything(tmp_path, rng):
     store.close()
 
     reopened = LogStore(path, mode="r")
-    assert reopened.manifest().count == 40
+    assert reopened.count == 40
     for i, entry in enumerate(entries):
         assert reopened.get(i).same_content(entry)
     assert [r.entry_id for r in reopened.retrieve_topk(entries[3].embedding, 1)]
@@ -158,7 +165,7 @@ def test_append_after_reopen(tmp_path, rng):
         store.put(text_entry(normalize(rng.standard_normal(4).astype(np.float32)), "0"))
     with LogStore(path, mode="w") as store:
         store.put(text_entry(normalize(rng.standard_normal(4).astype(np.float32)), "1"))
-        assert store.manifest().count == 2
+        assert store.count == 2
     with LogStore(path, mode="r") as store:
         assert [e.task_text for e in store.scan()] == ["task 0", "task 1"]
 
@@ -177,3 +184,48 @@ def test_reader_mode_cannot_put(tmp_path, rng):
 def test_missing_store_raises(tmp_path):
     with pytest.raises(InputError):
         LogStore(tmp_path / "nope", mode="r")
+
+
+def _three_entry_store(path, rng):
+    with LogStore(path, mode="w") as store:
+        for i in range(3):
+            store.put(text_entry(normalize(rng.standard_normal(4).astype(np.float32)), str(i)))
+
+
+def _assert_reopens_whole(path, rng):
+    """All three entries load in both modes, and a "w" open appends as id 3."""
+    with LogStore(path, mode="r") as store:
+        assert store.count == 3
+        assert [e.task_text for e in store.scan()] == ["task 0", "task 1", "task 2"]
+        assert store.embedding_dim == 4
+    with LogStore(path, mode="w") as store:
+        assert store.count == 3
+        assert store.put(text_entry(normalize(rng.standard_normal(4).astype(np.float32)), "3")) == 3
+    with LogStore(path, mode="r") as store:
+        assert [e.task_text for e in store.scan()] == [f"task {i}" for i in range(4)]
+
+
+def test_store_of_two_files_reopens_whole(tmp_path, rng):
+    path = tmp_path / "s"
+    _three_entry_store(path, rng)
+    assert {p.name for p in path.iterdir()} == {"entries.lag", "offsets.idx"}
+    _assert_reopens_whole(path, rng)
+
+
+def test_stale_manifest_is_ignored(tmp_path, rng):
+    path = tmp_path / "s"
+    _three_entry_store(path, rng)
+    stale = '{"count": 1, "embedding_dim": 9, "strategy_histogram": {"last_action": 5}}\n'
+    (path / "manifest.json").write_text(stale)
+    _assert_reopens_whole(path, rng)
+    assert (path / "manifest.json").read_text() == stale
+
+
+def test_empty_store_reopens_empty(tmp_path):
+    LogStore(tmp_path / "s", mode="w").close()
+    for mode in ("r", "w"):
+        with LogStore(tmp_path / "s", mode=mode) as store:
+            assert store.count == 0
+            assert store.fingerprint is None
+            assert store.embedding_dim is None
+            assert store.retrieve_topk(np.ones(3, dtype=np.float32), 3) == []
