@@ -13,7 +13,11 @@ Workloads, on the default ``ModelConfig`` (4 layers, 4 query heads over
   KV prefix of N = 0, 512 and 2048 tokens;
 * ``assemble.prefixN``: ``assemble_kv_prefix`` over N = 3 and 10 stored logs
   of 133 tokens each (the hop_reuse stored span), which repositions every
-  log to its slot in the prefix and concatenates them.
+  log to its slot in the prefix and concatenates them;
+* ``generate.rounds4``: the four rounds of a kv_agent task on one new
+  ``ReferenceModelGenerator``: ``generate`` of 64 tokens after the same
+  194-token KV prefix, with a ~800-token prompt head followed by one to four
+  documents of ~100 tokens, one more each round.
 
 Every measurement runs in a fresh child interpreter with one BLAS thread.
 With ``--baseline`` the children alternate between this checkout's ``src/``
@@ -21,8 +25,9 @@ and the baseline tree, round by round, so that a drift in the host's speed
 falls on both sides alike; each figure is the median over the rounds of
 each child's median of its repeats. Only names both trees define are used:
 ``lag._kernels.causal_attention``, ``lag.model.{build_model, encode,
-greedy_decode}``, ``lag.codec.{LogEntry, SelectionStrategy}`` and
-``lag.orchestrator.assemble_kv_prefix``.
+greedy_decode}``, ``lag.codec.{LogEntry, SelectionStrategy}``,
+``lag.orchestrator.assemble_kv_prefix`` and
+``lag.backends.ReferenceModelGenerator``.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ def measure() -> dict[str, float]:
     import numpy as np
 
     from lag._kernels import causal_attention
+    from lag.backends import ReferenceModelGenerator
     from lag.codec import LogEntry, SelectionStrategy
     from lag.config import ModelConfig
     from lag.model import build_model, encode, greedy_decode
@@ -102,6 +108,22 @@ def measure() -> dict[str, float]:
         out[f"assemble.prefix{n}"] = _median_ms(
             lambda: assemble_kv_prefix(logs[:n], model), 50
         )
+
+    log = encode(model, rng.integers(0, 256, 194).tolist(), 0)[0]
+    head = "Answer from the information below only; do not guess. " * 15
+    docs = [f"\n\nDocument {i}: the r{i} of e{i} is e{i + 1}. " + "filler " * 11
+            for i in range(4)]
+    prompts = [
+        [{"role": "user", "content": head + "".join(docs[: r + 1]) + "\n\nquestion?"}]
+        for r in range(4)
+    ]
+
+    def rounds():
+        gen = ReferenceModelGenerator(model, max_new=64)
+        for messages in prompts:
+            gen.generate(messages, kv_prefix=log)
+
+    out["generate.rounds4"] = _median_ms(rounds, 3)
     return out
 
 

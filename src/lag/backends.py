@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import re
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import BackendError, InputError
 from .model import ByteTokenizer, Model, greedy_decode
-from .segment import KvSegment
+from .segment import KvCache, KvSegment
 from .store import normalize
 
 
@@ -40,7 +41,14 @@ class GeneratorBackend:
 
 
 class ReferenceModelGenerator(GeneratorBackend):
-    """Greedy decoding on the in-process reference model."""
+    """Greedy decoding on the in-process reference model.
+
+    Each thread keeps the KV cache of its last call and the token ids it was
+    fed, after the prefix reuse of Prompt Cache (Gim et al., 2023) and
+    RadixAttention (Zheng et al., 2024). A call whose KV prefix equals the
+    cache's prefix in content truncates the cache to that prefix plus the
+    prompt's common head with the cached tokens and prefills only the rest.
+    """
 
     accepts_kv_prefix = True
 
@@ -48,6 +56,7 @@ class ReferenceModelGenerator(GeneratorBackend):
         self.model = model
         self.max_new = max_new
         self.tokenizer = ByteTokenizer()
+        self._local = threading.local()
 
     def generate(self, messages, kv_prefix: KvSegment | None = None, log_entries=None) -> str:
         text = "\n".join(m["content"] for m in messages)
@@ -60,14 +69,58 @@ class ReferenceModelGenerator(GeneratorBackend):
             raise BackendError("KV prefix leaves no room for the prompt")
         if len(tokens) > budget:
             tokens = tokens[-budget:]  # keep the most recent context
+        m = kv_prefix.span_len if kv_prefix is not None else 0
+        cache, reused = self._reusable(kv_prefix, m, tokens)
+        if cache is None:
+            capacity = self.model.config.max_positions
+            cache = (
+                KvCache.from_segment(kv_prefix, capacity) if m
+                else self.model.new_cache(capacity)
+            )
         out = greedy_decode(
             self.model,
-            kv_prefix,
-            tokens,
+            cache,
+            tokens[reused:],
             self.max_new,
             stop_ids={ByteTokenizer.EOS},
         )
+        # a decode stopped by max_new never feeds its last token back, so
+        # the cache's span, not this list, bounds what the next call reuses
+        self._local.memo = (cache, m, tokens + out)
         return self.tokenizer.decode(out)
+
+    def _reusable(self, kv_prefix, m: int, tokens: list[int]) -> tuple[KvCache | None, int]:
+        """Takes this thread's memo (cache, prefix span, tokens fed). If its
+        prefix equals ``kv_prefix`` in content, returns the cache truncated
+        to the prefix plus the prompt's common head with the cached tokens,
+        and that head's length; else (None, 0). The memo is dropped either
+        way, so a decode that raises leaves none."""
+        memo, self._local.memo = getattr(self._local, "memo", None), None
+        if memo is None:
+            return None, 0
+        cache, cached_m, cached = memo
+        n = min(len(cached), len(tokens) - 1, cache.span_len - m)
+        if cached_m != m or n < 0 or (m and not _same_prefix(kv_prefix, cache)):
+            return None, 0
+        differ = np.flatnonzero(np.asarray(cached[:n]) != np.asarray(tokens[:n]))
+        reused = int(differ[0]) if differ.size else n
+        cache.truncate(m + reused)
+        return cache, reused
+
+
+def _same_prefix(prefix: KvSegment, cache: KvCache) -> bool:
+    """Whether ``prefix`` equals the cache's first ``prefix.span_len`` slots
+    exactly (a NaN never does, so a bad prefix still gets validated)."""
+    m = prefix.span_len
+    return (
+        prefix.model_fingerprint == cache.model_fingerprint
+        and len(prefix.keys) == len(prefix.values) == cache.num_layers
+        and np.array_equal(prefix.positions, cache.positions[:m])
+        and all(
+            np.array_equal(k, ck[:, :m]) and np.array_equal(v, cv[:, :m])
+            for k, v, ck, cv in zip(prefix.keys, prefix.values, cache.keys, cache.values)
+        )
+    )
 
 
 _QUESTION_RE = re.compile(
@@ -93,6 +146,7 @@ class ScriptedGenerator(GeneratorBackend):
         self.scripts = dict(scripts)
         self.default = list(default) if default else ["no idea"]
         self._cursor: dict[str, int] = {}
+        self._lock = threading.Lock()  # --jobs threads share the cursor
 
     @classmethod
     def from_file(cls, path: str) -> "ScriptedGenerator":
@@ -103,16 +157,22 @@ class ScriptedGenerator(GeneratorBackend):
     def generate(self, messages, kv_prefix=None, log_entries=None) -> str:
         question = question_of_prompt(messages[-1]["content"])
         script = self.scripts.get(question, self.default)
-        i = self._cursor.get(question, 0)
-        self._cursor[question] = i + 1
+        with self._lock:
+            i = self._cursor.get(question, 0)
+            self._cursor[question] = i + 1
         return script[min(i, len(script) - 1)]
+
+
+RETRY_DELAY_S = 0.05  # first wait before a retry; doubles per retry
+RETRY_DELAY_CAP_S = 1.0
 
 
 class HttpGeneratorBackend(GeneratorBackend):
     """POSTs {"messages": [...], "max_tokens": n, "temperature": 0} and
     expects {"text": "..."} back; connection errors, timeouts, 5xx, 429 and
-    bad JSON are retried, other 4xx fail at once. Credentials come from
-    LAG_API_KEY (sent as a bearer token), never from flags."""
+    bad JSON are retried after a capped exponential backoff, other 4xx fail
+    at once. Credentials come from LAG_API_KEY (sent as a bearer token),
+    never from flags."""
 
     accepts_kv_prefix = False
 
@@ -134,7 +194,11 @@ class HttpGeneratorBackend(GeneratorBackend):
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         last_err: Exception | None = None
-        for _ in range(self.retries + 1):
+        delay = RETRY_DELAY_S
+        for attempt in range(self.retries + 1):
+            if attempt:
+                time.sleep(delay)
+                delay = min(2 * delay, RETRY_DELAY_CAP_S)
             req = urllib.request.Request(self.endpoint, data=body, headers=headers)
             try:
                 with urllib.request.urlopen(req, timeout=self.timeout) as resp:
@@ -150,7 +214,6 @@ class HttpGeneratorBackend(GeneratorBackend):
                 if "text" not in payload:
                     raise BackendError("generator response carries no 'text' field")
                 return payload["text"]
-            time.sleep(0.05)
         raise BackendError(f"generator endpoint failed: {last_err}")
 
 

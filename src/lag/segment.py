@@ -127,11 +127,14 @@ class KvCache:
     (Kwon et al., 2023, arXiv 2309.06180).
 
     The first ``span_len`` slots are live. A forward pass writes its new
-    tokens after them with ``stage`` and makes them live with ``commit``;
-    live slots are never rewritten, so the views ``keys``/``values``/
-    ``positions`` return stay valid. Positions increase by construction: a
-    segment is validated on the way in and commits only append later
-    positions, so checking a new start against ``last_position`` is O(1).
+    tokens after them with ``stage`` and makes them live with ``commit``.
+    Live slots are never rewritten until ``truncate(n)`` frees the slots
+    from ``n`` on: the next forward pass writes there, so a view of the
+    ``keys``/``values``/``positions`` (or ``segment``) taken before a
+    truncate is valid only up to ``n``. Positions increase by construction:
+    a segment is validated on the way in, commits only append later
+    positions and a truncate keeps a leading run, so checking a new start
+    against ``last_position`` is O(1).
     """
 
     def __init__(
@@ -218,9 +221,16 @@ class KvCache:
         self._positions[n : n + t] = positions
         self.span_len = n + t
 
+    def truncate(self, n: int) -> None:
+        """Keep the first ``n`` live slots; the next forward pass writes from
+        slot ``n``, over the views of the dropped slots."""
+        if not 0 <= n <= self.span_len:
+            raise InputError(f"cannot truncate a span of {self.span_len} to {n}")
+        self.span_len = n
+
     def segment(self) -> KvSegment:
-        """The live span as a KvSegment of views; no copy is made, and live
-        slots are never rewritten."""
+        """The live span as a KvSegment of views; no copy is made, so it
+        stays valid until the cache is truncated below its end."""
         return KvSegment(
             keys=self.keys,
             values=self.values,

@@ -1,10 +1,14 @@
 import json
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
 
+import lag.backends
+import lag.model
 from lag.backends import (
     CosineDocRetriever,
     HashedBagOfWordsEmbedder,
@@ -12,8 +16,9 @@ from lag.backends import (
     ReferenceModelGenerator,
     ScriptedGenerator,
 )
-from lag.errors import BackendError
-from lag.model import encode
+from lag.errors import BackendError, InputError
+from lag.model import encode, forward_with_prefix
+from lag.segment import KvSegment
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -100,6 +105,30 @@ def test_http_dropped_connection_is_retried(http_server):
     assert len(_Handler.requests) == 3
 
 
+@pytest.mark.parametrize("retries,delays", [(3, [0.05, 0.1, 0.2]), (2, [0.05, 0.1])])
+def test_http_backoff_doubles_and_skips_the_last_wait(http_server, monkeypatch, retries, delays):
+    slept = []
+    monkeypatch.setattr(lag.backends.time, "sleep", slept.append)
+    _Handler.failures = [503] * 3
+    backend = HttpGeneratorBackend(http_server, retries=retries)
+    if retries == 3:
+        assert backend.generate([{"role": "user", "content": "busy"}]).startswith("echo")
+    else:
+        with pytest.raises(BackendError):
+            backend.generate([{"role": "user", "content": "busy"}])
+    assert slept == delays  # none after the final failure
+
+
+def test_http_backoff_is_capped(http_server, monkeypatch):
+    slept = []
+    monkeypatch.setattr(lag.backends.time, "sleep", slept.append)
+    _Handler.failures = [None] * 8
+    backend = HttpGeneratorBackend(http_server, retries=7)
+    with pytest.raises(BackendError):
+        backend.generate([{"role": "user", "content": "dropped"}])
+    assert slept == [0.05, 0.1, 0.2, 0.4, 0.8, 1.0, 1.0]
+
+
 def test_http_unreachable_is_backend_error():
     backend = HttpGeneratorBackend("http://127.0.0.1:1/generate", timeout=0.2, retries=0)
     with pytest.raises(BackendError):
@@ -169,3 +198,177 @@ def test_scripted_generator_replays_in_order():
     assert gen.generate(prompt) == "two"  # repeats last
     other = [{"role": "user", "content": "Here is the user question:\nother"}]
     assert gen.generate(other) == "dflt"
+
+
+class _YieldingDict(dict):
+    """A cursor map whose reads give up the GIL, widening the window between
+    a thread's read and its write."""
+
+    def get(self, key, default=None):
+        value = super().get(key, default)
+        time.sleep(1e-4)
+        return value
+
+
+def test_scripted_cursor_is_thread_safe():
+    script = [str(i) for i in range(400)]
+    gen = ScriptedGenerator({"q": script})
+    gen._cursor = _YieldingDict()
+    prompt = [{"role": "user", "content": "Here is the user question:\nq"}]
+
+    def calls(_):
+        return [gen.generate(prompt) for _ in range(50)]
+
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        got = [r for rs in pool.map(calls, range(8)) for r in rs]
+    assert sorted(got, key=int) == script  # every index exactly once
+    assert gen.generate(prompt) == script[-1]  # then the last one repeats
+
+
+# -- prompt KV reuse in the reference generator --------------------------------
+
+HEAD = "Answer from the documents below only.\n" * 4
+DOCS = [f"Document {i}: the r{i} of e{i} is e{i + 1}. " + "filler words " * 12 for i in range(4)]
+
+
+def _prompts():
+    """Four rounds whose prompts grow by appended documents."""
+    return [
+        [{"role": "user", "content": HEAD + "\n".join(DOCS[: r + 1]) + "\nquestion?"}]
+        for r in range(4)
+    ]
+
+
+@pytest.fixture()
+def forwards(monkeypatch):
+    """(tokens fed, last-token logits) of every forward pass."""
+    calls = []
+    real = lag.model.forward_with_prefix
+
+    def recording(model, prefix, tokens, start_position):
+        logits, cache = real(model, prefix, tokens, start_position)
+        calls.append((len(tokens), logits[-1].copy()))
+        return logits, cache
+
+    monkeypatch.setattr(lag.model, "forward_with_prefix", recording)
+    return calls
+
+
+def _fresh(model, messages, kv_prefix=None):
+    return ReferenceModelGenerator(model, max_new=6).generate(messages, kv_prefix=kv_prefix)
+
+
+@pytest.fixture()
+def log_prefix(small_model, rng):
+    return encode(small_model, rng.integers(0, 256, 40).tolist(), 0)[0]
+
+
+@pytest.mark.parametrize("with_prefix", [False, True])
+def test_reused_generator_matches_fresh_generators(small_model, log_prefix, forwards, with_prefix):
+    kv = log_prefix if with_prefix else None
+    start = log_prefix.span_len if with_prefix else 0
+    gen = ReferenceModelGenerator(small_model, max_new=6)
+    tokenizer = gen.tokenizer
+    fed = []
+    for messages in _prompts():
+        forwards.clear()
+        text = gen.generate(messages, kv_prefix=kv)
+        n, logits = forwards[0]
+        fed.append(n)
+        tokens = tokenizer.encode(messages[0]["content"])
+        want, _ = forward_with_prefix(small_model, kv, tokens, start)  # one pass
+        assert np.abs(logits - want[-1]).max() <= 1e-5
+        forwards.clear()
+        assert text == _fresh(small_model, messages, kv)
+    full = [len(tokenizer.encode(m[0]["content"])) for m in _prompts()]
+    assert fed[0] == full[0]
+    for r in range(1, 4):
+        # the head and the earlier documents are reused; the question is not
+        assert fed[r] == full[r] - full[r - 1] + len("question?")
+
+
+@pytest.mark.parametrize("change", ["value", "positions"])
+def test_a_different_prefix_is_not_reused(small_model, log_prefix, forwards, change):
+    gen = ReferenceModelGenerator(small_model, max_new=6)
+    messages = _prompts()[1]
+    gen.generate(messages, kv_prefix=log_prefix)
+    if change == "value":
+        keys = [k.copy() for k in log_prefix.keys]
+        keys[1][0, 3, 2] += 1e-3
+        other = KvSegment(
+            keys, log_prefix.values, log_prefix.positions, log_prefix.model_fingerprint)
+    else:
+        other = KvSegment(
+            log_prefix.keys, log_prefix.values, log_prefix.positions + 1,
+            log_prefix.model_fingerprint)
+    forwards.clear()
+    text = gen.generate(messages, kv_prefix=other)
+    assert forwards[0][0] == len(gen.tokenizer.encode(messages[0]["content"]))
+    forwards.clear()
+    assert text == _fresh(small_model, messages, other)
+
+
+def test_reuse_stops_at_the_last_token_fed_back(small_model, forwards):
+    # a decode stopped by max_new never feeds its last token into the cache
+    gen = ReferenceModelGenerator(small_model, max_new=6)
+    prompt = HEAD + "question?"
+    out = gen.generate([{"role": "user", "content": prompt}])
+    assert len(gen.tokenizer.encode(out)) == 6  # round-trips as bytes
+    follow_up = [{"role": "user", "content": prompt + out + " and then?"}]
+    forwards.clear()
+    text = gen.generate(follow_up)
+    assert forwards[0][0] == len(" and then?") + 1
+    forwards.clear()
+    assert text == _fresh(small_model, follow_up)
+
+
+def test_over_budget_prompts_match_fresh_generators(small_model, forwards):
+    gen = ReferenceModelGenerator(small_model, max_new=6)
+    budget = small_model.config.max_positions - 6
+    long = HEAD * 60
+    assert len(long) > budget
+    for messages in (
+        [{"role": "user", "content": long}],
+        [{"role": "user", "content": long + DOCS[0]}],  # shifts the kept window
+        [{"role": "user", "content": long + DOCS[0]}],  # same window again
+    ):
+        forwards.clear()
+        text = gen.generate(messages)
+        fed = forwards[0][0]
+        forwards.clear()
+        assert text == _fresh(small_model, messages)
+    assert fed == 1  # the repeated window was reused up to its last token
+
+
+def test_a_failed_decode_leaves_no_memo(small_model, log_prefix, forwards, monkeypatch):
+    gen = ReferenceModelGenerator(small_model, max_new=6)
+    first, second = _prompts()[2], _prompts()[3]
+    want = _fresh(small_model, first, log_prefix)
+    gen.generate(first, kv_prefix=log_prefix)
+    real = lag.backends.greedy_decode
+
+    def fails_midway(model, cache, prompt, max_new, stop_ids=frozenset()):
+        # writes part of the prompt over the cached slots, then fails
+        real(model, cache, prompt[: len(prompt) // 2], 1)
+        raise RuntimeError("decode interrupted")
+
+    monkeypatch.setattr(lag.backends, "greedy_decode", fails_midway)
+    with pytest.raises(RuntimeError):
+        gen.generate([{"role": "user", "content": "X" + second[0]["content"]}],
+                     kv_prefix=log_prefix)
+    monkeypatch.setattr(lag.backends, "greedy_decode", real)
+    forwards.clear()
+    assert gen.generate(first, kv_prefix=log_prefix) == want
+    assert forwards[0][0] == len(gen.tokenizer.encode(first[0]["content"]))
+
+
+def test_nan_prefix_is_rejected_after_a_clean_one(small_model, log_prefix):
+    gen = ReferenceModelGenerator(small_model, max_new=6)
+    messages = _prompts()[0]
+    gen.generate(messages, kv_prefix=log_prefix)
+    values = [v.copy() for v in log_prefix.values]
+    values[0][1, 5, 0] = np.nan
+    bad = KvSegment(
+        log_prefix.keys, values, log_prefix.positions, log_prefix.model_fingerprint)
+    with pytest.raises(InputError):
+        gen.generate(messages, kv_prefix=bad)

@@ -226,6 +226,38 @@ def test_cache_capacity():
         KvCache.from_segment(encode(model, [1, 2, 3], 0)[0], 2)
 
 
+def test_truncate_bounds(small_model, rng):
+    _, cache = forward_with_prefix(small_model, None, rng.integers(0, 256, 5).tolist(), 0)
+    for bad in (-1, 6):
+        with pytest.raises(InputError):
+            cache.truncate(bad)
+    assert cache.span_len == 5
+    cache.truncate(5)
+    assert cache.span_len == 5
+    cache.truncate(0)
+    assert cache.span_len == 0 and cache.last_position == -1
+
+
+def test_forward_after_truncate_writes_from_the_cut(small_model, rng):
+    head = [int(t) for t in rng.integers(0, 256, 5)]
+    _, cache = forward_with_prefix(small_model, None, head + [1, 2, 3], 0)
+    kept = [k[:, :5].copy() for k in cache.keys]
+    cache.truncate(5)
+    assert cache.last_position == 4
+    # a start inside the dropped slots is no longer stale, and a different
+    # tail overwrites them
+    tokens = head + rng.integers(0, 256, 7).tolist()
+    logits, again = forward_with_prefix(small_model, cache, tokens[5:], 5)
+    assert again is cache and cache.span_len == len(tokens)
+    assert list(cache.positions) == list(range(len(tokens)))
+    full, hidden = encode(small_model, tokens, 0)
+    assert np.abs(logits[-1] - hidden[-1] @ small_model.head).max() <= 1e-5
+    for l in range(cache.num_layers):
+        assert np.array_equal(cache.keys[l][:, :5], kept[l])
+        assert np.abs(cache.keys[l] - full.keys[l]).max() <= 1e-4
+        assert np.abs(cache.values[l] - full.values[l]).max() <= 1e-4
+
+
 def test_nonfinite_segment_prefix_is_rejected(small_model, rng):
     t1 = rng.integers(0, 256, 6).tolist()
     prefix, _ = encode(small_model, t1, 0)

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from lag.backends import Backends, HashedBagOfWordsEmbedder, ScriptedGenerator
+from lag.backends import (
+    Backends,
+    HashedBagOfWordsEmbedder,
+    ReferenceModelGenerator,
+    ScriptedGenerator,
+)
 from lag.codec import SelectionStrategy
 from lag.datasets import TaskRecord
 from lag.orchestrator import RunConfig
@@ -50,6 +55,41 @@ def test_run_tasks_parallel_matches_serial(tmp_path, small_model):
     parallel = run_tasks(unseen, cfg, backends, store, max_steps=8, jobs=4)
     store.close()
     assert [r.to_json() for r in serial.rows] == [r.to_json() for r in parallel.rows]
+
+
+class RecordingReferenceGenerator(ReferenceModelGenerator):
+    """Keeps (prompt, prefix positions, response) of every call."""
+
+    def __init__(self, model, max_new):
+        super().__init__(model, max_new)
+        self.calls = []
+
+    def generate(self, messages, kv_prefix=None, log_entries=None):
+        text = super().generate(messages, kv_prefix=kv_prefix, log_entries=log_entries)
+        span = None if kv_prefix is None else kv_prefix.positions.tolist()
+        self.calls.append((messages[-1]["content"], span, text))
+        return text
+
+
+def test_reference_generator_parallel_matches_serial(tmp_path, small_model):
+    # each thread reuses its own previous round's KV; none sees another's
+    seen, unseen = build_reuse_suite()
+    embedder = HashedBagOfWordsEmbedder(dimension=256, seed=0)
+    ingest = Backends(ReferenceModelGenerator(small_model, max_new=8), embedder, model=small_model)
+    ingest_tasks(seen, SelectionStrategy("last_round"), ingest, tmp_path / "s",
+                 max_steps=3, gen_max_new=8, k_docs=1)
+    store = LogStore(tmp_path / "s", mode="r")
+    cfg = RunConfig(mode="lag_kv", max_steps=3, k_docs=1, k_logs=3, gen_max_new=8)
+    reports, calls = [], []
+    for jobs in (1, 4):
+        gen = RecordingReferenceGenerator(small_model, max_new=8)
+        backends = Backends(gen, embedder, model=small_model)
+        reports.append(run_tasks(unseen * 2, cfg, backends, store, max_steps=3, jobs=jobs))
+        calls.append(sorted(gen.calls, key=repr))
+    store.close()
+    serial, parallel = reports
+    assert [r.to_json() for r in serial.rows] == [r.to_json() for r in parallel.rows]
+    assert len(calls[0]) == 2 * len(unseen) * 3 and calls[0] == calls[1]
 
 
 def test_backend_failures_become_unanswered_rows(embedder):
