@@ -12,8 +12,9 @@ Workloads, on the default ``ModelConfig`` (4 layers, 4 query heads over
 * ``greedy_decode.prefixN``: 64 greedy tokens after a 16-token prompt and a
   KV prefix of N = 0, 512 and 2048 tokens;
 * ``assemble.prefixN``: ``assemble_kv_prefix`` over N = 3 and 10 stored logs
-  of 133 tokens each (the hop_reuse stored span), which repositions every
-  log to its slot in the prefix and concatenates them;
+  of 133 tokens each (the hop_reuse stored span), which concatenates the
+  stored spans and moves them to their slots in the prefix with one
+  rotation;
 * ``generate.rounds4``: the four rounds of a kv_agent task on one new
   ``ReferenceModelGenerator``: ``generate`` of 64 tokens after the same
   194-token KV prefix, with a ~800-token prompt head followed by one to four

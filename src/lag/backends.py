@@ -112,15 +112,13 @@ def _same_prefix(prefix: KvSegment, cache: KvCache) -> bool:
     """Whether ``prefix`` equals the cache's first ``prefix.span_len`` slots
     exactly (a NaN never does, so a bad prefix still gets validated)."""
     m = prefix.span_len
-    return (
-        prefix.model_fingerprint == cache.model_fingerprint
-        and len(prefix.keys) == len(prefix.values) == cache.num_layers
-        and np.array_equal(prefix.positions, cache.positions[:m])
-        and all(
-            np.array_equal(k, ck[:, :m]) and np.array_equal(v, cv[:, :m])
-            for k, v, ck, cv in zip(prefix.keys, prefix.values, cache.keys, cache.values)
-        )
+    head = KvSegment(
+        keys=[k[:, :m] for k in cache.keys],
+        values=[v[:, :m] for v in cache.values],
+        positions=cache.positions[:m],
+        model_fingerprint=cache.model_fingerprint,
     )
+    return prefix.equals(head)
 
 
 _QUESTION_RE = re.compile(

@@ -41,7 +41,7 @@ from .metrics import (
     transitions,
 )
 from .model import build_model
-from .orchestrator import KV_MODES, MODES, STANDARD, RunConfig, default_strategy
+from .orchestrator import MODES, STANDARD, RunConfig, default_strategy
 from .runner import ingest_tasks, run_tasks
 from .selftest import run_selftest
 from .store import ENTRIES_NAME, LogStore
@@ -81,8 +81,6 @@ def _build_generator(args, model):
 def _backends(args) -> Backends:
     model = build_model(ModelConfig(weight_seed=args.model_seed))
     generator = _build_generator(args, model)
-    if args.mode in KV_MODES and not generator.accepts_kv_prefix:
-        raise ConfigurationError(f"generator {args.generator!r} cannot serve KV modes")
     embedder = HashedBagOfWordsEmbedder(dimension=args.embed_dim, seed=args.seed)
     return Backends(generator=generator, embedder=embedder, model=model)
 

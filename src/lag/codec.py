@@ -127,12 +127,7 @@ class LogEntry:
             return False
         if (self.kv is None) != (other.kv is None):
             return False
-        if self.kv is not None:
-            if self.kv.model_fingerprint != other.kv.model_fingerprint:
-                return False
-            if not self.kv.allclose(other.kv, atol=0.0):
-                return False
-        return True
+        return self.kv is None or self.kv.equals(other.kv)
 
 
 def _trace_and_offsets(messages: list[str]) -> tuple[bytes, list[int]]:

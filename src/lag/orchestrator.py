@@ -81,29 +81,24 @@ class TaskError(BackendError):
 def assemble_kv_prefix(
     entries: list[LogEntry], model: Model
 ) -> KvSegment | None:
-    """Reposition and concatenate KV log payloads into one prefix.
+    """Concatenate KV log payloads and move them into one prefix.
 
     Entries are injected in the given order (callers order them by
-    descending retrieval similarity, ties by id). The concatenation occupies
-    positions 0..total_span, so the prompt that follows starts at
-    total_span.
+    descending retrieval similarity, ties by id) and occupy positions
+    0..total_span, so the prompt that follows starts at total_span. A
+    token's rotation depends only on its stored and new positions, so one
+    rotation of the concatenated stored spans equals rotating each span to
+    its slot and concatenating the results, bit for bit.
     """
     for e in entries:
         if e.kv is None:
             raise InputError("text log entries cannot join a KV prefix")
         if e.kv.model_fingerprint != model.fingerprint:
             raise IncompatibilityError("log entry KV belongs to a different model")
-    entries = [e for e in entries if e.kv.span_len > 0]
-    if not entries:
+    stored = KvSegment.concat([e.kv for e in entries])
+    if stored.span_len == 0:
         return None
-    parts = []
-    offset = 0
-    for e in entries:
-        span = e.kv.span_len
-        new_positions = np.arange(offset, offset + span, dtype=np.int64)
-        parts.append(reposition_segment(e.kv, new_positions, model.rope_params))
-        offset += span
-    return KvSegment.concat(parts)
+    return reposition_segment(stored, np.arange(stored.span_len), model.rope_params)
 
 
 def run_task(
@@ -163,7 +158,7 @@ def run_task(
         elif cfg.mode in TEXT_MODES:
             text_logs = [e.text_payload or "" for e in ordered]
 
-        messages = assemble_prompt(task, docs, text_logs, cfg.mode, previous_response)
+        messages = assemble_prompt(task, docs, text_logs, previous_response)
         try:
             response = backends.generator.generate(
                 messages, kv_prefix=kv_prefix, log_entries=ordered

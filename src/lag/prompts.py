@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from .datasets import REASONING, TaskRecord
 
-TEXT_MODES = ("lag_text_all", "lag_text_last")
-
 KNOWLEDGE_BODY = (
     "Do not use your general knowledge. Do not assume the existence of external "
     "knowledge. Do not make any guesses.\n"
@@ -81,11 +79,11 @@ def assemble_prompt(
     task: TaskRecord,
     docs: list[tuple[str, str]],
     text_logs: list[str],
-    mode: str,
     previous_response: str = "",
 ) -> list[dict]:
     """One user message per round; accumulated documents (knowledge family)
-    or the previous response (reasoning family) ride inside the message."""
+    or the previous response (reasoning family) ride inside the message, and
+    ``text_logs`` (non-empty only in text modes) are prepended to it."""
     if task.family == REASONING:
         body = REASONING_BODY.format(
             previous_response=previous_response,
@@ -97,6 +95,6 @@ def assemble_prompt(
             documents=render_documents(docs),
             question=task.question,
         )
-    if mode in TEXT_MODES and text_logs:
+    if text_logs:
         body = "\n\n".join(text_logs) + "\n" + body
     return [{"role": "user", "content": body}]

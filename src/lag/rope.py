@@ -46,7 +46,11 @@ def reposition_segment(
 ) -> KvSegment:
     """Move a stored segment to new positions: one rotation of each key by
     the angle of (new - original) position, equal to stripping the original
-    rotation and applying the new one. Values and fingerprint are unchanged."""
+    rotation and applying the new one. Values and fingerprint are unchanged.
+
+    The new positions must increase; the original ones need not, since each
+    token's rotation depends only on its own original and new position, so
+    a concatenation of stored spans moves in one call."""
     new_positions = np.asarray(new_positions, dtype=np.int64)
     if new_positions.shape[0] != segment.span_len:
         raise PositionError(

@@ -70,7 +70,11 @@ class KvSegment:
             raise PositionError("positions must be strictly increasing")
 
     def slice(self, start: int, stop: int) -> "KvSegment":
-        """Sub-span [start, stop); position metadata is preserved."""
+        """Sub-span [start, stop) as a copy; position metadata is preserved.
+
+        It copies because a view would keep the whole source buffer alive:
+        a log encoded from a full trace would pin that trace's entire KV
+        inside the stored entry."""
         if not (0 <= start <= stop <= self.span_len):
             raise InputError(f"bad slice [{start}:{stop}] of span {self.span_len}")
         return KvSegment(
@@ -82,7 +86,9 @@ class KvSegment:
 
     @staticmethod
     def concat(segments: list["KvSegment"]) -> "KvSegment":
-        """Concatenate spans layerwise, unvalidated: the model validates a prefix on entry."""
+        """Concatenate spans layerwise, dropping empty ones. Unvalidated, so
+        the positions need not increase (stored spans keep theirs): the
+        model validates a prefix on entry."""
         segments = [s for s in segments if s.span_len > 0]
         if not segments:
             return KvSegment()
@@ -105,20 +111,19 @@ class KvSegment:
             model_fingerprint=first.model_fingerprint,
         )
 
-    def allclose(self, other: "KvSegment", atol: float = 0.0) -> bool:
-        if (
-            self.num_layers != other.num_layers
-            or self.span_len != other.span_len
-            or not np.array_equal(self.positions, other.positions)
-        ):
-            return False
-        for l in range(self.num_layers):
-            if not (
-                np.allclose(self.keys[l], other.keys[l], rtol=0.0, atol=atol)
-                and np.allclose(self.values[l], other.values[l], rtol=0.0, atol=atol)
-            ):
-                return False
-        return True
+    def equals(self, other: "KvSegment") -> bool:
+        """Exact equality of fingerprint, positions and every layer's keys
+        and values, shapes included; a NaN never compares equal."""
+        return (
+            self.model_fingerprint == other.model_fingerprint
+            and len(self.keys) == len(other.keys)
+            and len(self.values) == len(other.values)
+            and np.array_equal(self.positions, other.positions)
+            and all(
+                np.array_equal(a, b)
+                for a, b in zip(self.keys + self.values, other.keys + other.values)
+            )
+        )
 
 
 class KvCache:

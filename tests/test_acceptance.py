@@ -115,7 +115,7 @@ def test_criterion_04_context_dependence(small_model, embedder):
     isolated_1 = encode_log(
         small_model, one_round, SelectionStrategy("last_round", "isolated"), embedder
     )
-    assert full_1.kv.allclose(isolated_1.kv, atol=0.0)
+    assert full_1.kv.equals(isolated_1.kv)
     assert np.array_equal(full_1.kv.positions, isolated_1.kv.positions)
     _ok(4, f"2-round full vs isolated max key diff {diff:.2e} > 1e-3; 1-round identical")
 

@@ -1,4 +1,6 @@
 import json
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
@@ -295,3 +297,62 @@ def test_config_file_unknown_key(tmp_path, suite_files):
         "--mode", "standard", "--generator", "synth-hop", "--out", tmp_path / "o.json",
     )
     assert code == 2
+
+
+class _AnswerHandler(BaseHTTPRequestHandler):
+    requests: list[dict] = []
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        _AnswerHandler.requests.append(body)
+        reply = json.dumps({"text": "<ans>x</ans>"}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(reply)))
+        self.end_headers()
+        self.wfile.write(reply)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def answer_server():
+    server = HTTPServer(("127.0.0.1", 0), _AnswerHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    _AnswerHandler.requests = []
+    yield f"http://127.0.0.1:{server.server_port}/generate"
+    server.shutdown()
+    server.server_close()
+
+
+@pytest.fixture()
+def one_task(tmp_path):
+    path = tmp_path / "one.jsonl"
+    save_tasks([TaskRecord(id="0", question="What is x?", answers=["x"])], path)
+    return path
+
+
+def test_http_ingest_under_the_default_kv_mode(tmp_path, answer_server, one_task):
+    # ingest always runs the standard mode, so a text-only generator serves it
+    assert run_cli(
+        "ingest", "--dataset", one_task, "--store", tmp_path / "store", "--split", "all",
+        "--generator", answer_server, "--k-docs", "0",
+    ) == 0
+    assert len(_AnswerHandler.requests) == 1
+    store = LogStore(tmp_path / "store")
+    assert store.count == 1
+    assert store.get(0).kv is not None
+
+
+def test_http_run_in_kv_mode_is_refused_before_any_request(
+    tmp_path, answer_server, one_task
+):
+    code = run_cli(
+        "run", "--dataset", one_task, "--split", "all", "--mode", "lag_kv",
+        "--generator", answer_server, "--k-docs", "0", "--out", tmp_path / "o.json",
+    )
+    assert code == 2
+    assert _AnswerHandler.requests == []
+    assert not (tmp_path / "o.json").exists()

@@ -82,7 +82,7 @@ def test_one_round_full_trace_equals_isolated(small_model, embedder):
     isolated = encode_log(
         small_model, one, SelectionStrategy("last_round", "isolated"), embedder
     )
-    assert full.kv.allclose(isolated.kv, atol=0.0)
+    assert full.kv.equals(isolated.kv)
 
 
 def test_two_round_full_trace_differs_from_isolated(small_model, embedder):
@@ -315,3 +315,41 @@ def test_payload_requires_exactly_one_kind():
                 strategy=SelectionStrategy("last_round"),
             )
         )
+
+
+def _ones_entry(kv_heads, fingerprint="f"):
+    ones = np.ones((kv_heads, 3, 4), dtype=np.float32)
+    return LogEntry(
+        task_text="t",
+        retrieval_key_text="t",
+        embedding=np.ones(2, dtype=np.float32),
+        strategy=SelectionStrategy("last_round"),
+        kv=KvSegment([ones], [ones.copy()], np.arange(3), fingerprint),
+    )
+
+
+def test_segments_with_different_head_counts_are_unequal():
+    # a broadcasting comparison would call these equal: same values, 1 vs 2 heads
+    one, two = _ones_entry(1), _ones_entry(2)
+    assert not one.kv.equals(two.kv)
+    assert not two.kv.equals(one.kv)
+    assert not one.same_content(two)
+    assert not two.same_content(one)
+    assert one.same_content(_ones_entry(1))
+
+
+def test_segment_equality_is_exact():
+    a = _ones_entry(2).kv
+    assert a.equals(_ones_entry(2).kv)
+    assert not a.equals(_ones_entry(2, fingerprint="g").kv)
+    moved = _ones_entry(2).kv
+    moved.positions = moved.positions + 1
+    assert not a.equals(moved)
+    nudged = _ones_entry(2).kv
+    nudged.values[0][1, 2, 3] = np.nextafter(np.float32(1), np.float32(2))
+    assert not a.equals(nudged)
+    fewer = _ones_entry(2).kv
+    fewer.values = []
+    assert not a.equals(fewer)
+    a.keys[0][0, 0, 0] = np.nan
+    assert not a.equals(a)

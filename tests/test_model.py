@@ -60,7 +60,7 @@ def test_encode_is_pure(small_model, rng):
     tokens = rng.integers(0, 256, 12).tolist()
     a, _ = encode(small_model, tokens, 3)
     b, _ = encode(small_model, tokens, 3)
-    assert a.allclose(b, atol=0.0)
+    assert a.equals(b)
 
 
 def test_encode_context_changes_keys(small_model, rng):

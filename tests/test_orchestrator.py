@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import lag.orchestrator
 from lag.actions import Action
 from lag.backends import (
     Backends,
@@ -11,11 +14,13 @@ from lag.backends import (
 from lag.codec import LogEntry, SelectionStrategy, encode_log
 from lag.datasets import TaskRecord
 from lag.errors import ConfigurationError, IncompatibilityError, InputError
-from lag.model import Model, encode
+from lag.model import Model, build_model, encode
 from lag.orchestrator import RunConfig, TaskError, assemble_kv_prefix, run_task
+from lag.rope import reposition_segment
 from lag.segment import KvSegment
 from lag.selftest import reposition_error
 from lag.store import LogStore, normalize
+from tests.conftest import SMALL_CONFIG
 from tests.test_codec import transcript
 
 KNOWLEDGE_HEAD = (
@@ -394,6 +399,92 @@ def test_prefix_two_logs_concatenate_contiguously(small_model, embedder):
 
 def test_prefix_empty_list(small_model):
     assert assemble_kv_prefix([], small_model) is None
+
+
+@pytest.fixture(scope="module")
+def wide_model():
+    # room to store logs encoded late in a long trace, at positions >= 3000
+    return build_model(replace(SMALL_CONFIG, max_positions=4096))
+
+
+def stored_logs(model, embedder, layout):
+    """One KV entry per (span, start): ``span`` tokens encoded at ``start``;
+    a span of 0 stores an empty slice."""
+    rng = np.random.default_rng(7)
+    logs = []
+    for span, start in layout:
+        text = "".join(rng.choice(list("abcdefgh"), max(span, 1)))
+        entry = kv_entry(model, embedder, text, start)
+        logs.append(replace(entry, kv=entry.kv.slice(0, span)))
+    return logs
+
+
+def longhand_prefix(entries, model):
+    """Each entry repositioned to its own slot, then concatenated."""
+    parts, offset = [], 0
+    for e in entries:
+        span = e.kv.span_len
+        parts.append(
+            reposition_segment(e.kv, np.arange(offset, offset + span), model.rope_params)
+        )
+        offset += span
+    return KvSegment.concat(parts)
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [
+        [(5, 7)],
+        [(4, 0), (9, 20), (6, 3)],
+        [(3 + i, 100 * i) for i in range(10)],
+        [(9, 3000), (6, 0)],
+        [(4, 2), (0, 50), (6, 11)],
+    ],
+    ids=["1", "3", "10", "positions-fall-across-entries", "empty-entry-in-middle"],
+)
+def test_prefix_equals_per_entry_repositioning(wide_model, embedder, layout):
+    entries = stored_logs(wide_model, embedder, layout)
+    prefix = assemble_kv_prefix(entries, wide_model)
+    longhand = longhand_prefix(entries, wide_model)
+    total = sum(span for span, _ in layout)
+    assert np.array_equal(prefix.positions, np.arange(total))
+    assert np.array_equal(prefix.positions, longhand.positions)
+    for l in range(prefix.num_layers):
+        assert np.array_equal(prefix.keys[l], longhand.keys[l])
+        assert np.array_equal(prefix.values[l], longhand.values[l])
+
+
+def test_prefix_repositions_once_per_assembly(wide_model, embedder, monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        lag.orchestrator,
+        "reposition_segment",
+        lambda seg, *args: (calls.append(seg.span_len), reposition_segment(seg, *args))[1],
+    )
+    entries = stored_logs(wide_model, embedder, [(4, 9), (0, 0), (5, 3000), (7, 1)])
+    assemble_kv_prefix(entries, wide_model)
+    assert calls == [16]
+    assemble_kv_prefix(entries[:2], wide_model)
+    assert calls == [16, 4]
+
+
+def test_prefix_is_none_only_without_tokens(wide_model, embedder):
+    empty = stored_logs(wide_model, embedder, [(0, 5), (0, 9)])
+    assert assemble_kv_prefix(empty, wide_model) is None
+    one = stored_logs(wide_model, embedder, [(0, 5), (1, 9), (0, 2)])
+    assert assemble_kv_prefix(one, wide_model).span_len == 1
+
+
+def test_prefix_rejects_text_entries(small_model, embedder):
+    text = LogEntry(
+        task_text="t",
+        retrieval_key_text="t",
+        embedding=normalize(embedder.embed("t")),
+        strategy=SelectionStrategy("last_round_text"),
+        text_payload="a remembered answer",
+    )
+    with pytest.raises(InputError):
+        assemble_kv_prefix([kv_entry(small_model, embedder, "abc"), text], small_model)
 
 
 def test_prefix_rejects_foreign_fingerprint(small_model, embedder):
