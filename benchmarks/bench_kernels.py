@@ -18,7 +18,11 @@ Workloads, on the default ``ModelConfig`` (4 layers, 4 query heads over
 * ``generate.rounds4``: the four rounds of a kv_agent task on one new
   ``ReferenceModelGenerator``: ``generate`` of 64 tokens after the same
   194-token KV prefix, with a ~800-token prompt head followed by one to four
-  documents of ~100 tokens, one more each round.
+  documents of ~100 tokens, one more each round;
+* ``generate.repeat4``: four identical ``generate`` calls of 64 tokens after
+  the same 194-token KV prefix on one new ``ReferenceModelGenerator`` (the
+  kv_agent rounds whose messages repeat), so calls 2-4 reuse the prompt KV
+  and check the previous output as a draft.
 
 Every measurement runs in a fresh child interpreter with one BLAS thread.
 With ``--baseline`` the children alternate between this checkout's ``src/``
@@ -125,6 +129,13 @@ def measure() -> dict[str, float]:
             gen.generate(messages, kv_prefix=log)
 
     out["generate.rounds4"] = _median_ms(rounds, 3)
+
+    def repeats():
+        gen = ReferenceModelGenerator(model, max_new=64)
+        for _ in range(4):
+            gen.generate(prompts[-1], kv_prefix=log)
+
+    out["generate.repeat4"] = _median_ms(repeats, 3)
     return out
 
 

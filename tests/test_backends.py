@@ -254,6 +254,20 @@ def forwards(monkeypatch):
     return calls
 
 
+@pytest.fixture()
+def drafts(monkeypatch):
+    """The draft each ``greedy_decode`` call of the generator gets."""
+    calls = []
+    real = lag.backends.greedy_decode
+
+    def recording(*args, draft=(), **kwargs):
+        calls.append(list(draft))
+        return real(*args, draft=draft, **kwargs)
+
+    monkeypatch.setattr(lag.backends, "greedy_decode", recording)
+    return calls
+
+
 def _fresh(model, messages, kv_prefix=None):
     return ReferenceModelGenerator(model, max_new=6).generate(messages, kv_prefix=kv_prefix)
 
@@ -288,7 +302,7 @@ def test_reused_generator_matches_fresh_generators(small_model, log_prefix, forw
 
 
 @pytest.mark.parametrize("change", ["value", "positions"])
-def test_a_different_prefix_is_not_reused(small_model, log_prefix, forwards, change):
+def test_a_different_prefix_is_not_reused(small_model, log_prefix, forwards, drafts, change):
     gen = ReferenceModelGenerator(small_model, max_new=6)
     messages = _prompts()[1]
     gen.generate(messages, kv_prefix=log_prefix)
@@ -304,6 +318,7 @@ def test_a_different_prefix_is_not_reused(small_model, log_prefix, forwards, cha
     forwards.clear()
     text = gen.generate(messages, kv_prefix=other)
     assert forwards[0][0] == len(gen.tokenizer.encode(messages[0]["content"]))
+    assert drafts[-1] == []  # the same messages, but not the same prefix
     forwards.clear()
     assert text == _fresh(small_model, messages, other)
 
@@ -334,10 +349,12 @@ def test_over_budget_prompts_match_fresh_generators(small_model, forwards):
     ):
         forwards.clear()
         text = gen.generate(messages)
-        fed = forwards[0][0]
+        fed = [n for n, _ in forwards]
         forwards.clear()
         assert text == _fresh(small_model, messages)
-    assert fed == 1  # the repeated window was reused up to its last token
+    # the repeated window was reused up to its last token, which was fed
+    # with the previous output as a 5-token draft in one pass
+    assert fed == [6]
 
 
 def test_a_failed_decode_leaves_no_memo(small_model, log_prefix, forwards, monkeypatch):
@@ -347,7 +364,7 @@ def test_a_failed_decode_leaves_no_memo(small_model, log_prefix, forwards, monke
     gen.generate(first, kv_prefix=log_prefix)
     real = lag.backends.greedy_decode
 
-    def fails_midway(model, cache, prompt, max_new, stop_ids=frozenset()):
+    def fails_midway(model, cache, prompt, max_new, stop_ids=frozenset(), draft=()):
         # writes part of the prompt over the cached slots, then fails
         real(model, cache, prompt[: len(prompt) // 2], 1)
         raise RuntimeError("decode interrupted")
@@ -372,3 +389,39 @@ def test_nan_prefix_is_rejected_after_a_clean_one(small_model, log_prefix):
         log_prefix.keys, values, log_prefix.positions, log_prefix.model_fingerprint)
     with pytest.raises(InputError):
         gen.generate(messages, kv_prefix=bad)
+
+
+# -- the previous output as a draft --------------------------------------------
+
+
+@pytest.mark.parametrize("with_prefix", [False, True])
+def test_a_repeated_call_checks_the_previous_output_in_one_pass(
+    small_model, log_prefix, forwards, drafts, with_prefix
+):
+    kv = log_prefix if with_prefix else None
+    gen = ReferenceModelGenerator(small_model, max_new=6)
+    messages = _prompts()[2]
+    first = gen.generate(messages, kv_prefix=kv)
+    forwards.clear()
+    again = gen.generate(messages, kv_prefix=kv)
+    assert again == first
+    assert drafts[-1] == gen.tokenizer.encode(first)
+    assert [n for n, _ in forwards] == [1 + 5]  # last prompt token + draft
+    forwards.clear()
+    assert again == _fresh(small_model, messages, kv)
+
+
+def test_a_prompt_the_memo_does_not_start_with_gets_no_draft(
+    small_model, log_prefix, forwards, drafts
+):
+    gen = ReferenceModelGenerator(small_model, max_new=6)
+    # shorter than the memo's ids, and shares their head but not all of it
+    first, second = _prompts()[2], _prompts()[1]
+    gen.generate(first, kv_prefix=log_prefix)
+    forwards.clear()
+    text = gen.generate(second, kv_prefix=log_prefix)
+    assert drafts[-1] == []
+    assert forwards[0][0] < len(gen.tokenizer.encode(second[0]["content"]))  # still reused
+    forwards.clear()
+    assert text == _fresh(small_model, second, log_prefix)
+
