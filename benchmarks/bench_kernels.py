@@ -21,8 +21,8 @@ Workloads, on the default ``ModelConfig`` (4 layers, 4 query heads over
   documents of ~100 tokens, one more each round;
 * ``generate.repeat4``: four identical ``generate`` calls of 64 tokens after
   the same 194-token KV prefix on one new ``ReferenceModelGenerator`` (the
-  kv_agent rounds whose messages repeat), so calls 2-4 reuse the prompt KV
-  and check the previous output as a draft.
+  kv_agent rounds whose messages repeat), so calls 2-4 are exact repeats
+  that return the first call's output with no forward pass.
 
 Every measurement runs in a fresh child interpreter with one BLAS thread.
 With ``--baseline`` the children alternate between this checkout's ``src/``

@@ -48,10 +48,8 @@ class ReferenceModelGenerator(GeneratorBackend):
     RadixAttention (Zheng et al., 2024). A call whose KV prefix equals the
     cache's prefix in content truncates the cache to that prefix plus the
     prompt's common head with the cached tokens and prefills only the rest.
-    When the cached ids also start with the whole new prompt, the ids after
-    it (the previous output) go to ``greedy_decode`` as a draft, checked in
-    the same pass as the prompt's last token, after LLMA's copied reference
-    text (Yang et al., 2023).
+    A call that also repeats the cached prompt and ``max_new`` returns the
+    cached output with no forward pass.
     """
 
     accepts_kv_prefix = True
@@ -74,7 +72,22 @@ class ReferenceModelGenerator(GeneratorBackend):
         if len(tokens) > budget:
             tokens = tokens[-budget:]  # keep the most recent context
         m = kv_prefix.span_len if kv_prefix is not None else 0
-        cache, reused, draft = self._reusable(kv_prefix, m, tokens)
+        # the memo is taken until this call succeeds, so a decode that
+        # raises leaves none
+        memo, self._local.memo = getattr(self._local, "memo", None), None
+        cache, reused = None, 0
+        if memo is not None:
+            cache, cached_m, cached, p, max_new = memo
+            if cached_m != m or (m and not _same_prefix(kv_prefix, cache)):
+                cache = None
+            elif cached[:p] == tokens and max_new == self.max_new:
+                self._local.memo = memo  # greedy decoding would repeat itself
+                return self.tokenizer.decode(cached[p:])
+            else:  # keep the prefix and the prompt's common head
+                n = max(0, min(len(tokens) - 1, cache.span_len - m))
+                differ = np.flatnonzero(np.asarray(cached[:n]) != np.asarray(tokens[:n]))
+                reused = int(differ[0]) if differ.size else n
+                cache.truncate(m + reused)
         if cache is None:
             capacity = self.model.config.max_positions
             cache = (
@@ -87,34 +100,12 @@ class ReferenceModelGenerator(GeneratorBackend):
             tokens[reused:],
             self.max_new,
             stop_ids={ByteTokenizer.EOS},
-            draft=draft,
         )
-        # a decode stopped by max_new never feeds its last token back, so
-        # the cache's span, not this list, bounds what the next call reuses
-        self._local.memo = (cache, m, tokens + out)
+        # (cache, prefix span, prompt and output ids, prompt length, max_new);
+        # a decode stopped by max_new never feeds its last token back, so the
+        # cache's span, not the ids, bounds what the next call reuses
+        self._local.memo = (cache, m, tokens + out, len(tokens), self.max_new)
         return self.tokenizer.decode(out)
-
-    def _reusable(
-        self, kv_prefix, m: int, tokens: list[int]
-    ) -> tuple[KvCache | None, int, list[int]]:
-        """Takes this thread's memo (cache, prefix span, tokens fed). If its
-        prefix equals ``kv_prefix`` in content, returns the cache truncated
-        to the prefix plus the prompt's common head with the cached tokens,
-        that head's length, and the cached tokens after the prompt when they
-        start with all of it (else no draft); else (None, 0, []). The memo is
-        dropped either way, so a decode that raises leaves none."""
-        memo, self._local.memo = getattr(self._local, "memo", None), None
-        if memo is None:
-            return None, 0, []
-        cache, cached_m, cached = memo
-        n = min(len(cached), len(tokens) - 1, cache.span_len - m)
-        if cached_m != m or n < 0 or (m and not _same_prefix(kv_prefix, cache)):
-            return None, 0, []
-        differ = np.flatnonzero(np.asarray(cached[:n]) != np.asarray(tokens[:n]))
-        reused = int(differ[0]) if differ.size else n
-        cache.truncate(m + reused)
-        draft = cached[len(tokens):] if cached[: len(tokens)] == tokens else []
-        return cache, reused, draft
 
 
 def _same_prefix(prefix: KvSegment, cache: KvCache) -> bool:

@@ -129,20 +129,14 @@ def cmd_run(args) -> int:
     store = LogStore(args.store, mode="r") if args.store else None
     cfg = RunConfig(
         mode=args.mode,
-        max_steps=args.max_steps if args.max_steps is not None else 8,
+        max_steps=args.max_steps,
         k_logs=args.k_logs,
         k_docs=args.k_docs,
         strategy=_strategy(args),
         gen_max_new=args.max_new,
     )
     report = run_tasks(
-        tasks,
-        cfg,
-        backends,
-        store,
-        max_steps=args.max_steps,
-        jobs=args.jobs,
-        label=args.label or args.mode,
+        tasks, cfg, backends, store, jobs=args.jobs, label=args.label or args.mode
     )
     report.save(args.out)
     print(format_report_table([report]))
@@ -272,14 +266,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--store", required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_ingest, default_split="seen")
+    p.set_defaults(func=cmd_ingest, split="seen")
 
     p = sub.add_parser("run", help="run tasks against a store and write a report")
     p.add_argument("--dataset", required=True)
     p.add_argument("--store", default=None)
     p.add_argument("--out", required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_run, default_split="unseen")
+    p.set_defaults(func=cmd_run, split="unseen")
 
     p = sub.add_parser("eval", help="summarize reports; two reports add "
                                     "transitions and a paired t-test")
@@ -294,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--strategies", help="comma-separated strategy kinds")
     group.add_argument("--k", help="comma-separated k values")
     _add_common(p)
-    p.set_defaults(func=cmd_sweep, default_split="unseen")
+    p.set_defaults(func=cmd_sweep, split="unseen")
 
     p = sub.add_parser("store", help="store utilities")
     store_sub = p.add_subparsers(dest="store_command", required=True)
@@ -336,8 +330,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = _apply_config_file(parser, argv)
-        if getattr(args, "split", None) is None and hasattr(args, "default_split"):
-            args.split = args.default_split
         return args.func(args)
     except LagError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -191,21 +191,12 @@ def greedy_decode(
     prompt,
     max_new: int,
     stop_ids=frozenset(),
-    draft=(),
 ) -> list[int]:
     """Deterministic argmax decoding. A generated stop id is consumed but
     excluded from the returned sequence. A KvCache prefix is extended in
     place; a KvSegment prefix is left unchanged. Either way the cache ends
     holding the prompt and the output, less its last token on a ``max_new``
-    stop (it is never fed back).
-
-    ``draft`` is a guess at the output, checked as in speculative decoding
-    (Leviathan et al., 2023): the first pass feeds the prompt and up to
-    ``max_new - 1`` draft tokens, the longest run of draft tokens the model's
-    argmax agrees with is kept, and the cache is truncated back to the
-    prompt plus that run before decoding on one token at a time. The output
-    is greedy decoding's, whatever the draft; a rejected draft costs only
-    the longer first pass."""
+    stop (it is never fed back)."""
     out: list[int] = []
     if max_new <= 0:
         return out
@@ -216,18 +207,8 @@ def greedy_decode(
         start = 0
     if not prompt:
         raise InputError("greedy_decode needs a non-empty prompt")
-    # a draft never takes positions a draft-free decode would not reach
-    room = model.config.max_positions - start - len(prompt)
-    draft = list(draft)[: max(0, min(max_new - 1, room))]
-    logits, cache = forward_with_prefix(model, prefix, prompt + draft, start)
-    rows = logits[len(prompt) - 1 :]  # row i predicts output token i
-    for want, got in zip(draft, np.argmax(rows, axis=-1).tolist()):
-        if got != want or got in stop_ids:
-            break
-        out.append(got)
-    cache.truncate(cache.span_len - len(draft) + len(out))
-    logits = rows[len(out) : len(out) + 1]
-    pos = start + len(prompt) + len(out)
+    logits, cache = forward_with_prefix(model, prefix, prompt, start)
+    pos = start + len(prompt)
     while True:
         next_id = int(np.argmax(logits[-1]))
         if next_id in stop_ids:

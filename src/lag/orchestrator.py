@@ -53,7 +53,7 @@ def default_strategy(mode: str) -> SelectionStrategy:
 @dataclass
 class RunConfig:
     mode: str = STANDARD
-    max_steps: int = 8
+    max_steps: int | None = None  # None: DEFAULT_MAX_STEPS[task.family]
     k_logs: int = 3
     k_docs: int = 2
     strategy: SelectionStrategy = field(default_factory=SelectionStrategy)
@@ -62,7 +62,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ConfigurationError(f"unknown mode {self.mode!r}")
-        if self.max_steps < 1:
+        if self.max_steps is not None and self.max_steps < 1:
             raise ConfigurationError("max_steps must be >= 1")
         if self.k_logs < 0 or self.k_docs < 0:
             raise ConfigurationError("k_logs and k_docs must be >= 0")
@@ -132,8 +132,9 @@ def run_task(
     turns: list[tuple[str, str]] = []
     final_action = Action()
     iterations = 0
+    max_steps = cfg.max_steps if cfg.max_steps is not None else DEFAULT_MAX_STEPS[task.family]
 
-    while iterations < cfg.max_steps:
+    while iterations < max_steps:
         if cfg.k_docs > 0:
             for doc in retriever.retrieve(action_text, cfg.k_docs):
                 if doc not in seen_docs:

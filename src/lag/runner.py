@@ -4,27 +4,14 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
 from .actions import ANSWER
 from .backends import Backends
 from .codec import SelectionStrategy, encode_log
 from .datasets import REASONING, TaskRecord
 from .metrics import EvalReport, TaskRow, choice_accuracy, exact_match, f1
-from .orchestrator import (
-    DEFAULT_MAX_STEPS,
-    STANDARD,
-    RunConfig,
-    TaskError,
-    run_task,
-)
+from .orchestrator import STANDARD, RunConfig, TaskError, run_task
 from .store import LogStore
-
-
-def steps_for(task: TaskRecord, max_steps: int | None) -> int:
-    """Explicit cap if given, otherwise the family default (8 multi-hop,
-    3 reasoning)."""
-    return max_steps if max_steps is not None else DEFAULT_MAX_STEPS[task.family]
 
 
 def _score(task: TaskRecord, predicted: str | None) -> tuple[int, float]:
@@ -70,7 +57,6 @@ def run_tasks(
     cfg: RunConfig,
     backends: Backends,
     store: LogStore | None,
-    max_steps: int | None = None,
     jobs: int = 1,
     label: str = "",
 ) -> EvalReport:
@@ -78,8 +64,7 @@ def run_tasks(
     order. Per-task backend failures become unanswered rows."""
 
     def one(task: TaskRecord) -> TaskRow:
-        task_cfg = replace(cfg, max_steps=steps_for(task, max_steps))
-        return run_one(task, task_cfg, backends, store)
+        return run_one(task, cfg, backends, store)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -106,7 +91,7 @@ def ingest_tasks(
         for task in tasks:
             cfg = RunConfig(
                 mode=STANDARD,
-                max_steps=steps_for(task, max_steps),
+                max_steps=max_steps,
                 k_docs=k_docs,
                 strategy=strategy,
                 gen_max_new=gen_max_new,

@@ -228,9 +228,9 @@ def test_criterion_09_behavioral_reuse(tmp_path, small_model):
                  tmp_path / "store", max_steps=8, k_docs=1)
     store = LogStore(tmp_path / "store", mode="r")
     standard = run_tasks(unseen, RunConfig(mode="standard", max_steps=8, k_docs=1),
-                         backends, None, max_steps=8)
+                         backends, None)
     lag_kv = run_tasks(unseen, RunConfig(mode="lag_kv", max_steps=8, k_docs=1, k_logs=3),
-                       backends, store, max_steps=8)
+                       backends, store)
     store.close()
     assert lag_kv.mean_iterations < standard.mean_iterations
     flagship_std = next(r.iterations for r in standard.rows if r.id == "f0-unseen")

@@ -254,20 +254,6 @@ def forwards(monkeypatch):
     return calls
 
 
-@pytest.fixture()
-def drafts(monkeypatch):
-    """The draft each ``greedy_decode`` call of the generator gets."""
-    calls = []
-    real = lag.backends.greedy_decode
-
-    def recording(*args, draft=(), **kwargs):
-        calls.append(list(draft))
-        return real(*args, draft=draft, **kwargs)
-
-    monkeypatch.setattr(lag.backends, "greedy_decode", recording)
-    return calls
-
-
 def _fresh(model, messages, kv_prefix=None):
     return ReferenceModelGenerator(model, max_new=6).generate(messages, kv_prefix=kv_prefix)
 
@@ -302,7 +288,7 @@ def test_reused_generator_matches_fresh_generators(small_model, log_prefix, forw
 
 
 @pytest.mark.parametrize("change", ["value", "positions"])
-def test_a_different_prefix_is_not_reused(small_model, log_prefix, forwards, drafts, change):
+def test_a_different_prefix_is_not_reused(small_model, log_prefix, forwards, change):
     gen = ReferenceModelGenerator(small_model, max_new=6)
     messages = _prompts()[1]
     gen.generate(messages, kv_prefix=log_prefix)
@@ -317,8 +303,8 @@ def test_a_different_prefix_is_not_reused(small_model, log_prefix, forwards, dra
             log_prefix.model_fingerprint)
     forwards.clear()
     text = gen.generate(messages, kv_prefix=other)
+    # the same messages, but not the same prefix: the whole prompt is fed
     assert forwards[0][0] == len(gen.tokenizer.encode(messages[0]["content"]))
-    assert drafts[-1] == []  # the same messages, but not the same prefix
     forwards.clear()
     assert text == _fresh(small_model, messages, other)
 
@@ -352,9 +338,8 @@ def test_over_budget_prompts_match_fresh_generators(small_model, forwards):
         fed = [n for n, _ in forwards]
         forwards.clear()
         assert text == _fresh(small_model, messages)
-    # the repeated window was reused up to its last token, which was fed
-    # with the previous output as a 5-token draft in one pass
-    assert fed == [6]
+    # the repeated window returned the previous output with no pass
+    assert fed == []
 
 
 def test_a_failed_decode_leaves_no_memo(small_model, log_prefix, forwards, monkeypatch):
@@ -364,7 +349,7 @@ def test_a_failed_decode_leaves_no_memo(small_model, log_prefix, forwards, monke
     gen.generate(first, kv_prefix=log_prefix)
     real = lag.backends.greedy_decode
 
-    def fails_midway(model, cache, prompt, max_new, stop_ids=frozenset(), draft=()):
+    def fails_midway(model, cache, prompt, max_new, stop_ids=frozenset()):
         # writes part of the prompt over the cached slots, then fails
         real(model, cache, prompt[: len(prompt) // 2], 1)
         raise RuntimeError("decode interrupted")
@@ -380,6 +365,8 @@ def test_a_failed_decode_leaves_no_memo(small_model, log_prefix, forwards, monke
 
 
 def test_nan_prefix_is_rejected_after_a_clean_one(small_model, log_prefix):
+    # the same messages and prefix shape, so only the content check stops
+    # the call from being taken for a repeat
     gen = ReferenceModelGenerator(small_model, max_new=6)
     messages = _prompts()[0]
     gen.generate(messages, kv_prefix=log_prefix)
@@ -391,37 +378,56 @@ def test_nan_prefix_is_rejected_after_a_clean_one(small_model, log_prefix):
         gen.generate(messages, kv_prefix=bad)
 
 
-# -- the previous output as a draft --------------------------------------------
+def test_an_empty_prompt_after_a_call_is_rejected(small_model):
+    gen = ReferenceModelGenerator(small_model, max_new=6)
+    gen.generate(_prompts()[0])
+    with pytest.raises(InputError):
+        gen.generate([{"role": "user", "content": ""}])
+
+
+# -- an exact repeat returns the previous output -------------------------------
 
 
 @pytest.mark.parametrize("with_prefix", [False, True])
-def test_a_repeated_call_checks_the_previous_output_in_one_pass(
-    small_model, log_prefix, forwards, drafts, with_prefix
-):
+def test_a_repeated_call_makes_no_forward_pass(small_model, log_prefix, forwards, with_prefix):
     kv = log_prefix if with_prefix else None
     gen = ReferenceModelGenerator(small_model, max_new=6)
     messages = _prompts()[2]
     first = gen.generate(messages, kv_prefix=kv)
     forwards.clear()
-    again = gen.generate(messages, kv_prefix=kv)
-    assert again == first
-    assert drafts[-1] == gen.tokenizer.encode(first)
-    assert [n for n, _ in forwards] == [1 + 5]  # last prompt token + draft
+    assert gen.generate(messages, kv_prefix=kv) == first
+    assert gen.generate(messages, kv_prefix=kv) == first  # the memo was put back
+    assert forwards == []
+    assert first == _fresh(small_model, messages, kv)
+
+
+def test_a_repeat_under_another_max_new_is_decoded(small_model, forwards):
+    gen = ReferenceModelGenerator(small_model, max_new=6)
+    messages = _prompts()[0]
+    gen.generate(messages)
+    gen.max_new = 3
     forwards.clear()
-    assert again == _fresh(small_model, messages, kv)
+    text = gen.generate(messages)
+    assert forwards  # decoded, after reusing the prompt's head
+    assert text == ReferenceModelGenerator(small_model, max_new=3).generate(messages)
 
 
-def test_a_prompt_the_memo_does_not_start_with_gets_no_draft(
-    small_model, log_prefix, forwards, drafts
+@pytest.mark.parametrize("follow", ["strict_head", "extended_by_output"])
+def test_a_prompt_that_only_overlaps_the_memo_is_not_a_repeat(
+    small_model, log_prefix, forwards, follow
 ):
     gen = ReferenceModelGenerator(small_model, max_new=6)
-    # shorter than the memo's ids, and shares their head but not all of it
-    first, second = _prompts()[2], _prompts()[1]
-    gen.generate(first, kv_prefix=log_prefix)
+    messages = _prompts()[2]
+    prompt = messages[0]["content"]
+    out = gen.generate(messages, kv_prefix=log_prefix)
+    if follow == "strict_head":  # the memo's prompt less its last token
+        second = [{"role": "user", "content": prompt[:-1]}]
+    else:  # the memo's prompt and output: the ids the memo holds
+        assert len(gen.tokenizer.encode(out)) == 6  # round-trips as bytes
+        second = [{"role": "user", "content": prompt + out}]
     forwards.clear()
     text = gen.generate(second, kv_prefix=log_prefix)
-    assert drafts[-1] == []
-    assert forwards[0][0] < len(gen.tokenizer.encode(second[0]["content"]))  # still reused
+    fed = forwards[0][0]
+    assert 0 < fed < len(gen.tokenizer.encode(second[0]["content"]))  # the head is reused
     forwards.clear()
     assert text == _fresh(small_model, second, log_prefix)
-

@@ -4,7 +4,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from lag.cli import main
+from lag.cli import _apply_config_file, build_parser, main
 from lag.datasets import TaskRecord, save_tasks
 from lag.metrics import EvalReport
 from lag.store import LogStore
@@ -286,6 +286,21 @@ def test_config_file_defaults_and_flag_precedence(tmp_path, suite_files):
         "--max-steps", "2", "--out", out,
     ) == 0
     assert EvalReport.load(out).mean_iterations == 2.0
+
+
+def test_split_defaults_per_command_then_file_then_flag(tmp_path):
+    def split_of(*argv):
+        return _apply_config_file(build_parser(), [str(a) for a in argv]).split
+
+    assert split_of("ingest", "--dataset", "d", "--store", "s") == "seen"
+    assert split_of("run", "--dataset", "d", "--out", "o") == "unseen"
+    assert split_of("sweep", "--dataset", "d", "--out", "o", "--k", "0") == "unseen"
+    config = tmp_path / "lag.conf"
+    config.write_text("split = all\n")
+    for command in (["ingest", "--store", "s"], ["run", "--out", "o"]):
+        argv = [*command, "--dataset", "d", "--config", config]
+        assert split_of(*argv) == "all"
+        assert split_of(*argv, "--split", "seen") == "seen"
 
 
 def test_config_file_unknown_key(tmp_path, suite_files):

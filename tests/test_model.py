@@ -4,7 +4,6 @@ import sys
 import numpy as np
 import pytest
 
-import lag.model
 from lag.config import ModelConfig
 from lag.errors import (
     CapacityError,
@@ -159,110 +158,6 @@ def test_greedy_with_prefix_matches_decoding_over_concat(small_model, rng):
     with_prefix = greedy_decode(small_model, prefix, t2, 8)
     plain = greedy_decode(small_model, None, t1 + t2, 8)
     assert with_prefix == plain
-
-
-# -- checking a draft ------------------------------------------------------------
-
-
-@pytest.fixture()
-def passes(monkeypatch):
-    """The cache of every forward pass, in order."""
-    caches = []
-    real = lag.model.forward_with_prefix
-
-    def recording(*args):
-        logits, cache = real(*args)
-        caches.append(cache)
-        return logits, cache
-
-    monkeypatch.setattr(lag.model, "forward_with_prefix", recording)
-    return caches
-
-
-def _prefix(model, kind, t1):
-    if kind == "none":
-        return None
-    seg = encode(model, t1, 0)[0]
-    return seg if kind == "segment" else KvCache.from_segment(seg, model.config.max_positions)
-
-
-def _draft_cases(true, rng):
-    """name -> (max_new, stop_ids, draft) around the draft-free output."""
-    n = len(true)
-
-    def changed(i):
-        d = list(true)
-        d[i] = (d[i] + 1) % 256
-        return d
-
-    stop = {true[3]}
-    return {
-        "true": (n, set(), true),
-        "changed_first": (n, set(), changed(0)),
-        "changed_middle": (n, set(), changed(n // 2)),
-        "changed_end": (n, set(), changed(n - 2)),  # the last token checked
-        "random": (n, set(), rng.integers(0, 256, n).tolist()),
-        "longer_than_max_new": (n, set(), true + rng.integers(0, 256, 5).tolist()),
-        "eos_output": (n, stop, true[: true.index(true[3])]),
-        "stop_id_in_draft": (n, stop, true),
-        "max_new_1": (1, set(), true),
-    }
-
-
-DRAFT_CASES = [
-    "true", "changed_first", "changed_middle", "changed_end", "random",
-    "longer_than_max_new", "eos_output", "stop_id_in_draft", "max_new_1",
-]
-
-
-@pytest.mark.parametrize("kind", ["none", "segment", "cache"])
-@pytest.mark.parametrize("case", DRAFT_CASES)
-def test_a_draft_leaves_output_and_cache_as_without_one(small_model, passes, kind, case):
-    rng = np.random.default_rng(7)
-    t1 = rng.integers(0, 256, 7).tolist()
-    prompt = rng.integers(0, 256, 6).tolist()
-    true = greedy_decode(small_model, _prefix(small_model, kind, t1), prompt, 8)
-    max_new, stop_ids, draft = _draft_cases(true, rng)[case]
-
-    def run(draft):
-        passes.clear()
-        out = greedy_decode(
-            small_model, _prefix(small_model, kind, t1), prompt, max_new, stop_ids, draft=draft)
-        cache = passes[-1]
-        logits, _ = forward_with_prefix(small_model, cache, [7], cache.last_position + 1)
-        return out, cache.span_len, logits[-1], len(passes)
-
-    want, want_span, want_next, want_passes = run(())
-    got, span, after, n_passes = run(draft)
-    assert got == want and all(type(t) is int for t in got)
-    assert span == want_span
-    assert np.abs(after - want_next).max() <= 1e-5
-    if case in ("true", "eos_output", "stop_id_in_draft"):
-        assert n_passes == 1  # the whole output was checked in the first pass
-    assert n_passes <= want_passes
-
-
-def test_a_draft_takes_no_position_a_plain_decode_would_not():
-    model = build_model(
-        ModelConfig(num_layers=2, num_heads=2, num_kv_heads=1, head_dim=4,
-                    vocab_size=257, max_positions=16)
-    )
-    prompt = [3, 1, 4, 1, 5, 9]
-    true = greedy_decode(model, None, prompt, 10)  # fills all 16 positions
-    stop = {true[3]}
-    want = true[: true.index(true[3])]
-    draft = true + [1] * 10  # would reach position 25 uncut
-    assert greedy_decode(model, None, prompt, 20, stop) == want
-    assert greedy_decode(model, None, prompt, 20, stop, draft=draft) == want
-    for d in ((), draft):
-        with pytest.raises(CapacityError):
-            greedy_decode(model, None, prompt, 20, draft=d)
-
-
-def test_a_draft_token_out_of_vocabulary_is_rejected(small_model):
-    for bad in (257, -1):
-        with pytest.raises(InputError):
-            greedy_decode(small_model, None, [1, 2, 3], 8, draft=[5, bad])
 
 
 def _copy(seg):

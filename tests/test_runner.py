@@ -9,18 +9,35 @@ from lag.backends import (
 )
 from lag.codec import SelectionStrategy
 from lag.datasets import TaskRecord
-from lag.orchestrator import RunConfig
-from lag.runner import ingest_tasks, run_tasks, steps_for
+from lag.orchestrator import RunConfig, run_task
+from lag.runner import ingest_tasks, run_tasks
 from lag.store import LogStore
 from lag.synth import FactChainGenerator, build_reuse_suite
 
 
-def test_steps_for_family_defaults():
-    knowledge = TaskRecord(id="k", question="q", answers=["a"])
-    reasoning = TaskRecord(id="r", question="q", answers=["(A)"], choices=["1", "2"])
-    assert steps_for(knowledge, None) == 8
-    assert steps_for(reasoning, None) == 3
-    assert steps_for(knowledge, 5) == 5
+def _never_answers(embedder):
+    return Backends(generator=ScriptedGenerator({}, default=["no answer yet"]), embedder=embedder)
+
+
+KNOWLEDGE_TASK = TaskRecord(id="k", question="q", answers=["a"])
+REASONING_TASK = TaskRecord(id="r", question="q", answers=["(A)"], choices=["1", "2"])
+
+
+def test_steps_for_family_defaults(embedder):
+    backends = _never_answers(embedder)
+    cfg = RunConfig(mode="standard", k_docs=0)  # no max_steps: the family's cap
+    assert run_task(KNOWLEDGE_TASK, cfg, backends)[1].iterations == 8
+    assert run_task(REASONING_TASK, cfg, backends)[1].iterations == 3
+    cfg = RunConfig(mode="standard", max_steps=5, k_docs=0)
+    assert run_task(REASONING_TASK, cfg, backends)[1].iterations == 5
+
+
+def test_run_tasks_keeps_the_configured_step_cap(embedder):
+    report = run_tasks(
+        [KNOWLEDGE_TASK, REASONING_TASK], RunConfig(mode="standard", max_steps=2, k_docs=0),
+        _never_answers(embedder), None,
+    )
+    assert [r.iterations for r in report.rows] == [2, 2]
 
 
 def test_ingest_stores_unanswered_transcripts(tmp_path, embedder):
@@ -51,8 +68,8 @@ def test_run_tasks_parallel_matches_serial(tmp_path, small_model):
                  max_steps=8, k_docs=1)
     store = LogStore(tmp_path / "s", mode="r")
     cfg = RunConfig(mode="lag_kv", max_steps=8, k_docs=1, k_logs=3)
-    serial = run_tasks(unseen, cfg, backends, store, max_steps=8, jobs=1)
-    parallel = run_tasks(unseen, cfg, backends, store, max_steps=8, jobs=4)
+    serial = run_tasks(unseen, cfg, backends, store, jobs=1)
+    parallel = run_tasks(unseen, cfg, backends, store, jobs=4)
     store.close()
     assert [r.to_json() for r in serial.rows] == [r.to_json() for r in parallel.rows]
 
@@ -84,7 +101,7 @@ def test_reference_generator_parallel_matches_serial(tmp_path, small_model):
     for jobs in (1, 4):
         gen = RecordingReferenceGenerator(small_model, max_new=8)
         backends = Backends(gen, embedder, model=small_model)
-        reports.append(run_tasks(unseen * 2, cfg, backends, store, max_steps=3, jobs=jobs))
+        reports.append(run_tasks(unseen * 2, cfg, backends, store, jobs=jobs))
         calls.append(sorted(gen.calls, key=repr))
     store.close()
     serial, parallel = reports
@@ -108,8 +125,7 @@ def test_backend_failures_become_unanswered_rows(embedder):
     ]
     backends = Backends(generator=FailsOnSecondTask(), embedder=embedder)
     report = run_tasks(
-        tasks, RunConfig(mode="standard", max_steps=2, k_docs=0), backends, None,
-        max_steps=2,
+        tasks, RunConfig(mode="standard", max_steps=2, k_docs=0), backends, None
     )
     assert report.rows[0].em == 1
     assert report.rows[1].answered is False
@@ -123,8 +139,7 @@ def test_choice_tasks_scored_by_letter(embedder):
         embedder=embedder,
     )
     report = run_tasks(
-        [task], RunConfig(mode="standard", max_steps=3, k_docs=0), backends, None,
-        max_steps=None,
+        [task], RunConfig(mode="standard", k_docs=0), backends, None
     )
     assert report.rows[0].em == 1
     assert report.rows[0].f1 == 1.0

@@ -44,18 +44,10 @@ def suite_runs(tmp_path_factory, small_model):
     )
     store = LogStore(store_path, mode="r")
     standard = run_tasks(
-        unseen,
-        RunConfig(mode="standard", max_steps=8, k_docs=1),
-        backends,
-        None,
-        max_steps=8,
+        unseen, RunConfig(mode="standard", max_steps=8, k_docs=1), backends, None
     )
     lag_kv = run_tasks(
-        unseen,
-        RunConfig(mode="lag_kv", max_steps=8, k_docs=1, k_logs=3),
-        backends,
-        store,
-        max_steps=8,
+        unseen, RunConfig(mode="lag_kv", max_steps=8, k_docs=1, k_logs=3), backends, store
     )
     store.close()
     return standard, lag_kv
