@@ -389,7 +389,11 @@ def test_an_empty_prompt_after_a_call_is_rejected(small_model):
 
 
 @pytest.mark.parametrize("with_prefix", [False, True])
-def test_a_repeated_call_makes_no_forward_pass(small_model, log_prefix, forwards, with_prefix):
+def test_a_repeated_call_checks_the_previous_output_in_one_pass(
+    small_model, log_prefix, forwards, with_prefix
+):
+    # the one pass is the memo's key check (prefix content, prompt ids,
+    # max_new); the previous output comes back with no forward pass
     kv = log_prefix if with_prefix else None
     gen = ReferenceModelGenerator(small_model, max_new=6)
     messages = _prompts()[2]
@@ -429,5 +433,19 @@ def test_a_prompt_that_only_overlaps_the_memo_is_not_a_repeat(
     text = gen.generate(second, kv_prefix=log_prefix)
     fed = forwards[0][0]
     assert 0 < fed < len(gen.tokenizer.encode(second[0]["content"]))  # the head is reused
+    forwards.clear()
+    assert text == _fresh(small_model, second, log_prefix)
+
+
+def test_a_prompt_the_memo_does_not_start_with_gets_no_draft(small_model, log_prefix, forwards):
+    # no draft: the memo's output is not handed back, the prompt is decoded
+    gen = ReferenceModelGenerator(small_model, max_new=6)
+    # shorter than the memo's ids, and shares their head but not all of it
+    first, second = _prompts()[2], _prompts()[1]
+    gen.generate(first, kv_prefix=log_prefix)
+    forwards.clear()
+    text = gen.generate(second, kv_prefix=log_prefix)
+    fed = forwards[0][0]
+    assert 0 < fed < len(gen.tokenizer.encode(second[0]["content"]))  # still reused
     forwards.clear()
     assert text == _fresh(small_model, second, log_prefix)
