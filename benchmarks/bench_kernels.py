@@ -10,7 +10,8 @@ Workloads, on the default ``ModelConfig`` (4 layers, 4 query heads over
   q [4 x 1200 x 16] over 1394 keys (a 194-token KV prefix);
 * ``attention.decode``: one query over 2048 keys;
 * ``greedy_decode.prefixN``: 64 greedy tokens after a 16-token prompt and a
-  KV prefix of N = 0, 512 and 2048 tokens;
+  KV prefix of N = 0, 512 and 2048 tokens, copied into a new ``KvCache``
+  in each repeat;
 * ``assemble.prefixN``: ``assemble_kv_prefix`` over N = 3 and 10 stored logs
   of 133 tokens each (the hop_reuse stored span), which concatenates the
   stored spans and moves them to their slots in the prefix with one
@@ -30,7 +31,8 @@ and the baseline tree, round by round, so that a drift in the host's speed
 falls on both sides alike; each figure is the median over the rounds of
 each child's median of its repeats. Only names both trees define are used:
 ``lag._kernels.causal_attention``, ``lag.model.{build_model, encode,
-greedy_decode}``, ``lag.codec.{LogEntry, SelectionStrategy}``,
+greedy_decode}``, ``Model.new_cache``, ``lag.segment.KvCache.from_segment``,
+``lag.codec.{LogEntry, SelectionStrategy}``,
 ``lag.orchestrator.assemble_kv_prefix`` and
 ``lag.backends.ReferenceModelGenerator``.
 """
@@ -73,6 +75,7 @@ def measure() -> dict[str, float]:
     from lag.config import ModelConfig
     from lag.model import build_model, encode, greedy_decode
     from lag.orchestrator import assemble_kv_prefix
+    from lag.segment import KvCache
 
     rng = np.random.default_rng(0)
     cfg = ModelConfig()
@@ -95,9 +98,15 @@ def measure() -> dict[str, float]:
     prompt = rng.integers(0, 256, 16).tolist()
     for n in (0, 512, 2048):
         prefix = encode(model, rng.integers(0, 256, n).tolist(), 0)[0] if n else None
-        out[f"greedy_decode.prefix{n}"] = _median_ms(
-            lambda: greedy_decode(model, prefix, prompt, 64), 3
-        )
+
+        def decode():
+            cache = (
+                KvCache.from_segment(prefix, cfg.max_positions) if prefix is not None
+                else model.new_cache(cfg.max_positions)
+            )
+            greedy_decode(model, cache, prompt, 64)
+
+        out[f"greedy_decode.prefix{n}"] = _median_ms(decode, 3)
 
     # logs stored from later rounds of their transcripts, so every one moves
     logs = [

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BackendError, InputError
 from .model import ByteTokenizer, Model, greedy_decode
-from .segment import KvCache, KvSegment
+from .segment import KvSegment
 from .store import normalize
 
 
@@ -78,7 +78,7 @@ class ReferenceModelGenerator(GeneratorBackend):
         cache, reused = None, 0
         if memo is not None:
             cache, cached_m, cached, p, max_new = memo
-            if cached_m != m or (m and not _same_prefix(kv_prefix, cache)):
+            if cached_m != m or (m and not kv_prefix.equals(cache.segment(m))):
                 cache = None
             elif cached[:p] == tokens and max_new == self.max_new:
                 self._local.memo = memo  # greedy decoding would repeat itself
@@ -89,11 +89,7 @@ class ReferenceModelGenerator(GeneratorBackend):
                 reused = int(differ[0]) if differ.size else n
                 cache.truncate(m + reused)
         if cache is None:
-            capacity = self.model.config.max_positions
-            cache = (
-                KvCache.from_segment(kv_prefix, capacity) if m
-                else self.model.new_cache(capacity)
-            )
+            cache = self.model.prefix_cache(kv_prefix)
         out = greedy_decode(
             self.model,
             cache,
@@ -106,19 +102,6 @@ class ReferenceModelGenerator(GeneratorBackend):
         # cache's span, not the ids, bounds what the next call reuses
         self._local.memo = (cache, m, tokens + out, len(tokens), self.max_new)
         return self.tokenizer.decode(out)
-
-
-def _same_prefix(prefix: KvSegment, cache: KvCache) -> bool:
-    """Whether ``prefix`` equals the cache's first ``prefix.span_len`` slots
-    exactly (a NaN never does, so a bad prefix still gets validated)."""
-    m = prefix.span_len
-    head = KvSegment(
-        keys=[k[:, :m] for k in cache.keys],
-        values=[v[:, :m] for v in cache.values],
-        positions=cache.positions[:m],
-        model_fingerprint=cache.model_fingerprint,
-    )
-    return prefix.equals(head)
 
 
 _QUESTION_RE = re.compile(
@@ -272,17 +255,14 @@ class NullDocRetriever:
 @dataclass
 class Backends:
     """Everything a task run needs besides the store: the generator, the
-    text embedder, optionally a document retriever (defaults to per-task
-    corpora), and the model used to assemble KV prefixes."""
+    text embedder and the model used to assemble KV prefixes. Documents are
+    retrieved from each task's own corpus."""
 
     generator: GeneratorBackend
     embedder: HashedBagOfWordsEmbedder
-    doc_retriever: object | None = None
     model: Model | None = None
 
     def retriever_for(self, task) -> object:
-        if self.doc_retriever is not None:
-            return self.doc_retriever
         corpus = getattr(task, "corpus", None)
         if corpus:
             return CosineDocRetriever(corpus, self.embedder)

@@ -302,6 +302,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_choice(action: argparse.Action, value: str) -> None:
+    # argparse checks only command-line values against ``choices``, never
+    # defaults, and file values become defaults
+    if action.choices is None:
+        return
+    try:
+        converted = action.type(value) if action.type else value
+    except (TypeError, ValueError) as err:
+        raise ConfigurationError(f"config key {action.dest}: {err}") from err
+    if converted not in action.choices:
+        raise ConfigurationError(
+            f"config key {action.dest} = {value!r} is not one of {list(action.choices)}"
+        )
+
+
 def _apply_config_file(parser, argv) -> argparse.Namespace:
     # first parse locates --config; file values become defaults, flags win
     args = parser.parse_args(argv)
@@ -316,6 +331,8 @@ def _apply_config_file(parser, argv) -> argparse.Namespace:
             for sp in sub.choices.values():
                 for a in sp._actions:
                     known.add(a.dest)
+                    if a.dest in values:
+                        _check_choice(a, values[a.dest])
                 sp.set_defaults(
                     **{k: v for k, v in values.items() if k in {a.dest for a in sp._actions}}
                 )

@@ -82,8 +82,8 @@ class AgentTranscript:
 @dataclass(eq=False)
 class LogEntry:
     """One stored task artifact: a KV segment or text span plus the text key
-    it is retrieved by. ``entry_id``, ``created_at`` and ``answer_extracted``
-    are runtime metadata and are not part of the wire format."""
+    it is retrieved by. ``entry_id`` is the store's runtime handle and is not
+    part of the wire format."""
 
     task_text: str
     retrieval_key_text: str
@@ -93,8 +93,6 @@ class LogEntry:
     text_payload: str | None = None
     fallback_warning: bool = False
     entry_id: int | None = None
-    created_at: float | None = None
-    answer_extracted: str | None = None
 
     @property
     def fingerprint(self) -> str:
@@ -171,7 +169,6 @@ def encode_log(
     strategy: SelectionStrategy,
     embedder,
     task_text: str = "",
-    created_at: float | None = None,
 ) -> LogEntry:
     """Build a LogEntry from a finished transcript.
 
@@ -182,11 +179,6 @@ def encode_log(
     """
     messages = transcript.assistant_messages
     trace, _ = _trace_and_offsets(messages)
-    answer = (
-        transcript.final_action.payload
-        if transcript.final_action.kind == "answer"
-        else None
-    )
 
     if strategy.is_text:
         if strategy.kind == "all_rounds_text":
@@ -201,8 +193,6 @@ def encode_log(
             embedding=np.asarray(embedder.embed(key_text), dtype=np.float32),
             strategy=strategy,
             text_payload=payload,
-            created_at=created_at,
-            answer_extracted=answer,
         )
 
     if model is None:
@@ -222,8 +212,6 @@ def encode_log(
         strategy=strategy,
         kv=segment,
         fallback_warning=fallback,
-        created_at=created_at,
-        answer_extracted=answer,
     )
 
 

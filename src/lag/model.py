@@ -90,6 +90,14 @@ class Model:
             cfg.num_layers, cfg.num_kv_heads, cfg.head_dim, capacity, self.fingerprint
         )
 
+    def prefix_cache(self, prefix: KvSegment | None) -> KvCache:
+        """A cache of ``max_positions`` slots holding a validated copy of
+        ``prefix``; empty for None or an empty segment."""
+        capacity = self.config.max_positions
+        if prefix is None or prefix.span_len == 0:
+            return self.new_cache(capacity)
+        return KvCache.from_segment(prefix, capacity)
+
     def _check_cache(self, cache: KvCache, start_position: int) -> None:
         """O(1): a cache's positions increase by construction."""
         cfg = self.config
@@ -175,40 +183,32 @@ def forward_with_prefix(
     extended in place and returned, so passing it back decodes the next
     token without copying the cache.
     """
-    if isinstance(prefix, KvCache):
-        cache = prefix
-    elif prefix is None or prefix.span_len == 0:
-        cache = model.new_cache(model.config.max_positions)
-    else:
-        cache = KvCache.from_segment(prefix, model.config.max_positions)
+    cache = prefix if isinstance(prefix, KvCache) else model.prefix_cache(prefix)
     hidden = model._forward(tokens, start_position, cache)
     return hidden @ model.head, cache
 
 
 def greedy_decode(
     model: Model,
-    prefix: KvSegment | KvCache | None,
+    cache: KvCache,
     prompt,
     max_new: int,
     stop_ids=frozenset(),
 ) -> list[int]:
-    """Deterministic argmax decoding. A generated stop id is consumed but
-    excluded from the returned sequence. A KvCache prefix is extended in
-    place; a KvSegment prefix is left unchanged. Either way the cache ends
-    holding the prompt and the output, less its last token on a ``max_new``
-    stop (it is never fed back)."""
+    """Deterministic argmax decoding of ``prompt`` after the cache's live
+    span. A generated stop id is consumed but excluded from the returned
+    sequence. The cache is extended in place and ends holding the prompt and
+    the output, less its last token on a ``max_new`` stop (it is never fed
+    back)."""
     out: list[int] = []
     if max_new <= 0:
         return out
     prompt = list(prompt)
-    if prefix is not None and prefix.span_len:
-        start = int(prefix.positions.max()) + 1
-    else:
-        start = 0
     if not prompt:
         raise InputError("greedy_decode needs a non-empty prompt")
-    logits, cache = forward_with_prefix(model, prefix, prompt, start)
-    pos = start + len(prompt)
+    pos = cache.last_position + 1
+    logits, _ = forward_with_prefix(model, cache, prompt, pos)
+    pos += len(prompt)
     while True:
         next_id = int(np.argmax(logits[-1]))
         if next_id in stop_ids:
@@ -216,6 +216,6 @@ def greedy_decode(
         out.append(next_id)
         if len(out) >= max_new:
             break
-        logits, cache = forward_with_prefix(model, cache, [next_id], pos)
+        logits, _ = forward_with_prefix(model, cache, [next_id], pos)
         pos += 1
     return out

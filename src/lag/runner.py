@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 from .actions import ANSWER
@@ -103,7 +102,6 @@ def ingest_tasks(
                 strategy,
                 backends.embedder,
                 task_text=task.question,
-                created_at=time.time(),
             )
             store.put(entry)
     finally:

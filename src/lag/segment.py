@@ -233,12 +233,16 @@ class KvCache:
             raise InputError(f"cannot truncate a span of {self.span_len} to {n}")
         self.span_len = n
 
-    def segment(self) -> KvSegment:
-        """The live span as a KvSegment of views; no copy is made, so it
-        stays valid until the cache is truncated below its end."""
+    def segment(self, stop: int | None = None) -> KvSegment:
+        """The first ``stop`` live slots (all of them by default) as a
+        KvSegment of views; no copy is made, so it stays valid until the
+        cache is truncated below ``stop``."""
+        n = self.span_len if stop is None else stop
+        if not 0 <= n <= self.span_len:
+            raise InputError(f"no segment [:{n}] of a span of {self.span_len}")
         return KvSegment(
-            keys=self.keys,
-            values=self.values,
-            positions=self.positions,
+            keys=[k[:, :n] for k in self._keys],
+            values=[v[:, :n] for v in self._values],
+            positions=self._positions[:n],
             model_fingerprint=self.model_fingerprint,
         )

@@ -17,7 +17,7 @@ opens read-only and never mutates the store.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -126,17 +126,7 @@ class LogStore:
         if self.fingerprint is not None and entry.fingerprint != self.fingerprint:
             raise IncompatibilityError("entry fingerprint does not match store")
 
-        stored = LogEntry(
-            task_text=entry.task_text,
-            retrieval_key_text=entry.retrieval_key_text,
-            embedding=normalize(entry.embedding),
-            strategy=entry.strategy,
-            kv=entry.kv,
-            text_payload=entry.text_payload,
-            fallback_warning=entry.fallback_warning,
-            created_at=entry.created_at,
-            answer_extracted=entry.answer_extracted,
-        )
+        stored = replace(entry, embedding=normalize(entry.embedding))
         blob = serialize(stored)
         offset = self._entries_fh.tell()
         self._entries_fh.write(blob)

@@ -314,6 +314,22 @@ def test_config_file_unknown_key(tmp_path, suite_files):
     assert code == 2
 
 
+def test_config_file_value_outside_choices(tmp_path, suite_files, capsys):
+    # argparse never checks a default against ``choices``; a bad split used
+    # to run the unseen split
+    _, unseen_path = suite_files
+    config = tmp_path / "bad.conf"
+    config.write_text("split = bogus\n")
+    out = tmp_path / "o.json"
+    code = run_cli(
+        "run", "--config", config, "--dataset", unseen_path, "--mode", "standard",
+        "--generator", "synth-hop", "--out", out,
+    )
+    assert code == 2
+    assert not out.exists()
+    assert "split = 'bogus'" in capsys.readouterr().err
+
+
 class _AnswerHandler(BaseHTTPRequestHandler):
     requests: list[dict] = []
 

@@ -57,7 +57,6 @@ def test_last_round_span(small_model, embedder):
         range(trace_len - entry.kv.span_len, trace_len)
     )
     assert entry.retrieval_key_text == msgs[-1]
-    assert entry.answer_extracted == "the answer"
 
 
 def test_last_rounds_spans_grow(small_model, embedder):

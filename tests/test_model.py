@@ -138,8 +138,8 @@ def test_greedy_zero_budget(small_model):
 
 def test_greedy_deterministic(small_model, rng):
     prompt = rng.integers(0, 256, 6).tolist()
-    a = greedy_decode(small_model, None, prompt, 12)
-    b = greedy_decode(small_model, None, prompt, 12)
+    a = greedy_decode(small_model, small_model.prefix_cache(None), prompt, 12)
+    b = greedy_decode(small_model, small_model.prefix_cache(None), prompt, 12)
     assert a == b
     assert len(a) == 12
 
@@ -148,16 +148,21 @@ def test_greedy_stop_id_consumed_and_excluded(small_model, rng):
     prompt = rng.integers(0, 256, 6).tolist()
     logits, _ = forward_with_prefix(small_model, None, prompt, 0)
     first = int(np.argmax(logits[-1]))
-    assert greedy_decode(small_model, None, prompt, 10, stop_ids={first}) == []
+    cache = small_model.prefix_cache(None)
+    assert greedy_decode(small_model, cache, prompt, 10, stop_ids={first}) == []
+    assert cache.span_len == len(prompt)  # the stop id is not fed back
 
 
 def test_greedy_with_prefix_matches_decoding_over_concat(small_model, rng):
     t1 = rng.integers(0, 256, 7).tolist()
     t2 = rng.integers(0, 256, 5).tolist()
     prefix, _ = encode(small_model, t1, 0)
-    with_prefix = greedy_decode(small_model, prefix, t2, 8)
-    plain = greedy_decode(small_model, None, t1 + t2, 8)
+    cache = small_model.prefix_cache(prefix)
+    with_prefix = greedy_decode(small_model, cache, t2, 8)
+    plain = greedy_decode(small_model, small_model.prefix_cache(None), t1 + t2, 8)
     assert with_prefix == plain
+    # decoded after the live span; the last output token is never fed back
+    assert list(cache.positions) == list(range(len(t1) + len(t2) + 7))
 
 
 def _copy(seg):
@@ -170,7 +175,6 @@ def test_segment_prefix_is_left_unchanged(small_model, rng):
     prefix, _ = encode(small_model, t1, 0)
     keys, values, positions = _copy(prefix)
     _, cache = forward_with_prefix(small_model, prefix, t2, len(t1))
-    greedy_decode(small_model, prefix, t2, 8)
     assert cache.span_len == len(t1) + len(t2) and prefix.span_len == len(t1)
     assert list(cache.positions) == list(range(len(t1) + len(t2)))
     assert np.array_equal(prefix.positions, positions)
@@ -238,6 +242,22 @@ def test_truncate_bounds(small_model, rng):
     assert cache.span_len == 0 and cache.last_position == -1
 
 
+def test_cache_segment_views_its_first_live_slots(small_model, rng):
+    _, cache = forward_with_prefix(small_model, None, rng.integers(0, 256, 6).tolist(), 0)
+    full = cache.segment()
+    assert full.span_len == 6
+    for stop in (0, 4, 6):
+        head = cache.segment(stop)
+        assert head.equals(full.slice(0, stop))
+    assert np.shares_memory(cache.segment(4).keys[0], cache.keys[0])  # no copy
+    for bad in (-1, 7):
+        with pytest.raises(InputError):
+            cache.segment(bad)
+    cache.truncate(3)
+    with pytest.raises(InputError):
+        cache.segment(4)  # slots past the live span are not segments
+
+
 def test_forward_after_truncate_writes_from_the_cut(small_model, rng):
     head = [int(t) for t in rng.integers(0, 256, 5)]
     _, cache = forward_with_prefix(small_model, None, head + [1, 2, 3], 0)
@@ -265,7 +285,7 @@ def test_nonfinite_segment_prefix_is_rejected(small_model, rng):
     with pytest.raises(InputError):
         forward_with_prefix(small_model, prefix, [1, 2], len(t1))
     with pytest.raises(InputError):
-        greedy_decode(small_model, prefix, [1, 2], 4)
+        small_model.prefix_cache(prefix)
 
 
 def test_prefill_memory_is_bounded():
