@@ -1,5 +1,6 @@
-"""Time the attention kernel, greedy decoding and KV-prefix assembly,
-optionally against a baseline source tree, and write ``BENCH_kernels.json``.
+"""Time the attention kernel, greedy decoding, KV-prefix assembly and
+opening a log store, optionally against a baseline source tree, and write
+``BENCH_kernels.json``.
 
     python3 benchmarks/bench_kernels.py [--baseline OTHER/src]
 
@@ -16,6 +17,8 @@ Workloads, on the default ``ModelConfig`` (4 layers, 4 query heads over
   of 133 tokens each (the hop_reuse stored span), which concatenates the
   stored spans and moves them to their slots in the prefix with one
   rotation;
+* ``store.open``: ``LogStore(path, "r")`` of a store of 100 KV logs of 133
+  tokens each, written once per child into a temporary directory;
 * ``generate.rounds4``: the four rounds of a kv_agent task on one new
   ``ReferenceModelGenerator``: ``generate`` of 64 tokens after the same
   194-token KV prefix, with a ~800-token prompt head followed by one to four
@@ -33,8 +36,9 @@ each child's median of its repeats. Only names both trees define are used:
 ``lag._kernels.causal_attention``, ``lag.model.{build_model, encode,
 greedy_decode}``, ``Model.new_cache``, ``lag.segment.KvCache.from_segment``,
 ``lag.codec.{LogEntry, SelectionStrategy}``,
-``lag.orchestrator.assemble_kv_prefix`` and
-``lag.backends.ReferenceModelGenerator``.
+``lag.orchestrator.assemble_kv_prefix``,
+``lag.backends.ReferenceModelGenerator`` and ``lag.store.LogStore`` (its
+constructor and ``put``).
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -76,6 +81,7 @@ def measure() -> dict[str, float]:
     from lag.model import build_model, encode, greedy_decode
     from lag.orchestrator import assemble_kv_prefix
     from lag.segment import KvCache
+    from lag.store import LogStore
 
     rng = np.random.default_rng(0)
     cfg = ModelConfig()
@@ -122,6 +128,12 @@ def measure() -> dict[str, float]:
         out[f"assemble.prefix{n}"] = _median_ms(
             lambda: assemble_kv_prefix(logs[:n], model), 50
         )
+
+    with tempfile.TemporaryDirectory() as tmp:
+        with LogStore(Path(tmp) / "store", "w") as store:
+            for i in range(100):
+                store.put(logs[i % 10])
+        out["store.open"] = _median_ms(lambda: LogStore(Path(tmp) / "store", "r"), 10)
 
     log = encode(model, rng.integers(0, 256, 194).tolist(), 0)[0]
     head = "Answer from the information below only; do not guess. " * 15

@@ -247,11 +247,6 @@ class CosineDocRetriever:
         return [self.passages[int(i)] for i in order]
 
 
-class NullDocRetriever:
-    def retrieve(self, query: str, k: int) -> list[tuple[str, str]]:
-        return []
-
-
 @dataclass
 class Backends:
     """Everything a task run needs besides the store: the generator, the
@@ -262,8 +257,5 @@ class Backends:
     embedder: HashedBagOfWordsEmbedder
     model: Model | None = None
 
-    def retriever_for(self, task) -> object:
-        corpus = getattr(task, "corpus", None)
-        if corpus:
-            return CosineDocRetriever(corpus, self.embedder)
-        return NullDocRetriever()
+    def retriever_for(self, task) -> CosineDocRetriever:
+        return CosineDocRetriever(task.corpus or [], self.embedder)

@@ -217,12 +217,14 @@ def encode_log(
 
 # -- wire format -------------------------------------------------------------
 #
-# magic "LAGE" | u16 version | fingerprint (32 bytes) | strategy byte |
-# payload_kind byte | u32 span_len | u32 layers | u32 kv_heads | u32 head_dim |
-# u32 positions[span_len] | u32 dim + f32 embedding[dim] |
+# header: magic "LAGE" | u16 version | fingerprint (32 bytes) | strategy byte |
+#   payload_kind byte | u32 span_len | u32 layers | u32 kv_heads | u32 head_dim
+# then: u32 positions[span_len] | u32 dim + f32 embedding[dim] |
 # u32 len + task_text | u32 len + retrieval_key_text |
 # payload (f32 arrays layer-major, keys then values; or UTF-8 text) |
 # u32 CRC32 over all prior bytes. All integers little-endian.
+
+_HEADER = struct.Struct("<4sH32sBBIIII")
 
 
 def _strategy_byte(entry: LogEntry) -> int:
@@ -237,19 +239,19 @@ def _strategy_byte(entry: LogEntry) -> int:
 def serialize(entry: LogEntry) -> bytes:
     """Deterministic binary form of an entry."""
     entry.validate()
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<H", FORMAT_VERSION)
-    out += bytes.fromhex(entry.fingerprint)
+    fingerprint = bytes.fromhex(entry.fingerprint)
+    if len(fingerprint) != 32:
+        raise InputError("fingerprint must be 32 bytes")
     kv = entry.kv
     is_text = kv is None
-    out += struct.pack("<BB", _strategy_byte(entry), 1 if is_text else 0)
-    if is_text:
-        out += struct.pack("<IIII", 0, 0, 0, 0)
-    else:
-        out += struct.pack(
-            "<IIII", kv.span_len, kv.num_layers, kv.num_kv_heads, kv.head_dim
-        )
+    dims = (0, 0, 0, 0) if is_text else (
+        kv.span_len, kv.num_layers, kv.num_kv_heads, kv.head_dim
+    )
+    out = bytearray(
+        _HEADER.pack(MAGIC, FORMAT_VERSION, fingerprint, _strategy_byte(entry),
+                     int(is_text), *dims)
+    )
+    if not is_text:
         out += np.asarray(kv.positions, dtype="<u4").tobytes()
     emb = np.asarray(entry.embedding, dtype="<f4")
     out += struct.pack("<I", emb.shape[0])
@@ -264,46 +266,55 @@ def serialize(entry: LogEntry) -> bytes:
         for l in range(kv.num_layers):
             out += np.ascontiguousarray(kv.keys[l], dtype="<f4").tobytes()
             out += np.ascontiguousarray(kv.values[l], dtype="<f4").tobytes()
-    out += struct.pack("<I", zlib.crc32(bytes(out)) & 0xFFFFFFFF)
+    out += struct.pack("<I", zlib.crc32(out) & 0xFFFFFFFF)
     return bytes(out)
 
 
 class _Reader:
-    def __init__(self, buf: bytes):
+    def __init__(self, buf: memoryview, pos: int):
         self.buf = buf
-        self.pos = 0
+        self.pos = pos
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.buf):
             raise FormatError("truncated log entry")
         b = self.buf[self.pos : self.pos + n]
         self.pos += n
         return b
 
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
+    def array(self, count: int, dtype: str) -> np.ndarray:
+        return np.frombuffer(self.take(4 * count), dtype=dtype)
 
-def deserialize(buf: bytes) -> LogEntry:
-    """Decode exactly one serialized entry; raises FormatError on structural
-    damage and ChecksumError when the trailing CRC does not match."""
-    if len(buf) < len(MAGIC) + 2 + 32 + 2 + 16 + 4 + 4:
+    def text(self, n: int) -> str:
+        try:
+            return str(self.take(n), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"log entry text is not UTF-8: {exc.reason}") from None
+
+
+def deserialize(buf) -> LogEntry:
+    """Decode exactly one serialized entry from a bytes-like object; raises
+    FormatError on structural damage and ChecksumError when the trailing CRC
+    does not match.
+
+    Nothing is copied but the positions: the embedding, keys and values are
+    read-only float32 views over ``buf``, which they keep alive."""
+    view = memoryview(buf).toreadonly()
+    # header, embedding dim and CRC
+    if len(view) < _HEADER.size + 8:
         raise FormatError("buffer too short for a log entry")
-    if buf[: len(MAGIC)] != MAGIC:
+    if view[: len(MAGIC)] != MAGIC:
         raise FormatError("bad magic")
-    stored_crc = struct.unpack("<I", buf[-4:])[0]
-    if zlib.crc32(buf[:-4]) & 0xFFFFFFFF != stored_crc:
+    stored_crc = struct.unpack("<I", view[-4:])[0]
+    if zlib.crc32(view[:-4]) & 0xFFFFFFFF != stored_crc:
         raise ChecksumError("CRC mismatch")
-    r = _Reader(buf[:-4])
-    r.take(len(MAGIC))
-    version = r.u16()
+    (_, version, fingerprint, strategy_byte, payload_kind,
+     span_len, layers, kv_heads, head_dim) = _HEADER.unpack_from(view)
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported format version {version}")
-    fingerprint = r.take(32).hex()
-    strategy_byte, payload_kind = struct.unpack("<BB", r.take(2))
     kind = _CODE_KIND.get(strategy_byte & 0x07)
     if kind is None:
         raise FormatError("unknown strategy code")
@@ -311,50 +322,31 @@ def deserialize(buf: bytes) -> LogEntry:
         kind, "isolated" if strategy_byte & _ISOLATED_BIT else "full_trace"
     )
     fallback = bool(strategy_byte & _FALLBACK_BIT)
-    span_len, layers, kv_heads, head_dim = struct.unpack("<IIII", r.take(16))
-    positions = np.frombuffer(r.take(4 * span_len), dtype="<u4").astype(np.int64)
-    dim = r.u32()
-    embedding = np.frombuffer(r.take(4 * dim), dtype="<f4").astype(np.float32)
-    task_text = r.take(r.u32()).decode("utf-8")
-    key_text = r.take(r.u32()).decode("utf-8")
+    r = _Reader(view[:-4], _HEADER.size)
+    positions = r.array(span_len, "<u4").astype(np.int64)
+    embedding = r.array(r.u32(), "<f4")
+    task_text = r.text(r.u32())
+    key_text = r.text(r.u32())
+    kv = text_payload = None
     if payload_kind == 1:
-        text_payload = r.buf[r.pos :].decode("utf-8")
-        return LogEntry(
-            task_text=task_text,
-            retrieval_key_text=key_text,
-            embedding=embedding,
-            strategy=strategy,
-            text_payload=text_payload,
-            fallback_warning=fallback,
-        )
-    if payload_kind != 0:
+        text_payload = r.text(len(r.buf) - r.pos)
+    elif payload_kind == 0:
+        shape, per_array = (kv_heads, span_len, head_dim), kv_heads * span_len * head_dim
+        keys, values = [], []
+        for _ in range(layers):
+            keys.append(r.array(per_array, "<f4").reshape(shape))
+            values.append(r.array(per_array, "<f4").reshape(shape))
+        if r.pos != len(r.buf):
+            raise FormatError("trailing bytes after KV payload")
+        kv = KvSegment(keys, values, positions, fingerprint.hex())
+    else:
         raise FormatError(f"unknown payload kind {payload_kind}")
-    per_array = kv_heads * span_len * head_dim
-    keys, values = [], []
-    for _ in range(layers):
-        keys.append(
-            np.frombuffer(r.take(4 * per_array), dtype="<f4")
-            .astype(np.float32)
-            .reshape(kv_heads, span_len, head_dim)
-        )
-        values.append(
-            np.frombuffer(r.take(4 * per_array), dtype="<f4")
-            .astype(np.float32)
-            .reshape(kv_heads, span_len, head_dim)
-        )
-    if r.pos != len(r.buf):
-        raise FormatError("trailing bytes after KV payload")
-    kv = KvSegment(
-        keys=keys,
-        values=values,
-        positions=positions,
-        model_fingerprint=fingerprint,
-    )
     return LogEntry(
         task_text=task_text,
         retrieval_key_text=key_text,
         embedding=embedding,
         strategy=strategy,
         kv=kv,
+        text_payload=text_payload,
         fallback_warning=fallback,
     )

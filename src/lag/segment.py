@@ -19,7 +19,8 @@ class KvSegment:
 
     keys[l] and values[l] have shape [num_kv_heads, span_len, head_dim]
     (float32). Keys carry the rotary rotation of their positions; values are
-    rotation-free. Instances are treated as immutable.
+    rotation-free. Instances are treated as immutable; the arrays of one
+    decoded from a store are read-only views, so a write raises.
     """
 
     keys: list[np.ndarray] = field(default_factory=list)

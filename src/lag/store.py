@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .codec import LogEntry, deserialize, serialize
-from .errors import IncompatibilityError, InputError, NotFoundError
+from .errors import FormatError, IncompatibilityError, InputError, NotFoundError
 
 ENTRIES_NAME = "entries.lag"
 OFFSETS_NAME = "offsets.idx"
@@ -50,8 +50,9 @@ def normalize(vec: np.ndarray) -> np.ndarray:
 class LogStore:
     """Open with mode "r" for serving (reads only) or "w" to create/append.
 
-    Entries are fully decoded into memory on open; ids are the insertion
-    ordinals (sequential from 0).
+    Entries are decoded in place on open: their embeddings, keys and values
+    are read-only views over the file's bytes, which they keep alive. Ids
+    are the insertion ordinals (sequential from 0).
     """
 
     def __init__(self, path: str | Path, mode: str = "r"):
@@ -79,8 +80,10 @@ class LogStore:
 
     def _load(self) -> None:
         raw_offsets = (self.path / OFFSETS_NAME).read_bytes()
+        if len(raw_offsets) % 8:
+            raise FormatError(f"torn index {self.path / OFFSETS_NAME}: {len(raw_offsets)} bytes")
         offsets = list(struct.unpack(f"<{len(raw_offsets) // 8}Q", raw_offsets))
-        blob = (self.path / ENTRIES_NAME).read_bytes()
+        blob = memoryview((self.path / ENTRIES_NAME).read_bytes())
         bounds = offsets + [len(blob)]
         for i in range(len(offsets)):
             entry = deserialize(blob[bounds[i] : bounds[i + 1]])

@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -260,6 +263,16 @@ def test_size_law_random_configurations(rng):
         assert _serialized_payload_bytes(entry) == expected
 
 
+def test_fingerprint_of_other_than_32_bytes_is_refused(rng):
+    # the header holds exactly 32 fingerprint bytes; padding or cutting
+    # one would store a different fingerprint than the entry's
+    for nbytes in (16, 33):
+        seg, entry = _sized_entry(rng, 2, 1, 1, 2)
+        seg.model_fingerprint = "ab" * nbytes
+        with pytest.raises(InputError):
+            serialize(entry)
+
+
 def test_text_entry_header_declares_text():
     entry = LogEntry(
         task_text="t",
@@ -294,6 +307,24 @@ def test_bad_magic_is_format_error(rng):
     blob[0] ^= 0xFF
     with pytest.raises(FormatError):
         deserialize(bytes(blob))
+
+
+@pytest.mark.parametrize("kv", [True, False], ids=["kv", "text"])
+def test_crc_valid_mutation_decodes_or_is_format_error(kv):
+    # a damaged byte under a matching CRC: bad UTF-8 in a text field must
+    # fail like any other structural damage, not as UnicodeDecodeError
+    rng = np.random.default_rng(7)
+    blob = serialize(_random_entry(rng, kv=kv))
+    failed = 0
+    for _ in range(1000):
+        damaged = bytearray(blob)
+        damaged[int(rng.integers(len(blob) - 4))] ^= int(rng.integers(1, 256))
+        damaged[-4:] = struct.pack("<I", zlib.crc32(damaged[:-4]) & 0xFFFFFFFF)
+        try:
+            assert isinstance(deserialize(bytes(damaged)), LogEntry)
+        except FormatError:
+            failed += 1
+    assert 0 < failed < 1000
 
 
 def test_round_trip_preserves_positions_exactly(small_model, embedder):

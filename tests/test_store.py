@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from lag.cli import main
 from lag.codec import LogEntry, SelectionStrategy, encode_log
-from lag.errors import IncompatibilityError, InputError, NotFoundError
+from lag.errors import FormatError, IncompatibilityError, InputError, NotFoundError
 from lag.selftest import brute_force_topk
 from lag.store import LogStore, normalize
-from tests.test_codec import THREE_ROUNDS, _random_entry
+from tests.test_codec import THREE_ROUNDS, _random_entry, _sized_entry
 
 
 def text_entry(embedding, tag="x"):
@@ -229,3 +232,32 @@ def test_empty_store_reopens_empty(tmp_path):
             assert store.fingerprint is None
             assert store.embedding_dim is None
             assert store.retrieve_topk(np.ones(3, dtype=np.float32), 3) == []
+
+
+def test_torn_offsets_index_is_format_error(tmp_path, rng):
+    path = tmp_path / "s"
+    _three_entry_store(path, rng)
+    with open(path / "offsets.idx", "ab") as fh:
+        fh.write(b"\0\0\0")
+    with pytest.raises(FormatError, match="offsets.idx"):
+        LogStore(path)
+    assert main(["store", "inspect", "--store", str(path)]) == 3
+
+
+def test_reopened_store_holds_its_bytes_once(tmp_path, rng):
+    # 15 KV entries of 133 tokens, 4 layers, 2 KV heads, head_dim 16: ~2 MB
+    path = tmp_path / "s"
+    with LogStore(path, mode="w") as store:
+        for _ in range(15):
+            store.put(_sized_entry(rng, 133, 4, 2, 16)[1])
+    size = (path / "entries.lag").stat().st_size
+    tracemalloc.start()
+    try:
+        store = LogStore(path, "r")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * size
+    entry = store.get(14)
+    for array in entry.kv.keys + entry.kv.values + [entry.embedding]:
+        assert not array.flags.writeable
