@@ -1,6 +1,6 @@
-"""Time the attention kernel, greedy decoding, KV-prefix assembly and
-opening a log store, optionally against a baseline source tree, and write
-``BENCH_kernels.json``.
+"""Time the attention kernel, greedy decoding, KV-prefix assembly, opening a
+log store and putting into one, optionally against a baseline source tree,
+and write ``BENCH_kernels.json``.
 
     python3 benchmarks/bench_kernels.py [--baseline OTHER/src]
 
@@ -19,6 +19,9 @@ Workloads, on the default ``ModelConfig`` (4 layers, 4 query heads over
   rotation;
 * ``store.open``: ``LogStore(path, "r")`` of a store of 100 KV logs of 133
   tokens each, written once per child into a temporary directory;
+* ``store.put``: 500 ``put`` calls of one ingest_text-sized text log (about
+  1.9 KB serialized, a 256-dim embedding) into a new store in a temporary
+  directory, timed together with the store's creation and close;
 * ``generate.rounds4``: the four rounds of a kv_agent task on one new
   ``ReferenceModelGenerator``: ``generate`` of 64 tokens after the same
   194-token KV prefix, with a ~800-token prompt head followed by one to four
@@ -134,6 +137,25 @@ def measure() -> dict[str, float]:
             for i in range(100):
                 store.put(logs[i % 10])
         out["store.open"] = _median_ms(lambda: LogStore(Path(tmp) / "store", "r"), 10)
+
+    # a last_round_text log of an ingest_text task: the last message is both
+    # the retrieval key and the payload
+    message = "The documents do not say yet. <keywords>the r3 of e17</keywords> " * 4
+    embedding = rng.standard_normal(256)
+    text_log = LogEntry(
+        task_text="What is the r1 of the r2 of the r3 of e14? " * 6,
+        retrieval_key_text=message,
+        embedding=(embedding / np.linalg.norm(embedding)).astype(np.float32),
+        strategy=SelectionStrategy("last_round_text"),
+        text_payload=message,
+    )
+
+    def puts():
+        with tempfile.TemporaryDirectory() as tmp, LogStore(Path(tmp) / "s", "w") as store:
+            for _ in range(500):
+                store.put(text_log)
+
+    out["store.put"] = _median_ms(puts, 3)
 
     log = encode(model, rng.integers(0, 256, 194).tolist(), 0)[0]
     head = "Answer from the information below only; do not guess. " * 15

@@ -113,7 +113,6 @@ def cmd_ingest(args) -> int:
         backends,
         args.store,
         max_steps=args.max_steps,
-        gen_max_new=args.max_new,
         k_docs=args.k_docs,
     )
     print(f"store {args.store}: {store.count} entries, dim {store.embedding_dim}")
@@ -133,7 +132,6 @@ def cmd_run(args) -> int:
         k_logs=args.k_logs,
         k_docs=args.k_docs,
         strategy=_strategy(args),
-        gen_max_new=args.max_new,
     )
     report = run_tasks(
         tasks, cfg, backends, store, jobs=args.jobs, label=args.label or args.mode

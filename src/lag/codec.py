@@ -236,22 +236,26 @@ def _strategy_byte(entry: LogEntry) -> int:
     return b
 
 
-def serialize(entry: LogEntry) -> bytes:
-    """Deterministic binary form of an entry."""
-    entry.validate()
+def _header(entry: LogEntry) -> bytes:
+    """The fixed header of an entry, as ``serialize`` writes it; an entry
+    decodes only from exactly these bytes."""
     fingerprint = bytes.fromhex(entry.fingerprint)
     if len(fingerprint) != 32:
         raise InputError("fingerprint must be 32 bytes")
     kv = entry.kv
-    is_text = kv is None
-    dims = (0, 0, 0, 0) if is_text else (
+    dims = (0, 0, 0, 0) if kv is None else (
         kv.span_len, kv.num_layers, kv.num_kv_heads, kv.head_dim
     )
-    out = bytearray(
-        _HEADER.pack(MAGIC, FORMAT_VERSION, fingerprint, _strategy_byte(entry),
-                     int(is_text), *dims)
-    )
-    if not is_text:
+    return _HEADER.pack(MAGIC, FORMAT_VERSION, fingerprint, _strategy_byte(entry),
+                        int(kv is None), *dims)
+
+
+def serialize(entry: LogEntry) -> bytes:
+    """Deterministic binary form of an entry."""
+    entry.validate()
+    kv = entry.kv
+    out = bytearray(_header(entry))
+    if kv is not None:
         out += np.asarray(kv.positions, dtype="<u4").tobytes()
     emb = np.asarray(entry.embedding, dtype="<f4")
     out += struct.pack("<I", emb.shape[0])
@@ -260,8 +264,8 @@ def serialize(entry: LogEntry) -> bytes:
         raw = text.encode("utf-8")
         out += struct.pack("<I", len(raw))
         out += raw
-    if is_text:
-        out += (entry.text_payload or "").encode("utf-8")
+    if kv is None:
+        out += entry.text_payload.encode("utf-8")
     else:
         for l in range(kv.num_layers):
             out += np.ascontiguousarray(kv.keys[l], dtype="<f4").tobytes()
@@ -297,7 +301,8 @@ class _Reader:
 
 def deserialize(buf) -> LogEntry:
     """Decode exactly one serialized entry from a bytes-like object; raises
-    FormatError on structural damage and ChecksumError when the trailing CRC
+    FormatError on structural damage or a header that ``serialize`` would
+    not write for the decoded entry, and ChecksumError when the trailing CRC
     does not match.
 
     Nothing is copied but the positions: the embedding, keys and values are
@@ -341,7 +346,7 @@ def deserialize(buf) -> LogEntry:
         kv = KvSegment(keys, values, positions, fingerprint.hex())
     else:
         raise FormatError(f"unknown payload kind {payload_kind}")
-    return LogEntry(
+    entry = LogEntry(
         task_text=task_text,
         retrieval_key_text=key_text,
         embedding=embedding,
@@ -350,3 +355,6 @@ def deserialize(buf) -> LogEntry:
         text_payload=text_payload,
         fallback_warning=fallback,
     )
+    if _header(entry) != view[: _HEADER.size]:
+        raise FormatError("log entry header does not match its content")
+    return entry

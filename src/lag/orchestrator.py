@@ -57,7 +57,7 @@ class RunConfig:
     k_logs: int = 3
     k_docs: int = 2
     strategy: SelectionStrategy = field(default_factory=SelectionStrategy)
-    gen_max_new: int = 64
+    gen_max_new: int = 64  # read by nothing; lagbench/workloads.py still passes it
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -157,7 +157,9 @@ def run_task(
         if cfg.mode in KV_MODES and ordered:
             kv_prefix = assemble_kv_prefix(ordered, backends.model)
         elif cfg.mode in TEXT_MODES:
-            text_logs = [e.text_payload or "" for e in ordered]
+            if any(e.text_payload is None for e in ordered):
+                raise InputError("KV log entries cannot join a text prompt")
+            text_logs = [e.text_payload for e in ordered]
 
         messages = assemble_prompt(task, docs, text_logs, previous_response)
         try:

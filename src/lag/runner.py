@@ -79,7 +79,7 @@ def ingest_tasks(
     backends: Backends,
     store_path,
     max_steps: int | None = None,
-    gen_max_new: int = 64,
+    gen_max_new: int = 64,  # read by nothing; lagbench/workloads.py still passes it
     k_docs: int = 2,
 ) -> LogStore:
     """Run tasks without log access (the store is being built), encode each
@@ -93,7 +93,6 @@ def ingest_tasks(
                 max_steps=max_steps,
                 k_docs=k_docs,
                 strategy=strategy,
-                gen_max_new=gen_max_new,
             )
             _, transcript, _ = run_task(task, cfg, backends, None)
             entry = encode_log(

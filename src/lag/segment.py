@@ -135,12 +135,12 @@ class KvCache:
     The first ``span_len`` slots are live. A forward pass writes its new
     tokens after them with ``stage`` and makes them live with ``commit``.
     Live slots are never rewritten until ``truncate(n)`` frees the slots
-    from ``n`` on: the next forward pass writes there, so a view of the
-    ``keys``/``values``/``positions`` (or ``segment``) taken before a
-    truncate is valid only up to ``n``. Positions increase by construction:
-    a segment is validated on the way in, commits only append later
-    positions and a truncate keeps a leading run, so checking a new start
-    against ``last_position`` is O(1).
+    from ``n`` on: the next forward pass writes there, so a ``segment``
+    (views of the live slots, not a copy) taken before a truncate is valid
+    only up to ``n``. Positions increase by construction: a segment is
+    validated on the way in, commits only append later positions and a
+    truncate keeps a leading run, so checking a new start against
+    ``last_position`` is O(1).
     """
 
     def __init__(
@@ -188,18 +188,6 @@ class KvCache:
     @property
     def head_dim(self) -> int:
         return int(self._keys[0].shape[2])
-
-    @property
-    def keys(self) -> list[np.ndarray]:
-        return [k[:, : self.span_len] for k in self._keys]
-
-    @property
-    def values(self) -> list[np.ndarray]:
-        return [v[:, : self.span_len] for v in self._values]
-
-    @property
-    def positions(self) -> np.ndarray:
-        return self._positions[: self.span_len]
 
     @property
     def last_position(self) -> int:

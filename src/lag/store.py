@@ -50,9 +50,11 @@ def normalize(vec: np.ndarray) -> np.ndarray:
 class LogStore:
     """Open with mode "r" for serving (reads only) or "w" to create/append.
 
-    Entries are decoded in place on open: their embeddings, keys and values
-    are read-only views over the file's bytes, which they keep alive. Ids
-    are the insertion ordinals (sequential from 0).
+    Every entry, loaded on open or just put, enters through ``_admit``: it
+    is decoded from the store's own bytes, so its embedding, keys and values
+    are read-only views over them, and an entry whose fingerprint or
+    embedding dimension differs from entry 0's is refused. Ids are the
+    insertion ordinals (sequential from 0).
     """
 
     def __init__(self, path: str | Path, mode: str = "r"):
@@ -86,10 +88,21 @@ class LogStore:
         blob = memoryview((self.path / ENTRIES_NAME).read_bytes())
         bounds = offsets + [len(blob)]
         for i in range(len(offsets)):
-            entry = deserialize(blob[bounds[i] : bounds[i + 1]])
-            entry.entry_id = i
-            self._entries.append(entry)
+            self._entries.append(self._admit(blob[bounds[i] : bounds[i + 1]]))
         self._rebuild_matrix()
+
+    def _admit(self, blob) -> LogEntry:
+        """Decode the bytes of the next entry and check them against entry 0:
+        the one way, on open and on put, that an entry enters the store."""
+        entry = deserialize(blob)
+        entry.entry_id = i = len(self._entries)
+        first = self._entries[0] if self._entries else entry
+        if entry.fingerprint != first.fingerprint:
+            raise IncompatibilityError(f"entry {i}: fingerprint differs from the store's")
+        dim, want = len(entry.embedding), len(first.embedding)
+        if dim != want:
+            raise IncompatibilityError(f"entry {i}: embedding dim {dim} != store dim {want}")
+        return entry
 
     def _rebuild_matrix(self) -> None:
         if self._entries:
@@ -117,27 +130,17 @@ class LogStore:
 
     def put(self, entry: LogEntry) -> int:
         """Store an entry; returns its id. The embedding is L2-normalized
-        before it is written."""
+        before it is written, and the store serves the entry decoded from
+        the written bytes, not the caller's arrays."""
         if self.mode != "w":
             raise InputError("store is open read-only")
-        entry.validate()
-        dim = int(np.asarray(entry.embedding).shape[0])
-        if self.embedding_dim is not None and dim != self.embedding_dim:
-            raise IncompatibilityError(
-                f"embedding dim {dim} != store dim {self.embedding_dim}"
-            )
-        if self.fingerprint is not None and entry.fingerprint != self.fingerprint:
-            raise IncompatibilityError("entry fingerprint does not match store")
-
-        stored = replace(entry, embedding=normalize(entry.embedding))
-        blob = serialize(stored)
+        blob = serialize(replace(entry, embedding=normalize(entry.embedding)))
+        stored = self._admit(blob)
         offset = self._entries_fh.tell()
         self._entries_fh.write(blob)
         self._entries_fh.flush()
         self._offsets_fh.write(struct.pack("<Q", offset))
         self._offsets_fh.flush()
-
-        stored.entry_id = len(self._entries)
         self._entries.append(stored)
         self._rebuild_matrix()
         return stored.entry_id

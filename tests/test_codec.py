@@ -4,6 +4,7 @@ import zlib
 import numpy as np
 import pytest
 
+import lag.codec
 from lag.actions import Action
 from lag.codec import (
     AgentTranscript,
@@ -312,7 +313,9 @@ def test_bad_magic_is_format_error(rng):
 @pytest.mark.parametrize("kv", [True, False], ids=["kv", "text"])
 def test_crc_valid_mutation_decodes_or_is_format_error(kv):
     # a damaged byte under a matching CRC: bad UTF-8 in a text field must
-    # fail like any other structural damage, not as UnicodeDecodeError
+    # fail like any other structural damage, not as UnicodeDecodeError, and
+    # a header field the decoded entry does not carry (a text entry's
+    # fingerprint or dimensions, a stray strategy bit) must not be dropped
     rng = np.random.default_rng(7)
     blob = serialize(_random_entry(rng, kv=kv))
     failed = 0
@@ -321,9 +324,13 @@ def test_crc_valid_mutation_decodes_or_is_format_error(kv):
         damaged[int(rng.integers(len(blob) - 4))] ^= int(rng.integers(1, 256))
         damaged[-4:] = struct.pack("<I", zlib.crc32(damaged[:-4]) & 0xFFFFFFFF)
         try:
-            assert isinstance(deserialize(bytes(damaged)), LogEntry)
+            entry = deserialize(bytes(damaged))
         except FormatError:
             failed += 1
+            continue
+        assert isinstance(entry, LogEntry)
+        header = lag.codec._header(entry)
+        assert header == bytes(damaged[: len(header)])
     assert 0 < failed < 1000
 
 

@@ -162,7 +162,7 @@ def test_greedy_with_prefix_matches_decoding_over_concat(small_model, rng):
     plain = greedy_decode(small_model, small_model.prefix_cache(None), t1 + t2, 8)
     assert with_prefix == plain
     # decoded after the live span; the last output token is never fed back
-    assert list(cache.positions) == list(range(len(t1) + len(t2) + 7))
+    assert list(cache.segment().positions) == list(range(len(t1) + len(t2) + 7))
 
 
 def _copy(seg):
@@ -176,7 +176,7 @@ def test_segment_prefix_is_left_unchanged(small_model, rng):
     keys, values, positions = _copy(prefix)
     _, cache = forward_with_prefix(small_model, prefix, t2, len(t1))
     assert cache.span_len == len(t1) + len(t2) and prefix.span_len == len(t1)
-    assert list(cache.positions) == list(range(len(t1) + len(t2)))
+    assert list(cache.segment().positions) == list(range(len(t1) + len(t2)))
     assert np.array_equal(prefix.positions, positions)
     for l in range(prefix.num_layers):
         assert np.array_equal(prefix.keys[l], keys[l])
@@ -186,18 +186,19 @@ def test_segment_prefix_is_left_unchanged(small_model, rng):
 def test_cache_is_extended_in_place(small_model, rng):
     tokens = rng.integers(0, 256, 10).tolist()
     _, cache = forward_with_prefix(small_model, None, tokens[:7], 0)
-    keys, values, positions = _copy(cache)
+    keys, values, positions = _copy(cache.segment())
     for pos in range(7, 10):
         _, again = forward_with_prefix(small_model, cache, [tokens[pos]], pos)
         assert again is cache
     full, _ = encode(small_model, tokens, 0)
-    assert list(cache.positions) == list(range(10))
+    live = cache.segment()
+    assert list(live.positions) == list(range(10))
     for l in range(cache.num_layers):
         # live slots are never rewritten by an extension
-        assert np.array_equal(cache.keys[l][:, :7], keys[l])
-        assert np.array_equal(cache.values[l][:, :7], values[l])
-        assert np.abs(cache.keys[l] - full.keys[l]).max() <= 1e-4
-    assert np.array_equal(cache.positions[:7], positions)
+        assert np.array_equal(live.keys[l][:, :7], keys[l])
+        assert np.array_equal(live.values[l][:, :7], values[l])
+        assert np.abs(live.keys[l] - full.keys[l]).max() <= 1e-4
+    assert np.array_equal(live.positions[:7], positions)
 
 
 def test_cache_rejects_a_stale_start(small_model, rng):
@@ -249,7 +250,7 @@ def test_cache_segment_views_its_first_live_slots(small_model, rng):
     for stop in (0, 4, 6):
         head = cache.segment(stop)
         assert head.equals(full.slice(0, stop))
-    assert np.shares_memory(cache.segment(4).keys[0], cache.keys[0])  # no copy
+    assert np.shares_memory(cache.segment(4).keys[0], full.keys[0])  # no copy
     for bad in (-1, 7):
         with pytest.raises(InputError):
             cache.segment(bad)
@@ -261,7 +262,7 @@ def test_cache_segment_views_its_first_live_slots(small_model, rng):
 def test_forward_after_truncate_writes_from_the_cut(small_model, rng):
     head = [int(t) for t in rng.integers(0, 256, 5)]
     _, cache = forward_with_prefix(small_model, None, head + [1, 2, 3], 0)
-    kept = [k[:, :5].copy() for k in cache.keys]
+    kept = [k.copy() for k in cache.segment(5).keys]
     cache.truncate(5)
     assert cache.last_position == 4
     # a start inside the dropped slots is no longer stale, and a different
@@ -269,13 +270,14 @@ def test_forward_after_truncate_writes_from_the_cut(small_model, rng):
     tokens = head + rng.integers(0, 256, 7).tolist()
     logits, again = forward_with_prefix(small_model, cache, tokens[5:], 5)
     assert again is cache and cache.span_len == len(tokens)
-    assert list(cache.positions) == list(range(len(tokens)))
+    live = cache.segment()
+    assert list(live.positions) == list(range(len(tokens)))
     full, hidden = encode(small_model, tokens, 0)
     assert np.abs(logits[-1] - hidden[-1] @ small_model.head).max() <= 1e-5
     for l in range(cache.num_layers):
-        assert np.array_equal(cache.keys[l][:, :5], kept[l])
-        assert np.abs(cache.keys[l] - full.keys[l]).max() <= 1e-4
-        assert np.abs(cache.values[l] - full.values[l]).max() <= 1e-4
+        assert np.array_equal(live.keys[l][:, :5], kept[l])
+        assert np.abs(live.keys[l] - full.keys[l]).max() <= 1e-4
+        assert np.abs(live.values[l] - full.values[l]).max() <= 1e-4
 
 
 def test_nonfinite_segment_prefix_is_rejected(small_model, rng):

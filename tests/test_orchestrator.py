@@ -263,6 +263,18 @@ def test_text_mode_prepends_log_payloads(tmp_path, embedder):
     assert "Here is the user question:\nalpha" in user
 
 
+@pytest.mark.parametrize("mode", ["lag_text_all", "lag_text_last"])
+def test_text_mode_refuses_kv_entries(tmp_path, small_model, embedder, mode):
+    # a KV log has no text to prepend; it must not join the prompt as ""
+    with LogStore(tmp_path / "s", mode="w") as store:
+        store.put(kv_entry(small_model, embedder, "alpha"))
+    task = TaskRecord(id="t", question="alpha", answers=["x"])
+    cfg = RunConfig(mode=mode, max_steps=8, k_docs=0, k_logs=1)
+    backends = scripted_backends({"alpha": ["<ans>x</ans>"]})
+    with LogStore(tmp_path / "s", mode="r") as store, pytest.raises(InputError, match="KV"):
+        run_task(task, cfg, backends, store)
+
+
 def test_kv_mode_keeps_prompt_free_of_log_text(tmp_path, small_model, embedder):
     store = LogStore(tmp_path / "s", mode="w")
     entry = encode_log(

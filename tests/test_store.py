@@ -1,10 +1,11 @@
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from lag.cli import main
-from lag.codec import LogEntry, SelectionStrategy, encode_log
+from lag.codec import LogEntry, SelectionStrategy, encode_log, serialize
 from lag.errors import FormatError, IncompatibilityError, InputError, NotFoundError
 from lag.selftest import brute_force_topk
 from lag.store import LogStore, normalize
@@ -261,3 +262,47 @@ def test_reopened_store_holds_its_bytes_once(tmp_path, rng):
     entry = store.get(14)
     for array in entry.kv.keys + entry.kv.values + [entry.embedding]:
         assert not array.flags.writeable
+
+
+def test_put_entry_is_served_from_the_stored_bytes(tmp_path, rng):
+    # the store serves what it wrote: a later write to the caller's arrays
+    # does not reach it, and its arrays are read-only like a reopened entry's
+    path = tmp_path / "s"
+    entry = _random_entry(rng, kv=True)
+    with LogStore(path, mode="w") as store:
+        store.put(entry)
+        served = store.get(0)
+        key = served.kv.keys[0][0, 0, 0]
+        entry.kv.keys[0][0, 0, 0] = 99.0
+        entry.embedding[0] = 99.0
+        assert store.get(0).kv.keys[0][0, 0, 0] == key != 99.0
+        assert store.get(0).embedding[0] != 99.0
+        for array in served.kv.keys + served.kv.values + [served.embedding]:
+            assert not array.flags.writeable
+    with LogStore(path, mode="r") as reopened:
+        assert reopened.get(0).same_content(served)
+
+
+def _append_raw(path, entry):
+    """Append an entry's bytes and offset without going through put."""
+    offset = (path / "entries.lag").stat().st_size
+    with open(path / "entries.lag", "ab") as fh:
+        fh.write(serialize(entry))
+    with open(path / "offsets.idx", "ab") as fh:
+        fh.write(struct.pack("<Q", offset))
+
+
+@pytest.mark.parametrize("differs", ["dimension", "fingerprint"])
+def test_mixed_store_is_refused_on_open(tmp_path, rng, differs):
+    path = tmp_path / "s"
+    _three_entry_store(path, rng)
+    if differs == "dimension":
+        odd = text_entry(normalize(rng.standard_normal(5).astype(np.float32)), "3")
+    else:
+        odd = _random_entry(rng, kv=True)
+        odd.embedding = normalize(rng.standard_normal(4).astype(np.float32))
+    _append_raw(path, odd)
+    for mode in ("r", "w"):
+        with pytest.raises(IncompatibilityError, match="entry 3"):
+            LogStore(path, mode)
+    assert main(["store", "inspect", "--store", str(path)]) == 5
