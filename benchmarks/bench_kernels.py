@@ -13,12 +13,13 @@ Workloads, on the default ``ModelConfig`` (4 layers, 4 query heads over
 * ``greedy_decode.prefixN``: 64 greedy tokens after a 16-token prompt and a
   KV prefix of N = 0, 512 and 2048 tokens, copied into a new ``KvCache``
   in each repeat;
-* ``assemble.prefixN``: ``assemble_kv_prefix`` over N = 3 and 10 stored logs
-  of 133 tokens each (the hop_reuse stored span), which concatenates the
-  stored spans and moves them to their slots in the prefix with one
-  rotation;
 * ``store.open``: ``LogStore(path, "r")`` of a store of 100 KV logs of 133
   tokens each, written once per child into a temporary directory;
+* ``assemble.prefixN``: ``assemble_kv_prefix`` over the first N = 3, 10 and
+  24 logs of that store (24 logs are ~3200 tokens, the hop_reuse tail
+  shape), as the opened store serves them: read-only views over its bytes,
+  every other one unaligned, as in hop_reuse. It concatenates the stored
+  spans and moves them to their slots in the prefix with one rotation;
 * ``store.put``: 500 ``put`` calls of one ingest_text-sized text log (about
   1.9 KB serialized, a 256-dim embedding) into a new store in a temporary
   directory, timed together with the store's creation and close;
@@ -41,7 +42,7 @@ greedy_decode}``, ``Model.new_cache``, ``lag.segment.KvCache.from_segment``,
 ``lag.codec.{LogEntry, SelectionStrategy}``,
 ``lag.orchestrator.assemble_kv_prefix``,
 ``lag.backends.ReferenceModelGenerator`` and ``lag.store.LogStore`` (its
-constructor and ``put``).
+constructor, ``put`` and ``get``).
 """
 
 from __future__ import annotations
@@ -127,16 +128,17 @@ def measure() -> dict[str, float]:
         )
         for i in range(10)
     ]
-    for n in (3, 10):
-        out[f"assemble.prefix{n}"] = _median_ms(
-            lambda: assemble_kv_prefix(logs[:n], model), 50
-        )
-
     with tempfile.TemporaryDirectory() as tmp:
         with LogStore(Path(tmp) / "store", "w") as store:
             for i in range(100):
                 store.put(logs[i % 10])
         out["store.open"] = _median_ms(lambda: LogStore(Path(tmp) / "store", "r"), 10)
+        opened = LogStore(Path(tmp) / "store", "r")
+    served = [opened.get(i) for i in range(24)]
+    for n in (3, 10, 24):
+        out[f"assemble.prefix{n}"] = _median_ms(
+            lambda: assemble_kv_prefix(served[:n], model), 50
+        )
 
     # a last_round_text log of an ingest_text task: the last message is both
     # the retrieval key and the payload

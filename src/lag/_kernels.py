@@ -18,14 +18,16 @@ TILE = 128
 _FUTURE = np.triu(np.full((TILE, TILE), -np.inf, dtype=np.float32), k=1)
 
 
-def rotate_pairs(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+def rotate_pairs(
+    x: np.ndarray, cos: np.ndarray, sin: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Rotate interleaved 2D subvectors (x[2i], x[2i+1]) of each head vector.
 
-    x: [heads, seq, head_dim]; cos/sin: [seq, head_dim // 2].
+    x and out: [heads, seq, head_dim], not overlapping; cos/sin: [seq, head_dim // 2].
     """
     even = x[..., 0::2]
     odd = x[..., 1::2]
-    out = np.empty_like(x)
+    out = np.empty_like(x) if out is None else out
     out[..., 0::2] = even * cos - odd * sin
     out[..., 1::2] = even * sin + odd * cos
     return out

@@ -150,10 +150,10 @@ RETRY_DELAY_CAP_S = 1.0
 
 class HttpGeneratorBackend(GeneratorBackend):
     """POSTs {"messages": [...], "max_tokens": n, "temperature": 0} and
-    expects {"text": "..."} back; connection errors, timeouts, 5xx, 429 and
-    bad JSON are retried after a capped exponential backoff, other 4xx fail
-    at once. Credentials come from LAG_API_KEY (sent as a bearer token),
-    never from flags."""
+    expects {"text": "<str>"} back. Other JSON and a 4xx other than 429 fail
+    at once; connection errors, timeouts, 5xx, 429 and bad JSON are retried
+    after a capped exponential backoff. Credentials come from LAG_API_KEY
+    (sent as a bearer token), never from flags."""
 
     accepts_kv_prefix = False
 
@@ -192,8 +192,8 @@ class HttpGeneratorBackend(GeneratorBackend):
             except (OSError, json.JSONDecodeError) as err:  # URLError, timeouts, drops
                 last_err = err
             else:
-                if "text" not in payload:
-                    raise BackendError("generator response carries no 'text' field")
+                if not isinstance(payload, dict) or not isinstance(payload.get("text"), str):
+                    raise BackendError("generator response is not an object with a 'text' string")
                 return payload["text"]
         raise BackendError(f"generator endpoint failed: {last_err}")
 

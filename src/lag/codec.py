@@ -221,7 +221,8 @@ def encode_log(
 #   payload_kind byte | u32 span_len | u32 layers | u32 kv_heads | u32 head_dim
 # then: u32 positions[span_len] | u32 dim + f32 embedding[dim] |
 # u32 len + task_text | u32 len + retrieval_key_text |
-# payload (f32 arrays layer-major, keys then values; or UTF-8 text) |
+# payload (f32 [layers, 2, kv_heads, span_len, head_dim]: each layer's keys
+# then its values; or UTF-8 text) |
 # u32 CRC32 over all prior bytes. All integers little-endian.
 
 _HEADER = struct.Struct("<4sH32sBBIIII")
@@ -267,9 +268,7 @@ def serialize(entry: LogEntry) -> bytes:
     if kv is None:
         out += entry.text_payload.encode("utf-8")
     else:
-        for l in range(kv.num_layers):
-            out += np.ascontiguousarray(kv.keys[l], dtype="<f4").tobytes()
-            out += np.ascontiguousarray(kv.values[l], dtype="<f4").tobytes()
+        out += np.stack((kv.keys, kv.values), axis=1, dtype="<f4").tobytes()
     out += struct.pack("<I", zlib.crc32(out) & 0xFFFFFFFF)
     return bytes(out)
 
@@ -305,8 +304,10 @@ def deserialize(buf) -> LogEntry:
     not write for the decoded entry, and ChecksumError when the trailing CRC
     does not match.
 
-    Nothing is copied but the positions: the embedding, keys and values are
-    read-only float32 views over ``buf``, which they keep alive."""
+    A KV payload is one [layers, 2, kv_heads, span, head_dim] block whose
+    halves are the keys and values: read-only float32 views over ``buf``,
+    which they keep alive, as does a KV entry's embedding. A text entry's
+    embedding is a read-only copy, so its decoded text does not pin ``buf``."""
     view = memoryview(buf).toreadonly()
     # header, embedding dim and CRC
     if len(view) < _HEADER.size + 8:
@@ -335,15 +336,13 @@ def deserialize(buf) -> LogEntry:
     kv = text_payload = None
     if payload_kind == 1:
         text_payload = r.text(len(r.buf) - r.pos)
+        embedding = np.frombuffer(embedding.tobytes(), "<f4")  # a read-only copy
     elif payload_kind == 0:
-        shape, per_array = (kv_heads, span_len, head_dim), kv_heads * span_len * head_dim
-        keys, values = [], []
-        for _ in range(layers):
-            keys.append(r.array(per_array, "<f4").reshape(shape))
-            values.append(r.array(per_array, "<f4").reshape(shape))
+        shape = (layers, 2, kv_heads, span_len, head_dim)
+        block = r.array(2 * layers * kv_heads * span_len * head_dim, "<f4").reshape(shape)
         if r.pos != len(r.buf):
             raise FormatError("trailing bytes after KV payload")
-        kv = KvSegment(keys, values, positions, fingerprint.hex())
+        kv = KvSegment(block[:, 0], block[:, 1], positions, fingerprint.hex())
     else:
         raise FormatError(f"unknown payload kind {payload_kind}")
     entry = LogEntry(

@@ -27,13 +27,18 @@ class TaskRecord:
         return REASONING if self.choices else KNOWLEDGE
 
 
-def task_from_json(data: dict) -> TaskRecord:
+def task_from_json(data) -> TaskRecord:
+    if not isinstance(data, dict):
+        raise InputError(f"task record is not a JSON object: {data!r:.60}")
+    answers = data.get("answers")
+    if not isinstance(answers, list) or not answers:
+        raise InputError(f"task record needs a non-empty 'answers' list: {answers!r:.60}")
     try:
         corpus = data.get("corpus")
         return TaskRecord(
             id=str(data["id"]),
             question=str(data["question"]),
-            answers=[str(a) for a in data["answers"]],
+            answers=[str(a) for a in answers],
             choices=[str(c) for c in data["choices"]] if data.get("choices") else None,
             corpus=[(str(d["title"]), str(d["text"])) for d in corpus] if corpus else None,
         )

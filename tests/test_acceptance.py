@@ -156,10 +156,8 @@ def test_criterion_06_storage_law(small_model, embedder, rng):
         kv_heads = int(rng.integers(1, 5))
         head_dim = 2 * int(rng.integers(1, 9))
         seg = KvSegment(
-            keys=[rng.standard_normal((kv_heads, span, head_dim)).astype(np.float32)
-                  for _ in range(layers)],
-            values=[rng.standard_normal((kv_heads, span, head_dim)).astype(np.float32)
-                    for _ in range(layers)],
+            keys=rng.standard_normal((layers, kv_heads, span, head_dim)).astype(np.float32),
+            values=rng.standard_normal((layers, kv_heads, span, head_dim)).astype(np.float32),
             positions=np.arange(span, dtype=np.int64),
             model_fingerprint="00" * 32,
         )
@@ -261,8 +259,8 @@ def test_criterion_11_persistence(tmp_path, rng):
     for i in range(500):
         span = int(rng.integers(1, 5))
         seg = KvSegment(
-            keys=[rng.standard_normal((2, span, 4)).astype(np.float32)],
-            values=[rng.standard_normal((2, span, 4)).astype(np.float32)],
+            keys=rng.standard_normal((1, 2, span, 4)).astype(np.float32),
+            values=rng.standard_normal((1, 2, span, 4)).astype(np.float32),
             positions=np.arange(span, dtype=np.int64),
             model_fingerprint="cd" * 32,
         )

@@ -26,6 +26,7 @@ class _Handler(BaseHTTPRequestHandler):
     # one entry per request to fail, in order: an HTTP status to answer
     # with, or None to close the connection without a response
     failures: list[int | None] = []
+    reply = None  # a JSON body to answer with in place of the echo
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
@@ -38,9 +39,8 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_response(status)
             self.end_headers()
             return
-        reply = json.dumps(
-            {"text": f"echo: {body['messages'][-1]['content'][:20]}"}
-        ).encode()
+        echo = {"text": f"echo: {body['messages'][-1]['content'][:20]}"}
+        reply = json.dumps(echo if _Handler.reply is None else _Handler.reply).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(reply)))
@@ -58,6 +58,7 @@ def http_server():
     thread.start()
     _Handler.requests = []
     _Handler.failures = []
+    _Handler.reply = None
     yield f"http://127.0.0.1:{server.server_port}/generate"
     server.shutdown()
     server.server_close()
@@ -127,6 +128,17 @@ def test_http_backoff_is_capped(http_server, monkeypatch):
     with pytest.raises(BackendError):
         backend.generate([{"role": "user", "content": "dropped"}])
     assert slept == [0.05, 0.1, 0.2, 0.4, 0.8, 1.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "reply", [5, ["text"], {"text": None}], ids=["number", "list", "text-not-str"]
+)
+def test_http_reply_without_a_text_string_fails_at_once(http_server, reply):
+    _Handler.reply = reply
+    backend = HttpGeneratorBackend(http_server, retries=2)
+    with pytest.raises(BackendError):
+        backend.generate([{"role": "user", "content": "malformed"}])
+    assert len(_Handler.requests) == 1
 
 
 def test_http_unreachable_is_backend_error():
@@ -293,7 +305,7 @@ def test_a_different_prefix_is_not_reused(small_model, log_prefix, forwards, cha
     messages = _prompts()[1]
     gen.generate(messages, kv_prefix=log_prefix)
     if change == "value":
-        keys = [k.copy() for k in log_prefix.keys]
+        keys = log_prefix.keys.copy()
         keys[1][0, 3, 2] += 1e-3
         other = KvSegment(
             keys, log_prefix.values, log_prefix.positions, log_prefix.model_fingerprint)
@@ -370,7 +382,7 @@ def test_nan_prefix_is_rejected_after_a_clean_one(small_model, log_prefix):
     gen = ReferenceModelGenerator(small_model, max_new=6)
     messages = _prompts()[0]
     gen.generate(messages, kv_prefix=log_prefix)
-    values = [v.copy() for v in log_prefix.values]
+    values = log_prefix.values.copy()
     values[0][1, 5, 0] = np.nan
     bad = KvSegment(
         log_prefix.keys, values, log_prefix.positions, log_prefix.model_fingerprint)

@@ -332,11 +332,12 @@ def test_config_file_value_outside_choices(tmp_path, suite_files, capsys):
 
 class _AnswerHandler(BaseHTTPRequestHandler):
     requests: list[dict] = []
+    reply = {"text": "<ans>x</ans>"}
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         _AnswerHandler.requests.append(body)
-        reply = json.dumps({"text": "<ans>x</ans>"}).encode()
+        reply = json.dumps(_AnswerHandler.reply).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(reply)))
@@ -353,6 +354,7 @@ def answer_server():
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     _AnswerHandler.requests = []
+    _AnswerHandler.reply = {"text": "<ans>x</ans>"}
     yield f"http://127.0.0.1:{server.server_port}/generate"
     server.shutdown()
     server.server_close()
@@ -387,3 +389,35 @@ def test_http_run_in_kv_mode_is_refused_before_any_request(
     assert code == 2
     assert _AnswerHandler.requests == []
     assert not (tmp_path / "o.json").exists()
+
+
+def test_malformed_http_reply_fails_the_task_not_the_run(tmp_path, answer_server, one_task):
+    _AnswerHandler.reply = {"text": 5}
+    out = tmp_path / "o.json"
+    assert run_cli(
+        "run", "--dataset", one_task, "--split", "all", "--mode", "standard",
+        "--generator", answer_server, "--k-docs", "0", "--out", out,
+    ) == 0
+    assert len(_AnswerHandler.requests) == 1  # not retried
+    [row] = EvalReport.load(out).rows
+    assert row.answered is False
+
+
+@pytest.mark.parametrize(
+    "record",
+    [[1], {"id": "a", "question": "What is x?", "answers": "abc"},
+     {"id": "a", "question": "What is x?", "answers": []}],
+    ids=["not-object", "answers-not-list", "answers-empty"],
+)
+def test_malformed_task_record_is_an_input_error(tmp_path, capsys, record):
+    dataset = tmp_path / "bad.jsonl"
+    dataset.write_text(json.dumps(record) + "\n")
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"scripts": {}, "default": ["<ans>foo</ans>"]}))
+    out = tmp_path / "o.json"
+    assert run_cli(
+        "run", "--dataset", dataset, "--split", "all", "--mode", "standard",
+        "--generator", f"scripted:{script}", "--out", out,
+    ) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

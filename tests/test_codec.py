@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import zlib
 
@@ -179,10 +180,8 @@ def _random_entry(rng, kv=True):
         dim = int(rng.integers(1, 4)) * 2
         start = int(rng.integers(0, 50))
         segment = KvSegment(
-            keys=[rng.standard_normal((heads, span, dim)).astype(np.float32)
-                  for _ in range(layers)],
-            values=[rng.standard_normal((heads, span, dim)).astype(np.float32)
-                    for _ in range(layers)],
+            keys=rng.standard_normal((layers, heads, span, dim)).astype(np.float32),
+            values=rng.standard_normal((layers, heads, span, dim)).astype(np.float32),
             positions=np.arange(start, start + span, dtype=np.int64),
             model_fingerprint=bytes(rng.integers(0, 256, 32, dtype=np.uint8)).hex(),
         )
@@ -210,14 +209,8 @@ def test_serialize_round_trip_100_random_entries(rng):
 
 def _sized_entry(rng, span, layers, kv_heads, head_dim):
     seg = KvSegment(
-        keys=[
-            rng.standard_normal((kv_heads, span, head_dim)).astype(np.float32)
-            for _ in range(layers)
-        ],
-        values=[
-            rng.standard_normal((kv_heads, span, head_dim)).astype(np.float32)
-            for _ in range(layers)
-        ],
+        keys=rng.standard_normal((layers, kv_heads, span, head_dim)).astype(np.float32),
+        values=rng.standard_normal((layers, kv_heads, span, head_dim)).astype(np.float32),
         positions=np.arange(span, dtype=np.int64),
         model_fingerprint="00" * 32,
     )
@@ -342,6 +335,27 @@ def test_round_trip_preserves_positions_exactly(small_model, embedder):
     assert np.array_equal(back.kv.positions, entry.kv.positions)
 
 
+# sha256 of the entry below as format v1 writes it
+KV_ENTRY_SHA256 = "7f04aacaff80b84a4e3c5fe52fdb3321b8c57d1393659660dea0f4b8ff48f791"
+
+
+def test_kv_wire_format_is_pinned(small_model, embedder):
+    # a model-encoded entry with its keys and values rounded to multiples of
+    # 1/64, so that the digest pins the byte layout and not the last bits of
+    # the host's float kernels
+    entry = encode_log(
+        small_model, THREE_ROUNDS, SelectionStrategy("last_2_rounds"), embedder,
+        task_text="the task",
+    )
+    for array in (*entry.kv.keys, *entry.kv.values):
+        array *= 64
+        np.round(array, out=array)
+        array /= 64
+    blob = serialize(entry)
+    assert hashlib.sha256(blob).hexdigest() == KV_ENTRY_SHA256
+    assert serialize(deserialize(blob)) == blob
+
+
 def test_payload_requires_exactly_one_kind():
     with pytest.raises(InputError):
         serialize(
@@ -355,13 +369,13 @@ def test_payload_requires_exactly_one_kind():
 
 
 def _ones_entry(kv_heads, fingerprint="f"):
-    ones = np.ones((kv_heads, 3, 4), dtype=np.float32)
+    ones = np.ones((1, kv_heads, 3, 4), dtype=np.float32)
     return LogEntry(
         task_text="t",
         retrieval_key_text="t",
         embedding=np.ones(2, dtype=np.float32),
         strategy=SelectionStrategy("last_round"),
-        kv=KvSegment([ones], [ones.copy()], np.arange(3), fingerprint),
+        kv=KvSegment(ones, ones.copy(), np.arange(3), fingerprint),
     )
 
 
@@ -386,7 +400,7 @@ def test_segment_equality_is_exact():
     nudged.values[0][1, 2, 3] = np.nextafter(np.float32(1), np.float32(2))
     assert not a.equals(nudged)
     fewer = _ones_entry(2).kv
-    fewer.values = []
+    fewer.values = fewer.values[1:]  # one layer fewer
     assert not a.equals(fewer)
     a.keys[0][0, 0, 0] = np.nan
     assert not a.equals(a)

@@ -260,8 +260,30 @@ def test_reopened_store_holds_its_bytes_once(tmp_path, rng):
         tracemalloc.stop()
     assert peak < 1.3 * size
     entry = store.get(14)
-    for array in entry.kv.keys + entry.kv.values + [entry.embedding]:
+    for array in (entry.kv.keys, entry.kv.values, entry.embedding):
         assert not array.flags.writeable
+
+
+def test_reopened_text_store_holds_no_serialized_bytes(tmp_path, rng):
+    # 200 text entries of ~12 KB of text: an entry keeps its decoded text
+    # and a copy of its embedding, and no view that pins the file's bytes
+    path = tmp_path / "s"
+    text = "a word or two " * 300
+    with LogStore(path, mode="w") as store:
+        for i in range(200):
+            embedding = normalize(rng.standard_normal(16).astype(np.float32))
+            store.put(LogEntry(f"{i} {text}", f"{i} {text}", embedding,
+                               SelectionStrategy("last_round_text"), text_payload=text))
+        assert not store.get(199).embedding.flags.writeable
+    size = (path / "entries.lag").stat().st_size
+    tracemalloc.start()
+    try:
+        store = LogStore(path, "r")
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 1.3 * size
+    assert not store.get(0).embedding.flags.writeable
 
 
 def test_put_entry_is_served_from_the_stored_bytes(tmp_path, rng):
@@ -277,7 +299,7 @@ def test_put_entry_is_served_from_the_stored_bytes(tmp_path, rng):
         entry.embedding[0] = 99.0
         assert store.get(0).kv.keys[0][0, 0, 0] == key != 99.0
         assert store.get(0).embedding[0] != 99.0
-        for array in served.kv.keys + served.kv.values + [served.embedding]:
+        for array in (served.kv.keys, served.kv.values, served.embedding):
             assert not array.flags.writeable
     with LogStore(path, mode="r") as reopened:
         assert reopened.get(0).same_content(served)
