@@ -27,7 +27,7 @@ from .backends import (
     ReferenceModelGenerator,
     ScriptedGenerator,
 )
-from .codec import FORMAT_VERSION, KINDS, SelectionStrategy
+from .codec import ENCODINGS, FORMAT_VERSION, KINDS, TEXT_KINDS, SelectionStrategy
 from .config import ModelConfig
 from .datasets import load_tasks
 from .errors import ConfigurationError, InputError, LagError
@@ -41,11 +41,13 @@ from .metrics import (
     transitions,
 )
 from .model import build_model
-from .orchestrator import MODES, STANDARD, RunConfig, default_strategy
+from .orchestrator import LAG_TEXT, MODES, STANDARD, RunConfig
 from .runner import ingest_tasks, run_tasks
 from .selftest import run_selftest
 from .store import ENTRIES_NAME, LogStore
 from .synth import FactChainGenerator
+
+SPLITS = ("seen", "unseen", "all")
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -93,15 +95,17 @@ def _pick_split(tasks, args):
 
 
 def _strategy(args) -> SelectionStrategy:
-    if args.strategy == "auto":
-        return default_strategy(args.mode)
-    encoding = "isolated" if args.mode == "kv_isolated" else args.encoding
-    return SelectionStrategy(args.strategy, encoding)
+    """``--strategy`` under ``--encoding`` (text kinds have one encoding);
+    ``auto`` is ``last_round_text`` under ``lag_text``, else ``last_round``."""
+    kind = args.strategy
+    if kind == "auto":
+        kind = "last_round_text" if args.mode == LAG_TEXT else "last_round"
+    return SelectionStrategy(kind, args.encoding)
 
 
 def _strategy_histogram(store: LogStore) -> list[tuple[str, int]]:
-    """(strategy kind, entry count) pairs, sorted by kind."""
-    return sorted(Counter(e.strategy.kind for e in store.scan()).items())
+    """(strategy name, entry count) pairs, sorted by name."""
+    return sorted(Counter(e.strategy.name for e in store.scan()).items())
 
 
 def cmd_ingest(args) -> int:
@@ -126,12 +130,14 @@ def cmd_run(args) -> int:
     tasks = _pick_split(load_tasks(args.dataset), args)
     backends = _backends(args)
     store = LogStore(args.store, mode="r") if args.store else None
+    # the report names what the store holds when it holds one strategy
+    stored = {e.strategy for e in store.scan()} if store is not None else set()
     cfg = RunConfig(
         mode=args.mode,
         max_steps=args.max_steps,
         k_logs=args.k_logs,
         k_docs=args.k_docs,
-        strategy=_strategy(args),
+        strategy=stored.pop() if len(stored) == 1 else _strategy(args),
     )
     report = run_tasks(
         tasks, cfg, backends, store, jobs=args.jobs, label=args.label or args.mode
@@ -169,11 +175,7 @@ def cmd_sweep(args) -> int:
             kind = kind.strip()
             run_args = argparse.Namespace(**vars(args))
             run_args.strategy = kind
-            run_args.mode = (
-                args.mode
-                if kind not in ("all_rounds_text", "last_round_text")
-                else ("lag_text_all" if kind == "all_rounds_text" else "lag_text_last")
-            )
+            run_args.mode = LAG_TEXT if kind in TEXT_KINDS else args.mode
             run_args.store = str(out_dir / f"store_{kind}")
             run_args.split = "seen"
             cmd_ingest(run_args)
@@ -230,12 +232,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key = value config file")
     parser.add_argument("--seed", type=int, default=0, help="split/embedder seed")
     parser.add_argument("--seen-fraction", type=float, default=0.7)
-    parser.add_argument("--split", choices=("seen", "unseen", "all"))
     parser.add_argument("--mode", choices=MODES, default="lag_kv")
     parser.add_argument("--strategy", default="auto", choices=("auto",) + KINDS)
-    parser.add_argument("--encoding", default="full_trace",
-                        choices=("full_trace", "isolated"))
-    parser.add_argument("--k-logs", type=int, default=3)
+    parser.add_argument("--encoding", default="full_trace", choices=ENCODINGS)
     parser.add_argument("--k-docs", type=int, default=2)
     parser.add_argument("--max-steps", type=int, default=None,
                         help="iteration cap; default 8 for multi-hop, 3 for reasoning")
@@ -250,8 +249,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="HTTP generator retry count")
     parser.add_argument("--embed-dim", type=int, default=256)
     parser.add_argument("--model-seed", type=int, default=0)
+
+
+def _add_serving(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--k-logs", type=int, default=3)
     parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--label", default="")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,15 +265,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="run the seen split and build a log store")
     p.add_argument("--dataset", required=True)
     p.add_argument("--store", required=True)
+    p.add_argument("--split", choices=SPLITS, default="seen")
     _add_common(p)
-    p.set_defaults(func=cmd_ingest, split="seen")
+    p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("run", help="run tasks against a store and write a report")
     p.add_argument("--dataset", required=True)
     p.add_argument("--store", default=None)
     p.add_argument("--out", required=True)
+    p.add_argument("--split", choices=SPLITS, default="unseen")
+    p.add_argument("--label", default="")
     _add_common(p)
-    p.set_defaults(func=cmd_run, split="unseen")
+    _add_serving(p)
+    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("eval", help="summarize reports; two reports add "
                                     "transitions and a paired t-test")
@@ -286,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--strategies", help="comma-separated strategy kinds")
     group.add_argument("--k", help="comma-separated k values")
     _add_common(p)
-    p.set_defaults(func=cmd_sweep, split="unseen")
+    _add_serving(p)
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("store", help="store utilities")
     store_sub = p.add_subparsers(dest="store_command", required=True)

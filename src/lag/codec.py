@@ -59,20 +59,26 @@ class SelectionStrategy:
     def is_text(self) -> bool:
         return self.kind in TEXT_KINDS
 
+    @property
+    def name(self) -> str:
+        """The report label: the kind, marked when the span was encoded alone."""
+        return self.kind + ("/isolated" if self.encoding == "isolated" else "")
+
 
 @dataclass
 class AgentTranscript:
     """Ordered (user, assistant) message pairs of one task run."""
 
     turns: list[tuple[str, str]]
-    iterations: int
     final_action: Action = field(default_factory=Action)
 
     def __post_init__(self) -> None:
         if not self.turns:
             raise InputError("transcript must contain at least one turn")
-        if self.iterations != len(self.turns):
-            raise InputError("iterations must equal the number of assistant messages")
+
+    @property
+    def iterations(self) -> int:
+        return len(self.turns)
 
     @property
     def assistant_messages(self) -> list[str]:

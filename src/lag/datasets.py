@@ -33,13 +33,16 @@ def task_from_json(data) -> TaskRecord:
     answers = data.get("answers")
     if not isinstance(answers, list) or not answers:
         raise InputError(f"task record needs a non-empty 'answers' list: {answers!r:.60}")
+    choices = data.get("choices")
+    if choices is not None and not isinstance(choices, list):
+        raise InputError(f"task record 'choices' is not a list: {choices!r:.60}")
     try:
         corpus = data.get("corpus")
         return TaskRecord(
             id=str(data["id"]),
             question=str(data["question"]),
             answers=[str(a) for a in answers],
-            choices=[str(c) for c in data["choices"]] if data.get("choices") else None,
+            choices=[str(c) for c in choices] if choices else None,
             corpus=[(str(d["title"]), str(d["text"])) for d in corpus] if corpus else None,
         )
     except (KeyError, TypeError) as err:
@@ -63,10 +66,11 @@ def load_tasks(path: str | Path) -> list[TaskRecord]:
             if not line:
                 continue
             try:
-                data = json.loads(line)
+                tasks.append(task_from_json(json.loads(line)))
             except json.JSONDecodeError as err:
                 raise InputError(f"{path}:{line_no}: invalid JSON: {err}") from err
-            tasks.append(task_from_json(data))
+            except InputError as err:
+                raise InputError(f"{path}:{line_no}: {err}") from err
     return tasks
 
 

@@ -18,6 +18,7 @@ import numpy as np
 from .actions import ANSWER, Action, extract_action
 from .backends import Backends
 from .codec import AgentTranscript, LogEntry, SelectionStrategy
+from .config import TEXT_FINGERPRINT
 from .datasets import KNOWLEDGE, TaskRecord
 from .errors import BackendError, ConfigurationError, IncompatibilityError, InputError
 from .model import Model
@@ -26,28 +27,15 @@ from .rope import reposition_segment
 from .segment import KvSegment
 from .store import LogStore
 
+# how logs reach a task: not at all, as a KV prefix, or as prompt text; what
+# a log holds is the store's strategy
 STANDARD = "standard"
 LAG_KV = "lag_kv"
-LAG_TEXT_ALL = "lag_text_all"
-LAG_TEXT_LAST = "lag_text_last"
-KV_ISOLATED = "kv_isolated"
-
-MODES = (STANDARD, LAG_KV, LAG_TEXT_ALL, LAG_TEXT_LAST, KV_ISOLATED)
-KV_MODES = (LAG_KV, KV_ISOLATED)
-TEXT_MODES = (LAG_TEXT_ALL, LAG_TEXT_LAST)
+LAG_TEXT = "lag_text"
+MODES = (STANDARD, LAG_KV, LAG_TEXT)
 
 # step caps from the evaluation protocol: multi-hop tasks get 8, reasoning 3
 DEFAULT_MAX_STEPS = {KNOWLEDGE: 8, "reasoning": 3}
-
-
-def default_strategy(mode: str) -> SelectionStrategy:
-    if mode == LAG_TEXT_ALL:
-        return SelectionStrategy("all_rounds_text")
-    if mode == LAG_TEXT_LAST:
-        return SelectionStrategy("last_round_text")
-    if mode == KV_ISOLATED:
-        return SelectionStrategy("last_round", "isolated")
-    return SelectionStrategy("last_round", "full_trace")
 
 
 @dataclass
@@ -66,8 +54,6 @@ class RunConfig:
             raise ConfigurationError("max_steps must be >= 1")
         if self.k_logs < 0 or self.k_docs < 0:
             raise ConfigurationError("k_logs and k_docs must be >= 0")
-        if self.mode == STANDARD:
-            self.k_logs = 0
 
 
 class TaskError(BackendError):
@@ -108,19 +94,21 @@ def run_task(
     log_store: LogStore | None = None,
 ) -> tuple[Action, AgentTranscript, list[int]]:
     """Execute one task; returns (final action, transcript, retrieved ids)."""
-    if cfg.mode in KV_MODES:
+    has_logs = log_store is not None and log_store.count > 0
+    if cfg.mode == LAG_KV:
         if not backends.generator.accepts_kv_prefix:
             raise ConfigurationError(f"mode {cfg.mode} needs a KV-capable generator")
         if backends.model is None:
             raise ConfigurationError(f"mode {cfg.mode} needs a model for the prefix")
-        if log_store is not None and log_store.count:
-            if log_store.fingerprint != backends.model.fingerprint:
-                raise IncompatibilityError(
-                    "log store fingerprint does not match the generation model"
-                )
+        if has_logs and log_store.fingerprint != backends.model.fingerprint:
+            raise IncompatibilityError(
+                "log store fingerprint does not match the generation model"
+            )
+    elif cfg.mode == LAG_TEXT and has_logs and log_store.fingerprint != TEXT_FINGERPRINT:
+        raise InputError("KV log entries cannot join a text prompt")
 
     retriever = backends.retriever_for(task)
-    uses_logs = cfg.mode != STANDARD and cfg.k_logs > 0 and log_store is not None
+    uses_logs = cfg.mode != STANDARD and cfg.k_logs > 0 and has_logs
 
     action_text = task.question
     previous_response = ""
@@ -131,16 +119,15 @@ def run_task(
     log_sims: dict[int, float] = {}
     turns: list[tuple[str, str]] = []
     final_action = Action()
-    iterations = 0
     max_steps = cfg.max_steps if cfg.max_steps is not None else DEFAULT_MAX_STEPS[task.family]
 
-    while iterations < max_steps:
+    while len(turns) < max_steps:
         if cfg.k_docs > 0:
             for doc in retriever.retrieve(action_text, cfg.k_docs):
                 if doc not in seen_docs:
                     seen_docs.add(doc)
                     docs.append(doc)
-        if uses_logs and log_store.count:
+        if uses_logs:
             query = backends.embedder.embed(action_text)
             for res in log_store.retrieve_topk(query, cfg.k_logs):
                 log_sims[res.entry_id] = res.similarity
@@ -154,11 +141,9 @@ def run_task(
 
         kv_prefix = None
         text_logs: list[str] = []
-        if cfg.mode in KV_MODES and ordered:
+        if cfg.mode == LAG_KV and ordered:
             kv_prefix = assemble_kv_prefix(ordered, backends.model)
-        elif cfg.mode in TEXT_MODES:
-            if any(e.text_payload is None for e in ordered):
-                raise InputError("KV log entries cannot join a text prompt")
+        elif cfg.mode == LAG_TEXT:
             text_logs = [e.text_payload for e in ordered]
 
         messages = assemble_prompt(task, docs, text_logs, previous_response)
@@ -167,13 +152,10 @@ def run_task(
                 messages, kv_prefix=kv_prefix, log_entries=ordered
             )
         except Exception as err:
-            partial = (
-                AgentTranscript(turns, iterations, final_action) if turns else None
-            )
+            partial = AgentTranscript(turns, final_action) if turns else None
             raise TaskError(f"generator failed on task {task.id}: {err}", partial) from err
 
         turns.append((messages[-1]["content"], response))
-        iterations += 1
         act = extract_action(response)
         previous_response = response
         final_action = act
@@ -183,5 +165,5 @@ def run_task(
             action_text = act.payload
         # kind 'none': the action text is unchanged and the loop continues
 
-    transcript = AgentTranscript(turns, iterations, final_action)
+    transcript = AgentTranscript(turns, final_action)
     return final_action, transcript, log_ids

@@ -1,7 +1,7 @@
 """Prompt templates and rendering for the two task families.
 
-Retrieved log text is prepended only in text modes; KV modes deliver log
-content through the injected prefix, so their rendered prompt is identical
+Retrieved log text is prepended only in the lag_text mode; lag_kv delivers
+log content through the injected prefix, so its rendered prompt is identical
 to the log-free one.
 """
 
@@ -83,7 +83,7 @@ def assemble_prompt(
 ) -> list[dict]:
     """One user message per round; accumulated documents (knowledge family)
     or the previous response (reasoning family) ride inside the message, and
-    ``text_logs`` (non-empty only in text modes) are prepended to it."""
+    ``text_logs`` (non-empty only in lag_text mode) are prepended to it."""
     if task.family == REASONING:
         body = REASONING_BODY.format(
             previous_response=previous_response,

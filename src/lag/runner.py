@@ -47,7 +47,7 @@ def run_one(
         iterations=iterations,
         answered=answered,
         mode=cfg.mode,
-        strategy=cfg.strategy.kind,
+        strategy=cfg.strategy.name,
     )
 
 
@@ -70,7 +70,7 @@ def run_tasks(
             rows = list(pool.map(one, tasks))
     else:
         rows = [one(task) for task in tasks]
-    return EvalReport(mode=cfg.mode, strategy=cfg.strategy.kind, rows=rows, label=label)
+    return EvalReport(mode=cfg.mode, strategy=cfg.strategy.name, rows=rows, label=label)
 
 
 def ingest_tasks(

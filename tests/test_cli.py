@@ -1,6 +1,9 @@
 import json
+import re
+import shlex
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +12,8 @@ from lag.datasets import TaskRecord, save_tasks
 from lag.metrics import EvalReport
 from lag.store import LogStore
 from lag.synth import build_reuse_suite
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture()
@@ -231,28 +236,44 @@ def test_exit_code_backend_error(tmp_path, suite_files):
     seen_path, _ = suite_files
     code = run_cli(
         "ingest", "--dataset", seen_path, "--store", tmp_path / "s", "--split", "all",
-        "--mode", "lag_text_last", "--generator", "http://127.0.0.1:1/gen",
+        "--mode", "lag_text", "--generator", "http://127.0.0.1:1/gen",
         "--timeout", "0.2", "--retries", "0",
     )
     assert code == 4
 
 
-def test_kv_isolated_mode_end_to_end(tmp_path, suite_files):
+def test_isolated_encoding_end_to_end(tmp_path, suite_files):
     seen_path, unseen_path = suite_files
     assert run_cli(
         "ingest", "--dataset", seen_path, "--store", tmp_path / "iso", "--split", "all",
-        "--mode", "kv_isolated", "--generator", "synth-hop", "--k-docs", "1",
+        "--encoding", "isolated", "--generator", "synth-hop", "--k-docs", "1",
         "--max-steps", "8", "--embed-dim", "256",
     ) == 0
+    with LogStore(tmp_path / "iso") as store:
+        assert {e.strategy.encoding for e in store.scan()} == {"isolated"}
     out = tmp_path / "iso.json"
     assert run_cli(
-        "run", "--dataset", unseen_path, "--split", "all", "--mode", "kv_isolated",
+        "run", "--dataset", unseen_path, "--split", "all", "--mode", "lag_kv",
         "--store", tmp_path / "iso", "--generator", "synth-hop", "--k-docs", "1",
         "--k-logs", "3", "--max-steps", "8", "--embed-dim", "256", "--out", out,
     ) == 0
     report = EvalReport.load(out)
-    assert report.mode == "kv_isolated"
+    assert report.mode == "lag_kv"
+    assert report.strategy == "last_round/isolated"
+    assert {r.strategy for r in report.rows} == {"last_round/isolated"}
     assert report.mean_em == 1.0
+
+
+def test_run_report_names_the_store_strategy(tmp_path, suite_files):
+    seen_path, unseen_path = suite_files
+    ingest_suite(seen_path, tmp_path / "store", strategy="last_action")
+    out = tmp_path / "r.json"
+    assert run_cli(
+        "run", "--dataset", unseen_path, "--split", "all", "--mode", "lag_kv",
+        "--store", tmp_path / "store", "--generator", "synth-hop", "--k-docs", "1",
+        "--max-steps", "8", "--embed-dim", "256", "--out", out,
+    ) == 0
+    assert EvalReport.load(out).strategy == "last_action"
 
 
 def test_exit_code_incompatibility(tmp_path, suite_files):
@@ -294,7 +315,6 @@ def test_split_defaults_per_command_then_file_then_flag(tmp_path):
 
     assert split_of("ingest", "--dataset", "d", "--store", "s") == "seen"
     assert split_of("run", "--dataset", "d", "--out", "o") == "unseen"
-    assert split_of("sweep", "--dataset", "d", "--out", "o", "--k", "0") == "unseen"
     config = tmp_path / "lag.conf"
     config.write_text("split = all\n")
     for command in (["ingest", "--store", "s"], ["run", "--out", "o"]):
@@ -406,8 +426,9 @@ def test_malformed_http_reply_fails_the_task_not_the_run(tmp_path, answer_server
 @pytest.mark.parametrize(
     "record",
     [[1], {"id": "a", "question": "What is x?", "answers": "abc"},
-     {"id": "a", "question": "What is x?", "answers": []}],
-    ids=["not-object", "answers-not-list", "answers-empty"],
+     {"id": "a", "question": "What is x?", "answers": []},
+     {"id": "a", "question": "What is x?", "answers": ["x"], "choices": "abc"}],
+    ids=["not-object", "answers-not-list", "answers-empty", "choices-not-list"],
 )
 def test_malformed_task_record_is_an_input_error(tmp_path, capsys, record):
     dataset = tmp_path / "bad.jsonl"
@@ -421,3 +442,29 @@ def test_malformed_task_record_is_an_input_error(tmp_path, capsys, record):
     ) == 3
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_malformed_task_record_names_its_line(tmp_path, capsys):
+    dataset = tmp_path / "bad.jsonl"
+    good = {"id": "a", "question": "What is x?", "answers": ["x"]}
+    dataset.write_text(json.dumps(good) + "\n[1]\n")
+    assert run_cli(
+        "run", "--dataset", dataset, "--split", "all", "--mode", "standard",
+        "--generator", "synth-hop", "--out", tmp_path / "o.json",
+    ) == 3
+    assert capsys.readouterr().err.startswith(f"error: {dataset}:2: ")
+
+
+def test_readme_commands_parse():
+    # every ``lag ...`` line of the README's bash blocks, continuations joined
+    blocks = re.findall(r"```bash\n(.*?)```", README.read_text(), re.S)
+    commands = [
+        line for block in blocks
+        for line in block.replace("\\\n", " ").splitlines() if line.startswith("lag ")
+    ]
+    assert len(commands) >= 10
+    for command in commands:
+        try:
+            build_parser().parse_args(shlex.split(command, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")

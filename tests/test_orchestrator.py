@@ -234,7 +234,7 @@ def test_log_accumulation_is_dedup_and_nondecreasing(tmp_path, embedder):
     scripts = {
         "alpha": ["<keywords>beta</keywords>", "<keywords>alpha</keywords>", "<ans>x</ans>"]
     }
-    cfg = RunConfig(mode="lag_text_last", max_steps=8, k_docs=0, k_logs=1)
+    cfg = RunConfig(mode="lag_text", max_steps=8, k_docs=0, k_logs=1)
     _, transcript_, log_ids = run_task(task, cfg, scripted_backends(scripts), store)
     assert log_ids == [0, 1]  # alpha first, then beta; re-retrieval adds nothing
     assert transcript_.iterations == 3
@@ -254,7 +254,7 @@ def test_text_mode_prepends_log_payloads(tmp_path, embedder):
     store.close()
     store = LogStore(tmp_path / "s", mode="r")
     task = TaskRecord(id="t", question="alpha", answers=["x"])
-    cfg = RunConfig(mode="lag_text_all", max_steps=8, k_docs=0, k_logs=1)
+    cfg = RunConfig(mode="lag_text", max_steps=8, k_docs=0, k_logs=1)
     _, transcript_, _ = run_task(
         task, cfg, scripted_backends({"alpha": ["<ans>x</ans>"]}), store
     )
@@ -263,16 +263,18 @@ def test_text_mode_prepends_log_payloads(tmp_path, embedder):
     assert "Here is the user question:\nalpha" in user
 
 
-@pytest.mark.parametrize("mode", ["lag_text_all", "lag_text_last"])
-def test_text_mode_refuses_kv_entries(tmp_path, small_model, embedder, mode):
+def test_text_mode_refuses_kv_entries(tmp_path, small_model, embedder):
     # a KV log has no text to prepend; it must not join the prompt as ""
     with LogStore(tmp_path / "s", mode="w") as store:
         store.put(kv_entry(small_model, embedder, "alpha"))
     task = TaskRecord(id="t", question="alpha", answers=["x"])
-    cfg = RunConfig(mode=mode, max_steps=8, k_docs=0, k_logs=1)
     backends = scripted_backends({"alpha": ["<ans>x</ans>"]})
-    with LogStore(tmp_path / "s", mode="r") as store, pytest.raises(InputError, match="KV"):
-        run_task(task, cfg, backends, store)
+    with LogStore(tmp_path / "s", mode="r") as store:
+        # the store is checked once, before any round, whatever k_logs is
+        for k_logs in (1, 0):
+            cfg = RunConfig(mode="lag_text", max_steps=8, k_docs=0, k_logs=k_logs)
+            with pytest.raises(InputError, match="KV"):
+                run_task(task, cfg, backends, store)
 
 
 def test_kv_mode_keeps_prompt_free_of_log_text(tmp_path, small_model, embedder):
@@ -344,9 +346,31 @@ def test_kv_mode_requires_capable_generator(small_model):
         run_task(task, RunConfig(mode="lag_kv", max_steps=2), backends, None)
 
 
-def test_standard_mode_forces_k_logs_zero():
-    cfg = RunConfig(mode="standard", max_steps=2, k_logs=3)
-    assert cfg.k_logs == 0
+def test_standard_mode_forces_k_logs_zero(tmp_path, small_model, embedder, monkeypatch):
+    # standard mode reads no logs, whatever k_logs and the store say
+    with LogStore(tmp_path / "s", mode="w") as store:
+        store.put(kv_entry(small_model, embedder, "alpha"))
+    retrievals = []
+    monkeypatch.setattr(LogStore, "retrieve_topk", lambda *a: retrievals.append(a) or [])
+    handed = []
+
+    class Spy(ScriptedGenerator):
+        def generate(self, messages, kv_prefix=None, log_entries=None):
+            handed.append((kv_prefix, list(log_entries)))
+            return super().generate(messages, kv_prefix=kv_prefix, log_entries=log_entries)
+
+    backends = Backends(
+        generator=Spy({"alpha": ["<keywords>alpha</keywords>", "<ans>x</ans>"]}),
+        embedder=embedder,
+        model=small_model,
+    )
+    task = TaskRecord(id="t", question="alpha", answers=["x"])
+    cfg = RunConfig(mode="standard", max_steps=8, k_docs=0, k_logs=3)
+    with LogStore(tmp_path / "s", mode="r") as store:
+        _, _, log_ids = run_task(task, cfg, backends, store)
+    assert cfg.k_logs == 3
+    assert retrievals == [] and log_ids == []
+    assert handed == [(None, []), (None, [])]
 
 
 def test_backend_failure_carries_partial_transcript():
