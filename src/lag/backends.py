@@ -12,7 +12,6 @@ import hashlib
 import json
 import os
 import re
-import threading
 import time
 import urllib.error
 import urllib.request
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BackendError, InputError
+from .errors import BackendError, ConfigurationError, InputError
 from .model import ByteTokenizer, Model, greedy_decode
 from .segment import KvSegment
 from .store import normalize
@@ -43,13 +42,14 @@ class GeneratorBackend:
 class ReferenceModelGenerator(GeneratorBackend):
     """Greedy decoding on the in-process reference model.
 
-    Each thread keeps the KV cache of its last call and the token ids it was
-    fed, after the prefix reuse of Prompt Cache (Gim et al., 2023) and
-    RadixAttention (Zheng et al., 2024). A call whose KV prefix equals the
-    cache's prefix in content truncates the cache to that prefix plus the
-    prompt's common head with the cached tokens and prefills only the rest.
-    A call that also repeats the cached prompt and ``max_new`` returns the
-    cached output with no forward pass.
+    The generator keeps one memo: the KV cache of its last call and the
+    token ids it was fed, after the prefix reuse of Prompt Cache (Gim et
+    al., 2023) and RadixAttention (Zheng et al., 2024). Calls run one at a
+    time, and the memo carries over task boundaries. A call whose KV prefix
+    equals the cache's prefix in content truncates the cache to that prefix
+    plus the prompt's common head with the cached tokens and prefills only
+    the rest. A call that also repeats the cached prompt and ``max_new``
+    returns the cached output with no forward pass.
     """
 
     accepts_kv_prefix = True
@@ -58,7 +58,7 @@ class ReferenceModelGenerator(GeneratorBackend):
         self.model = model
         self.max_new = max_new
         self.tokenizer = ByteTokenizer()
-        self._local = threading.local()
+        self._memo = None
 
     def generate(self, messages, kv_prefix: KvSegment | None = None, log_entries=None) -> str:
         text = "\n".join(m["content"] for m in messages)
@@ -74,14 +74,14 @@ class ReferenceModelGenerator(GeneratorBackend):
         m = kv_prefix.span_len if kv_prefix is not None else 0
         # the memo is taken until this call succeeds, so a decode that
         # raises leaves none
-        memo, self._local.memo = getattr(self._local, "memo", None), None
+        memo, self._memo = self._memo, None
         cache, reused = None, 0
         if memo is not None:
             cache, cached_m, cached, p, max_new = memo
             if cached_m != m or (m and not kv_prefix.equals(cache.segment(m))):
                 cache = None
             elif cached[:p] == tokens and max_new == self.max_new:
-                self._local.memo = memo  # greedy decoding would repeat itself
+                self._memo = memo  # greedy decoding would repeat itself
                 return self.tokenizer.decode(cached[p:])
             else:  # keep the prefix and the prompt's common head
                 n = max(0, min(len(tokens) - 1, cache.span_len - m))
@@ -100,7 +100,7 @@ class ReferenceModelGenerator(GeneratorBackend):
         # (cache, prefix span, prompt and output ids, prompt length, max_new);
         # a decode stopped by max_new never feeds its last token back, so the
         # cache's span, not the ids, bounds what the next call reuses
-        self._local.memo = (cache, m, tokens + out, len(tokens), self.max_new)
+        self._memo = (cache, m, tokens + out, len(tokens), self.max_new)
         return self.tokenizer.decode(out)
 
 
@@ -127,20 +127,33 @@ class ScriptedGenerator(GeneratorBackend):
         self.scripts = dict(scripts)
         self.default = list(default) if default else ["no idea"]
         self._cursor: dict[str, int] = {}
-        self._lock = threading.Lock()  # --jobs threads share the cursor
 
     @classmethod
     def from_file(cls, path: str) -> "ScriptedGenerator":
+        """``{"scripts": {question: [reply, ...]}, "default": [reply, ...]}``;
+        both keys are optional."""
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return cls(data.get("scripts", {}), data.get("default"))
+            try:
+                data = json.load(fh)
+            except ValueError as err:  # bad JSON or bad UTF-8
+                raise InputError(f"{path}: not a JSON file: {err}") from err
+        scripts = data.get("scripts", {}) if isinstance(data, dict) else None
+        if not isinstance(scripts, dict):
+            raise InputError(f"{path}: expected an object with a 'scripts' object")
+        lists = list(scripts.items())
+        if "default" in data:
+            lists.append(("default", data["default"]))
+        for name, replies in lists:
+            if not (isinstance(replies, list) and replies
+                    and all(isinstance(r, str) for r in replies)):
+                raise InputError(f"{path}: {name!r} is not a non-empty list of strings")
+        return cls(scripts, data.get("default"))
 
     def generate(self, messages, kv_prefix=None, log_entries=None) -> str:
         question = question_of_prompt(messages[-1]["content"])
         script = self.scripts.get(question, self.default)
-        with self._lock:
-            i = self._cursor.get(question, 0)
-            self._cursor[question] = i + 1
+        i = self._cursor.get(question, 0)
+        self._cursor[question] = i + 1
         return script[min(i, len(script) - 1)]
 
 
@@ -159,6 +172,10 @@ class HttpGeneratorBackend(GeneratorBackend):
 
     def __init__(self, endpoint: str, timeout: float = 30.0, retries: int = 2,
                  max_tokens: int = 512):
+        if retries < 0:
+            raise ConfigurationError(f"retries must be >= 0, got {retries}")
+        if not timeout > 0:  # NaN too
+            raise ConfigurationError(f"timeout must be > 0 seconds, got {timeout}")
         self.endpoint = endpoint
         self.timeout = timeout
         self.retries = retries

@@ -139,9 +139,7 @@ def cmd_run(args) -> int:
         k_docs=args.k_docs,
         strategy=stored.pop() if len(stored) == 1 else _strategy(args),
     )
-    report = run_tasks(
-        tasks, cfg, backends, store, jobs=args.jobs, label=args.label or args.mode
-    )
+    report = run_tasks(tasks, cfg, backends, store, label=args.label)
     report.save(args.out)
     print(format_report_table([report]))
     print(f"report written to {args.out}")
@@ -253,7 +251,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _add_serving(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k-logs", type=int, default=3)
-    parser.add_argument("--jobs", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import DegenerateStatisticError, InputError
+from .errors import ConfigurationError, DegenerateStatisticError, InputError
 
 _ARTICLES_RE = re.compile(r"\b(a|an|the)\b")
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
@@ -80,6 +80,12 @@ def choice_accuracy(pred: str, gold: str) -> int:
 class SplitSpec:
     seed: int = 0
     seen_fraction: float = 0.7
+
+    def __post_init__(self):
+        if not 0.0 <= self.seen_fraction <= 1.0:
+            raise ConfigurationError(
+                f"seen fraction must be in [0, 1], got {self.seen_fraction}"
+            )
 
 
 def split(tasks: list, spec: SplitSpec) -> tuple[list, list]:

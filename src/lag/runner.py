@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 from .actions import ANSWER
 from .backends import Backends
 from .codec import SelectionStrategy, encode_log
@@ -56,20 +54,11 @@ def run_tasks(
     cfg: RunConfig,
     backends: Backends,
     store: LogStore | None,
-    jobs: int = 1,
     label: str = "",
 ) -> EvalReport:
-    """Run every task (optionally in parallel) and collect a report in task
-    order. Per-task backend failures become unanswered rows."""
-
-    def one(task: TaskRecord) -> TaskRow:
-        return run_one(task, cfg, backends, store)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(one, tasks))
-    else:
-        rows = [one(task) for task in tasks]
+    """Run the tasks in order, one at a time, and collect a report. Per-task
+    backend failures become unanswered rows."""
+    rows = [run_one(task, cfg, backends, store) for task in tasks]
     return EvalReport(mode=cfg.mode, strategy=cfg.strategy.name, rows=rows, label=label)
 
 

@@ -1,7 +1,5 @@
 import json
 import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
@@ -210,31 +208,6 @@ def test_scripted_generator_replays_in_order():
     assert gen.generate(prompt) == "two"  # repeats last
     other = [{"role": "user", "content": "Here is the user question:\nother"}]
     assert gen.generate(other) == "dflt"
-
-
-class _YieldingDict(dict):
-    """A cursor map whose reads give up the GIL, widening the window between
-    a thread's read and its write."""
-
-    def get(self, key, default=None):
-        value = super().get(key, default)
-        time.sleep(1e-4)
-        return value
-
-
-def test_scripted_cursor_is_thread_safe():
-    script = [str(i) for i in range(400)]
-    gen = ScriptedGenerator({"q": script})
-    gen._cursor = _YieldingDict()
-    prompt = [{"role": "user", "content": "Here is the user question:\nq"}]
-
-    def calls(_):
-        return [gen.generate(prompt) for _ in range(50)]
-
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        got = [r for rs in pool.map(calls, range(8)) for r in rs]
-    assert sorted(got, key=int) == script  # every index exactly once
-    assert gen.generate(prompt) == script[-1]  # then the last one repeats
 
 
 # -- prompt KV reuse in the reference generator --------------------------------

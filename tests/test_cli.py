@@ -264,6 +264,29 @@ def test_isolated_encoding_end_to_end(tmp_path, suite_files):
     assert report.mean_em == 1.0
 
 
+def test_eval_labels_an_unlabelled_run_by_mode_and_strategy(tmp_path, suite_files, capsys):
+    seen_path, unseen_path = suite_files
+    reports = []
+    for encoding in ("full_trace", "isolated"):
+        store = tmp_path / encoding
+        assert run_cli(
+            "ingest", "--dataset", seen_path, "--store", store, "--split", "all",
+            "--encoding", encoding, "--generator", "synth-hop", "--k-docs", "1",
+            "--max-steps", "8", "--embed-dim", "256",
+        ) == 0
+        reports.append(tmp_path / f"{encoding}.json")
+        assert run_cli(
+            "run", "--dataset", unseen_path, "--split", "all", "--mode", "lag_kv",
+            "--store", store, "--generator", "synth-hop", "--k-docs", "1",
+            "--k-logs", "3", "--max-steps", "8", "--embed-dim", "256",
+            "--out", reports[-1],
+        ) == 0
+    capsys.readouterr()
+    assert run_cli("eval", *reports) == 0
+    runs = [line.split()[0] for line in capsys.readouterr().out.splitlines()[2:4]]
+    assert runs == ["lag_kv/last_round", "lag_kv/last_round/isolated"]
+
+
 def test_run_report_names_the_store_strategy(tmp_path, suite_files):
     seen_path, unseen_path = suite_files
     ingest_suite(seen_path, tmp_path / "store", strategy="last_action")
@@ -421,6 +444,47 @@ def test_malformed_http_reply_fails_the_task_not_the_run(tmp_path, answer_server
     assert len(_AnswerHandler.requests) == 1  # not retried
     [row] = EvalReport.load(out).rows
     assert row.answered is False
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--retries", "-1", "--split", "all"), ("--timeout", "-1", "--split", "all"),
+     ("--timeout", "0", "--split", "all"), ("--timeout", "nan", "--split", "all"),
+     ("--seen-fraction", "-0.5"), ("--seen-fraction", "1.5")],
+    ids=["retries-negative", "timeout-negative", "timeout-zero", "timeout-nan",
+         "seen-fraction-negative", "seen-fraction-above-one"],
+)
+def test_out_of_range_numeric_flag_fails_before_any_task(
+    tmp_path, capsys, answer_server, one_task, flags
+):
+    out = tmp_path / "o.json"
+    assert run_cli(
+        "run", "--dataset", one_task, "--mode", "standard", "--generator", answer_server,
+        "--k-docs", "0", *flags, "--out", out,
+    ) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert _AnswerHandler.requests == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "content",
+    ['{"scripts": {"What is x?": ["<ans>x</ans>"]', '["a"]',
+     '{"scripts": {"What is x?": "<ans>x</ans>"}}', '{"scripts": ["What is x?"]}',
+     '{"scripts": {"What is x?": []}}', '{"default": [1]}'],
+    ids=["truncated", "top-level-list", "reply-not-list", "scripts-not-object",
+         "replies-empty", "default-not-strings"],
+)
+def test_malformed_script_file_is_an_input_error(tmp_path, capsys, one_task, content):
+    script = tmp_path / "script.json"
+    script.write_text(content)
+    out = tmp_path / "o.json"
+    assert run_cli(
+        "run", "--dataset", one_task, "--split", "all", "--mode", "standard",
+        "--generator", f"scripted:{script}", "--k-docs", "0", "--out", out,
+    ) == 3
+    assert capsys.readouterr().err.startswith(f"error: {script}: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -10,9 +10,9 @@ from lag.backends import (
 from lag.codec import SelectionStrategy
 from lag.datasets import TaskRecord
 from lag.orchestrator import RunConfig, run_task
-from lag.runner import ingest_tasks, run_tasks
+from lag.runner import ingest_tasks, run_one, run_tasks
 from lag.store import LogStore
-from lag.synth import FactChainGenerator, build_reuse_suite
+from lag.synth import build_reuse_suite
 
 
 def _never_answers(embedder):
@@ -57,39 +57,27 @@ def test_ingest_stores_unanswered_transcripts(tmp_path, embedder):
     reopened.close()
 
 
-def test_run_tasks_parallel_matches_serial(tmp_path, small_model):
-    seen, unseen = build_reuse_suite()
-    backends = Backends(
-        generator=FactChainGenerator(),
-        embedder=HashedBagOfWordsEmbedder(dimension=256, seed=0),
-        model=small_model,
-    )
-    ingest_tasks(seen, SelectionStrategy("last_round"), backends, tmp_path / "s",
-                 max_steps=8, k_docs=1)
-    store = LogStore(tmp_path / "s", mode="r")
-    cfg = RunConfig(mode="lag_kv", max_steps=8, k_docs=1, k_logs=3)
-    serial = run_tasks(unseen, cfg, backends, store, jobs=1)
-    parallel = run_tasks(unseen, cfg, backends, store, jobs=4)
-    store.close()
-    assert [r.to_json() for r in serial.rows] == [r.to_json() for r in parallel.rows]
-
-
 class RecordingReferenceGenerator(ReferenceModelGenerator):
-    """Keeps (prompt, prefix positions, response) of every call."""
+    """Keeps the reply of every call and a copy of the KV cache it left."""
 
     def __init__(self, model, max_new):
         super().__init__(model, max_new)
-        self.calls = []
+        self.replies, self.caches = [], []
 
     def generate(self, messages, kv_prefix=None, log_entries=None):
         text = super().generate(messages, kv_prefix=kv_prefix, log_entries=log_entries)
-        span = None if kv_prefix is None else kv_prefix.positions.tolist()
-        self.calls.append((messages[-1]["content"], span, text))
+        cache = self._memo[0]
+        live = cache.segment(cache.span_len)
+        self.replies.append(text)
+        self.caches.append((live.positions.copy(), live.keys.copy(), live.values.copy()))
         return text
 
 
-def test_reference_generator_parallel_matches_serial(tmp_path, small_model):
-    # each thread reuses its own previous round's KV; none sees another's
+def test_the_memo_carried_across_tasks_never_changes_a_reply(tmp_path, small_model):
+    # one generator runs every task twice in a row, so each task starts from
+    # the previous task's memo; a fresh generator per task starts from none.
+    # The small model never answers and its replies hardly depend on the
+    # prompt, so the KV each call leaves behind is compared too.
     seen, unseen = build_reuse_suite()
     embedder = HashedBagOfWordsEmbedder(dimension=256, seed=0)
     ingest = Backends(ReferenceModelGenerator(small_model, max_new=8), embedder, model=small_model)
@@ -97,16 +85,25 @@ def test_reference_generator_parallel_matches_serial(tmp_path, small_model):
                  max_steps=3, gen_max_new=8, k_docs=1)
     store = LogStore(tmp_path / "s", mode="r")
     cfg = RunConfig(mode="lag_kv", max_steps=3, k_docs=1, k_logs=3, gen_max_new=8)
-    reports, calls = [], []
-    for jobs in (1, 4):
+    shared = RecordingReferenceGenerator(small_model, max_new=8)
+    report = run_tasks(unseen * 2, cfg, Backends(shared, embedder, model=small_model), store)
+    fresh_rows, fresh_replies, fresh_caches = [], [], []
+    for task in unseen:
         gen = RecordingReferenceGenerator(small_model, max_new=8)
-        backends = Backends(gen, embedder, model=small_model)
-        reports.append(run_tasks(unseen * 2, cfg, backends, store, jobs=jobs))
-        calls.append(sorted(gen.calls, key=repr))
+        row = run_one(task, cfg, Backends(gen, embedder, model=small_model), store)
+        fresh_rows.append(row.to_json())
+        fresh_replies += gen.replies
+        fresh_caches += gen.caches
     store.close()
-    serial, parallel = reports
-    assert [r.to_json() for r in serial.rows] == [r.to_json() for r in parallel.rows]
-    assert len(calls[0]) == 2 * len(unseen) * 3 and calls[0] == calls[1]
+    assert [r.to_json() for r in report.rows] == fresh_rows * 2
+    assert len(shared.replies) == 2 * len(unseen) * 3
+    assert shared.replies == fresh_replies * 2
+    for (pos, keys, values), (want_pos, want_keys, want_values) in zip(
+        shared.caches, fresh_caches * 2, strict=True
+    ):
+        np.testing.assert_array_equal(pos, want_pos)
+        np.testing.assert_allclose(keys, want_keys, atol=1e-5)
+        np.testing.assert_allclose(values, want_values, atol=1e-5)
 
 
 def test_backend_failures_become_unanswered_rows(embedder):
