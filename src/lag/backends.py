@@ -159,6 +159,7 @@ class ScriptedGenerator(GeneratorBackend):
 
 RETRY_DELAY_S = 0.05  # first wait before a retry; doubles per retry
 RETRY_DELAY_CAP_S = 1.0
+MAX_TIMEOUT_S = 1e9  # socket.settimeout overflows near 9.2e9 s
 
 
 class HttpGeneratorBackend(GeneratorBackend):
@@ -174,8 +175,9 @@ class HttpGeneratorBackend(GeneratorBackend):
                  max_tokens: int = 512):
         if retries < 0:
             raise ConfigurationError(f"retries must be >= 0, got {retries}")
-        if not timeout > 0:  # NaN too
-            raise ConfigurationError(f"timeout must be > 0 seconds, got {timeout}")
+        if not 0 < timeout <= MAX_TIMEOUT_S:  # NaN and inf too
+            raise ConfigurationError(
+                f"timeout must be in (0, {MAX_TIMEOUT_S:g}] seconds, got {timeout}")
         self.endpoint = endpoint
         self.timeout = timeout
         self.retries = retries

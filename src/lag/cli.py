@@ -67,7 +67,7 @@ def _read_config_file(path: str) -> dict[str, str]:
 def _build_generator(args, model):
     spec = args.generator
     if spec == "reference":
-        return ReferenceModelGenerator(model, max_new=args.max_new)
+        return ReferenceModelGenerator(model)
     if spec == "synth-hop":
         return FactChainGenerator()
     if spec.startswith("scripted:"):
@@ -81,9 +81,9 @@ def _build_generator(args, model):
 
 
 def _backends(args) -> Backends:
-    model = build_model(ModelConfig(weight_seed=args.model_seed))
+    model = build_model(ModelConfig())
     generator = _build_generator(args, model)
-    embedder = HashedBagOfWordsEmbedder(dimension=args.embed_dim, seed=args.seed)
+    embedder = HashedBagOfWordsEmbedder(dimension=args.embed_dim)
     return Backends(generator=generator, embedder=embedder, model=model)
 
 
@@ -228,7 +228,7 @@ def cmd_selftest(args) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--seed", type=int, default=0, help="split/embedder seed")
+    parser.add_argument("--seed", type=int, default=0, help="split seed")
     parser.add_argument("--seen-fraction", type=float, default=0.7)
     parser.add_argument("--mode", choices=MODES, default="lag_kv")
     parser.add_argument("--strategy", default="auto", choices=("auto",) + KINDS)
@@ -236,8 +236,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k-docs", type=int, default=2)
     parser.add_argument("--max-steps", type=int, default=None,
                         help="iteration cap; default 8 for multi-hop, 3 for reasoning")
-    parser.add_argument("--max-new", type=int, default=64,
-                        help="max tokens per reference-model generation")
     parser.add_argument("--generator",
                         default=os.environ.get("LAG_ENDPOINT", "reference"),
                         help="reference | synth-hop | scripted:<path> | http(s)://...")
@@ -246,7 +244,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--retries", type=int, default=2,
                         help="HTTP generator retry count")
     parser.add_argument("--embed-dim", type=int, default=256)
-    parser.add_argument("--model-seed", type=int, default=0)
 
 
 def _add_serving(parser: argparse.ArgumentParser) -> None:

@@ -180,12 +180,21 @@ class EvalReport:
     @staticmethod
     def load(path: str | Path) -> "EvalReport":
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except ValueError as err:  # bad JSON or bad UTF-8
+                raise InputError(f"{path}: not a JSON file: {err}") from err
+        if not isinstance(data, dict):
+            raise InputError(f"{path}: expected a report object")
+        try:
+            rows = [TaskRow.from_json(r) for r in data.get("rows", [])]
+        except (KeyError, TypeError, ValueError) as err:
+            raise InputError(f"{path}: malformed report row: {err!r}") from err
         return EvalReport(
             mode=str(data.get("mode", "")),
             strategy=str(data.get("strategy", "")),
             label=str(data.get("label", "")),
-            rows=[TaskRow.from_json(r) for r in data.get("rows", [])],
+            rows=rows,
         )
 
 

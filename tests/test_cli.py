@@ -346,6 +346,37 @@ def test_split_defaults_per_command_then_file_then_flag(tmp_path):
         assert split_of(*argv, "--split", "seen") == "seen"
 
 
+@pytest.mark.parametrize("flag", ["--model-seed", "--max-new"])
+def test_deleted_model_flag_fails_as_flag_and_as_config_key(tmp_path, suite_files, flag):
+    _, unseen_path = suite_files
+    argv = ["run", "--dataset", unseen_path, "--split", "all", "--mode", "standard",
+            "--generator", "synth-hop", "--out", tmp_path / "o.json"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, flag, "8")
+    assert exc.value.code == 2
+    config = tmp_path / "old.conf"
+    config.write_text(f"{flag[2:]} = 8\n")
+    assert run_cli(*argv, "--config", config) == 2
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_seed_does_not_change_the_embedder(tmp_path, suite_files):
+    # a store records no embedder salt, so the split seed must not set one
+    seen_path, unseen_path = suite_files
+    ingest_suite(seen_path, tmp_path / "store")
+    rows = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"seed{seed}.json"
+        assert run_cli(
+            "run", "--dataset", unseen_path, "--split", "all", "--mode", "lag_kv",
+            "--store", tmp_path / "store", "--generator", "synth-hop", "--k-docs", "1",
+            "--k-logs", "1", "--max-steps", "8", "--embed-dim", "256", "--seed", seed,
+            "--out", out,
+        ) == 0
+        rows.append(EvalReport.load(out).rows)
+    assert rows[0] == rows[1]
+
+
 def test_config_file_unknown_key(tmp_path, suite_files):
     _, unseen_path = suite_files
     config = tmp_path / "bad.conf"
@@ -450,9 +481,11 @@ def test_malformed_http_reply_fails_the_task_not_the_run(tmp_path, answer_server
     "flags",
     [("--retries", "-1", "--split", "all"), ("--timeout", "-1", "--split", "all"),
      ("--timeout", "0", "--split", "all"), ("--timeout", "nan", "--split", "all"),
+     ("--timeout", "inf", "--split", "all"), ("--timeout", "1e300", "--split", "all"),
      ("--seen-fraction", "-0.5"), ("--seen-fraction", "1.5")],
     ids=["retries-negative", "timeout-negative", "timeout-zero", "timeout-nan",
-         "seen-fraction-negative", "seen-fraction-above-one"],
+         "timeout-inf", "timeout-above-cap", "seen-fraction-negative",
+         "seen-fraction-above-one"],
 )
 def test_out_of_range_numeric_flag_fails_before_any_task(
     tmp_path, capsys, answer_server, one_task, flags
@@ -517,6 +550,19 @@ def test_malformed_task_record_names_its_line(tmp_path, capsys):
         "--generator", "synth-hop", "--out", tmp_path / "o.json",
     ) == 3
     assert capsys.readouterr().err.startswith(f"error: {dataset}:2: ")
+
+
+@pytest.mark.parametrize(
+    "content",
+    ['{"rows": [{"id": "a", "f1": 0.0, "iterations": 1, "answered": false}]}',
+     '{"mode": "standard", "rows": [', '[]'],
+    ids=["row-without-em", "truncated", "top-level-list"],
+)
+def test_malformed_report_is_an_input_error(tmp_path, capsys, content):
+    report = tmp_path / "report.json"
+    report.write_text(content)
+    assert run_cli("eval", report) == 3
+    assert capsys.readouterr().err.startswith(f"error: {report}: ")
 
 
 def test_readme_commands_parse():

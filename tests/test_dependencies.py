@@ -1,7 +1,10 @@
 import ast
 import re
+import subprocess
 import sys
 from pathlib import Path
+
+from tests.conftest import child_env
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -29,3 +32,20 @@ def declared_dependencies(pyproject: Path) -> set[str]:
 def test_third_party_imports_are_exactly_the_declared_dependencies():
     third_party = imported_packages(ROOT / "src" / "lag") - set(sys.stdlib_module_names) - {"lag"}
     assert third_party == declared_dependencies(ROOT / "pyproject.toml")
+
+
+def test_setup_path_imports_no_serving_module():
+    # what a fresh process loads to build the model and open a store
+    code = (
+        "import sys, lag, lag.config, lag.model, lag.store; "
+        "print(sorted(m for m in ('lag.backends', 'lag.orchestrator', 'lag.metrics', "
+        "'urllib.request') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], check=True, env=child_env(),
+                          capture_output=True, text=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_readme_library_example_runs():
+    [block] = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    subprocess.run([sys.executable, "-c", block], check=True, env=child_env())

@@ -270,8 +270,8 @@ def test_report_aggregates_recompute_from_rows(tmp_path):
 
 def test_import_lag_leaves_scipy_stats_unloaded():
     code = (
-        "import sys, lag; assert 'scipy.stats' not in sys.modules; "
-        "lag.paired_ttest([1.0, 0.0, 1.0], [0.0, 0.0, 1.0]); "
+        "import sys, lag.metrics; assert 'scipy.stats' not in sys.modules; "
+        "lag.metrics.paired_ttest([1.0, 0.0, 1.0], [0.0, 0.0, 1.0]); "
         "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']"
     )
     subprocess.run([sys.executable, "-c", code], check=True, env=child_env())
