@@ -7,9 +7,8 @@ over saved reports, `sweep` repeats ingest+run across strategies or k
 values, `store inspect` prints a store summary, and `selftest` re-verifies
 the numeric contracts.
 
-Configuration precedence is flags > config file (simple `key = value`
-lines) > built-in defaults; only the generator endpoint may come from the
-environment (LAG_ENDPOINT).
+Flags are the only input; the generator endpoint's default may also come
+from the environment (LAG_ENDPOINT).
 """
 
 from __future__ import annotations
@@ -50,20 +49,6 @@ from .synth import FactChainGenerator
 SPLITS = ("seen", "unseen", "all")
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigurationError(f"{path}:{line_no}: expected key = value")
-            key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
 def _build_generator(args, model):
     spec = args.generator
     if spec == "reference":
@@ -83,7 +68,7 @@ def _build_generator(args, model):
 def _backends(args) -> Backends:
     model = build_model(ModelConfig())
     generator = _build_generator(args, model)
-    embedder = HashedBagOfWordsEmbedder(dimension=args.embed_dim)
+    embedder = HashedBagOfWordsEmbedder()
     return Backends(generator=generator, embedder=embedder, model=model)
 
 
@@ -169,8 +154,7 @@ def cmd_sweep(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = []
     if args.strategies:
-        for kind in args.strategies.split(","):
-            kind = kind.strip()
+        for kind in args.strategies:
             run_args = argparse.Namespace(**vars(args))
             run_args.strategy = kind
             run_args.mode = LAG_TEXT if kind in TEXT_KINDS else args.mode
@@ -186,12 +170,11 @@ def cmd_sweep(args) -> int:
             report.label = f"{kind} ({size} payload bytes)"
             reports.append(report)
     else:
-        ks = [int(k) for k in args.k.split(",")]
         ingest_args = argparse.Namespace(**vars(args))
         ingest_args.store = str(out_dir / "store")
         ingest_args.split = "seen"
         cmd_ingest(ingest_args)
-        for k in ks:
+        for k in args.k:
             run_args = argparse.Namespace(**vars(args))
             run_args.store = str(out_dir / "store")
             run_args.split = "unseen"
@@ -226,8 +209,20 @@ def cmd_selftest(args) -> int:
     return 0 if run_selftest() else 1
 
 
+def _ks(text: str) -> list[int]:
+    if not all(k.strip().isdecimal() for k in text.split(",")):
+        raise argparse.ArgumentTypeError(f"expected ints >= 0 and commas, got {text!r}")
+    return [int(k) for k in text.split(",")]
+
+
+def _kinds(text: str) -> list[str]:
+    kinds = [k.strip() for k in text.split(",")]
+    if not set(kinds) <= set(KINDS):
+        raise argparse.ArgumentTypeError(f"{text!r}: use kinds of {', '.join(KINDS)}")
+    return kinds
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key = value config file")
     parser.add_argument("--seed", type=int, default=0, help="split seed")
     parser.add_argument("--seen-fraction", type=float, default=0.7)
     parser.add_argument("--mode", choices=MODES, default="lag_kv")
@@ -243,7 +238,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="HTTP generator timeout in seconds")
     parser.add_argument("--retries", type=int, default=2,
                         help="HTTP generator retry count")
-    parser.add_argument("--embed-dim", type=int, default=256)
 
 
 def _add_serving(parser: argparse.ArgumentParser) -> None:
@@ -283,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--strategies", help="comma-separated strategy kinds")
-    group.add_argument("--k", help="comma-separated k values")
+    group.add_argument("--strategies", type=_kinds, help="comma-separated strategy kinds")
+    group.add_argument("--k", type=_ks, help="comma-separated k values")
     _add_common(p)
     _add_serving(p)
     p.set_defaults(func=cmd_sweep)
@@ -301,51 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_choice(action: argparse.Action, value: str) -> None:
-    # argparse checks only command-line values against ``choices``, never
-    # defaults, and file values become defaults
-    if action.choices is None:
-        return
-    try:
-        converted = action.type(value) if action.type else value
-    except (TypeError, ValueError) as err:
-        raise ConfigurationError(f"config key {action.dest}: {err}") from err
-    if converted not in action.choices:
-        raise ConfigurationError(
-            f"config key {action.dest} = {value!r} is not one of {list(action.choices)}"
-        )
-
-
-def _apply_config_file(parser, argv) -> argparse.Namespace:
-    # first parse locates --config; file values become defaults, flags win
-    args = parser.parse_args(argv)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        values = _read_config_file(config_path)
-        known = {a.dest for a in parser._actions}
-        sub_actions = [
-            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-        ]
-        for sub in sub_actions:
-            for sp in sub.choices.values():
-                for a in sp._actions:
-                    known.add(a.dest)
-                    if a.dest in values:
-                        _check_choice(a, values[a.dest])
-                sp.set_defaults(
-                    **{k: v for k, v in values.items() if k in {a.dest for a in sp._actions}}
-                )
-        unknown = set(values) - known
-        if unknown:
-            raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-        args = parser.parse_args(argv)
-    return args
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
+    args = build_parser().parse_args(argv)
     try:
-        args = _apply_config_file(parser, argv)
         return args.func(args)
     except LagError as err:
         print(f"error: {err}", file=sys.stderr)

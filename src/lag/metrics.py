@@ -9,7 +9,7 @@ import random
 import re
 import string
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import ConfigurationError, DegenerateStatisticError, InputError
@@ -97,6 +97,13 @@ def split(tasks: list, spec: SplitSpec) -> tuple[list, list]:
     return order[:n_seen], order[n_seen:]
 
 
+# the JSON type of each report row field; a saved row holds all of them
+_ROW_TYPES = {
+    "id": str, "predicted": (str, type(None)), "gold": list, "em": int,
+    "f1": (int, float), "iterations": int, "answered": bool, "mode": str, "strategy": str,
+}
+
+
 @dataclass
 class TaskRow:
     id: str
@@ -110,31 +117,21 @@ class TaskRow:
     strategy: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "predicted": self.predicted,
-            "gold": self.gold,
-            "em": self.em,
-            "f1": self.f1,
-            "iterations": self.iterations,
-            "answered": self.answered,
-            "mode": self.mode,
-            "strategy": self.strategy,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_json(data: dict) -> "TaskRow":
-        return TaskRow(
-            id=str(data["id"]),
-            predicted=data.get("predicted"),
-            gold=list(data.get("gold", [])),
-            em=int(data["em"]),
-            f1=float(data["f1"]),
-            iterations=int(data["iterations"]),
-            answered=bool(data["answered"]),
-            mode=str(data.get("mode", "")),
-            strategy=str(data.get("strategy", "")),
-        )
+        row = TaskRow(**{name: data[name] for name in _ROW_TYPES})
+        for name, types in _ROW_TYPES.items():
+            value = getattr(row, name)
+            # a JSON true loads as a Python int too; only the bool field takes it
+            if not isinstance(value, types) or isinstance(value, bool) is not (types is bool):
+                raise TypeError(f"row field {name!r} holds {value!r:.60}")
+        if not all(isinstance(g, str) for g in row.gold):
+            raise TypeError(f"row field 'gold' holds {row.gold!r:.60}")
+        if row.em not in (0, 1):
+            raise ValueError(f"row field 'em' holds {row.em!r}, not 0 or 1")
+        return row
 
 
 @dataclass
@@ -218,6 +215,8 @@ def transitions(
     improvement total is I->C - C->I + U->C - C->U."""
     rows_a = {r.id: r for r in report_a.rows}
     rows_b = {r.id: r for r in report_b.rows}
+    if len(rows_a) < len(report_a.rows) or len(rows_b) < len(report_b.rows):
+        raise InputError("a report repeats a task id")
     if set(rows_a) != set(rows_b):
         raise InputError("reports cover different task id sets")
     counts = {

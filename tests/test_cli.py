@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from lag.cli import _apply_config_file, build_parser, main
+from lag.cli import build_parser, main
 from lag.datasets import TaskRecord, save_tasks
 from lag.metrics import EvalReport
 from lag.store import LogStore
@@ -34,7 +34,7 @@ def ingest_suite(seen_path, store, strategy="last_round"):
     return run_cli(
         "ingest", "--dataset", seen_path, "--store", store, "--split", "all",
         "--generator", "synth-hop", "--strategy", strategy, "--k-docs", "1",
-        "--max-steps", "8", "--embed-dim", "256",
+        "--max-steps", "8",
     )
 
 
@@ -98,7 +98,7 @@ def test_run_lag_kv_reduces_iterations(tmp_path, suite_files):
     assert run_cli(
         "run", "--dataset", unseen_path, "--split", "all", "--mode", "lag_kv",
         "--store", tmp_path / "store", "--generator", "synth-hop",
-        "--k-docs", "1", "--k-logs", "3", "--max-steps", "8", "--embed-dim", "256",
+        "--k-docs", "1", "--k-logs", "3", "--max-steps", "8",
         "--out", out_lag,
     ) == 0
     std = EvalReport.load(out_std)
@@ -134,7 +134,7 @@ def test_eval_single_and_pair(tmp_path, suite_files, capsys):
             "--out", out_std)
     run_cli("run", "--dataset", unseen_path, "--split", "all", "--mode", "lag_kv",
             "--store", tmp_path / "store", "--generator", "synth-hop", "--k-docs", "1",
-            "--k-logs", "3", "--max-steps", "8", "--embed-dim", "256", "--out", out_lag)
+            "--k-logs", "3", "--max-steps", "8", "--out", out_lag)
     capsys.readouterr()
 
     assert run_cli("eval", out_std) == 0
@@ -160,7 +160,7 @@ def test_sweep_k_emits_one_report_per_k(tmp_path, suite_files, capsys):
     assert run_cli(
         "sweep", "--dataset", combined, "--out", out_dir, "--k", "0,1,2,3",
         "--mode", "lag_kv", "--generator", "synth-hop", "--k-docs", "1",
-        "--max-steps", "8", "--embed-dim", "256", "--seed", "3",
+        "--max-steps", "8", "--seed", "3",
     ) == 0
     for k in (0, 1, 2, 3):
         assert (out_dir / f"report_k{k}.json").exists()
@@ -176,13 +176,30 @@ def test_sweep_strategies(tmp_path, suite_files):
         "sweep", "--dataset", combined, "--out", out_dir,
         "--strategies", "last_action,last_round", "--mode", "lag_kv",
         "--generator", "synth-hop", "--k-docs", "1", "--max-steps", "8",
-        "--embed-dim", "256",
     ) == 0
     size_action = (out_dir / "store_last_action" / "entries.lag").stat().st_size
     size_round = (out_dir / "store_last_round" / "entries.lag").stat().st_size
     assert size_action < size_round
     assert (out_dir / "report_last_action.json").exists()
     assert (out_dir / "report_last_round.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--k", "1,,2"), ("--k", "abc"), ("--k", "-1"),
+     ("--strategies", "last_round,bogus")],
+    ids=["k-empty-item", "k-not-int", "k-negative", "strategies-unknown-kind"],
+)
+def test_sweep_refuses_a_bad_list_before_any_work(tmp_path, flags):
+    seen, unseen = build_reuse_suite()
+    combined = tmp_path / "all.jsonl"
+    save_tasks(seen + unseen, combined)
+    out_dir = tmp_path / "sweep"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sweep", "--dataset", combined, "--out", out_dir, *flags,
+                "--generator", "synth-hop", "--k-docs", "1", "--max-steps", "8")
+    assert exc.value.code == 2
+    assert not out_dir.exists()
 
 
 def test_store_inspect(tmp_path, suite_files, capsys):
@@ -247,7 +264,7 @@ def test_isolated_encoding_end_to_end(tmp_path, suite_files):
     assert run_cli(
         "ingest", "--dataset", seen_path, "--store", tmp_path / "iso", "--split", "all",
         "--encoding", "isolated", "--generator", "synth-hop", "--k-docs", "1",
-        "--max-steps", "8", "--embed-dim", "256",
+        "--max-steps", "8",
     ) == 0
     with LogStore(tmp_path / "iso") as store:
         assert {e.strategy.encoding for e in store.scan()} == {"isolated"}
@@ -255,7 +272,7 @@ def test_isolated_encoding_end_to_end(tmp_path, suite_files):
     assert run_cli(
         "run", "--dataset", unseen_path, "--split", "all", "--mode", "lag_kv",
         "--store", tmp_path / "iso", "--generator", "synth-hop", "--k-docs", "1",
-        "--k-logs", "3", "--max-steps", "8", "--embed-dim", "256", "--out", out,
+        "--k-logs", "3", "--max-steps", "8", "--out", out,
     ) == 0
     report = EvalReport.load(out)
     assert report.mode == "lag_kv"
@@ -272,13 +289,13 @@ def test_eval_labels_an_unlabelled_run_by_mode_and_strategy(tmp_path, suite_file
         assert run_cli(
             "ingest", "--dataset", seen_path, "--store", store, "--split", "all",
             "--encoding", encoding, "--generator", "synth-hop", "--k-docs", "1",
-            "--max-steps", "8", "--embed-dim", "256",
+            "--max-steps", "8",
         ) == 0
         reports.append(tmp_path / f"{encoding}.json")
         assert run_cli(
             "run", "--dataset", unseen_path, "--split", "all", "--mode", "lag_kv",
             "--store", store, "--generator", "synth-hop", "--k-docs", "1",
-            "--k-logs", "3", "--max-steps", "8", "--embed-dim", "256",
+            "--k-logs", "3", "--max-steps", "8",
             "--out", reports[-1],
         ) == 0
     capsys.readouterr()
@@ -294,70 +311,44 @@ def test_run_report_names_the_store_strategy(tmp_path, suite_files):
     assert run_cli(
         "run", "--dataset", unseen_path, "--split", "all", "--mode", "lag_kv",
         "--store", tmp_path / "store", "--generator", "synth-hop", "--k-docs", "1",
-        "--max-steps", "8", "--embed-dim", "256", "--out", out,
+        "--max-steps", "8", "--out", out,
     ) == 0
     assert EvalReport.load(out).strategy == "last_action"
 
 
 def test_exit_code_incompatibility(tmp_path, suite_files):
     seen_path, _ = suite_files
-    ingest_suite(seen_path, tmp_path / "store")
-    # appending with a different embedder dimension must fail with code 5
+    ingest_suite(seen_path, tmp_path / "store", strategy="last_round_text")
+    # appending KV logs to a store of text logs must fail with code 5
     code = run_cli(
         "ingest", "--dataset", seen_path, "--store", tmp_path / "store",
         "--split", "all", "--generator", "synth-hop", "--k-docs", "1",
-        "--embed-dim", "128",
     )
     assert code == 5
 
 
-def test_config_file_defaults_and_flag_precedence(tmp_path, suite_files):
-    seen_path, unseen_path = suite_files
-    config = tmp_path / "lag.conf"
-    config.write_text(
-        "# suite defaults\nmax-steps = 8\nk-docs = 1\ngenerator = synth-hop\n"
-        "embed-dim = 256\nsplit = all\n"
-    )
-    out = tmp_path / "r.json"
-    assert run_cli(
-        "run", "--config", config, "--dataset", unseen_path, "--mode", "standard",
-        "--out", out,
-    ) == 0
-    assert EvalReport.load(out).mean_iterations == 4.0
-    # a flag overrides the file value
-    assert run_cli(
-        "run", "--config", config, "--dataset", unseen_path, "--mode", "standard",
-        "--max-steps", "2", "--out", out,
-    ) == 0
-    assert EvalReport.load(out).mean_iterations == 2.0
+def test_split_defaults_per_command_then_flag():
+    for command, default in ((["ingest", "--store", "s"], "seen"),
+                             (["run", "--out", "o"], "unseen")):
+        argv = [*command, "--dataset", "d"]
+        assert build_parser().parse_args(argv).split == default
+        assert build_parser().parse_args([*argv, "--split", "all"]).split == "all"
 
 
-def test_split_defaults_per_command_then_file_then_flag(tmp_path):
-    def split_of(*argv):
-        return _apply_config_file(build_parser(), [str(a) for a in argv]).split
-
-    assert split_of("ingest", "--dataset", "d", "--store", "s") == "seen"
-    assert split_of("run", "--dataset", "d", "--out", "o") == "unseen"
-    config = tmp_path / "lag.conf"
-    config.write_text("split = all\n")
-    for command in (["ingest", "--store", "s"], ["run", "--out", "o"]):
-        argv = [*command, "--dataset", "d", "--config", config]
-        assert split_of(*argv) == "all"
-        assert split_of(*argv, "--split", "seen") == "seen"
-
-
-@pytest.mark.parametrize("flag", ["--model-seed", "--max-new"])
-def test_deleted_model_flag_fails_as_flag_and_as_config_key(tmp_path, suite_files, flag):
+@pytest.mark.parametrize(
+    "flags",
+    [("--model-seed", "8"), ("--max-new", "8"), ("--embed-dim", "256"),
+     ("--config", "f.conf")],
+    ids=["--model-seed", "--max-new", "--embed-dim", "--config"],
+)
+def test_deleted_flag_fails(tmp_path, suite_files, flags):
     _, unseen_path = suite_files
-    argv = ["run", "--dataset", unseen_path, "--split", "all", "--mode", "standard",
-            "--generator", "synth-hop", "--out", tmp_path / "o.json"]
+    out = tmp_path / "o.json"
     with pytest.raises(SystemExit) as exc:
-        run_cli(*argv, flag, "8")
+        run_cli("run", "--dataset", unseen_path, "--split", "all", "--mode", "standard",
+                "--generator", "synth-hop", *flags, "--out", out)
     assert exc.value.code == 2
-    config = tmp_path / "old.conf"
-    config.write_text(f"{flag[2:]} = 8\n")
-    assert run_cli(*argv, "--config", config) == 2
-    assert not (tmp_path / "o.json").exists()
+    assert not out.exists()
 
 
 def test_seed_does_not_change_the_embedder(tmp_path, suite_files):
@@ -370,38 +361,11 @@ def test_seed_does_not_change_the_embedder(tmp_path, suite_files):
         assert run_cli(
             "run", "--dataset", unseen_path, "--split", "all", "--mode", "lag_kv",
             "--store", tmp_path / "store", "--generator", "synth-hop", "--k-docs", "1",
-            "--k-logs", "1", "--max-steps", "8", "--embed-dim", "256", "--seed", seed,
+            "--k-logs", "1", "--max-steps", "8", "--seed", seed,
             "--out", out,
         ) == 0
         rows.append(EvalReport.load(out).rows)
     assert rows[0] == rows[1]
-
-
-def test_config_file_unknown_key(tmp_path, suite_files):
-    _, unseen_path = suite_files
-    config = tmp_path / "bad.conf"
-    config.write_text("definitely-not-a-flag = 1\n")
-    code = run_cli(
-        "run", "--config", config, "--dataset", unseen_path, "--split", "all",
-        "--mode", "standard", "--generator", "synth-hop", "--out", tmp_path / "o.json",
-    )
-    assert code == 2
-
-
-def test_config_file_value_outside_choices(tmp_path, suite_files, capsys):
-    # argparse never checks a default against ``choices``; a bad split used
-    # to run the unseen split
-    _, unseen_path = suite_files
-    config = tmp_path / "bad.conf"
-    config.write_text("split = bogus\n")
-    out = tmp_path / "o.json"
-    code = run_cli(
-        "run", "--config", config, "--dataset", unseen_path, "--mode", "standard",
-        "--generator", "synth-hop", "--out", out,
-    )
-    assert code == 2
-    assert not out.exists()
-    assert "split = 'bogus'" in capsys.readouterr().err
 
 
 class _AnswerHandler(BaseHTTPRequestHandler):
@@ -541,6 +505,18 @@ def test_malformed_task_record_is_an_input_error(tmp_path, capsys, record):
     assert not out.exists()
 
 
+def test_repeated_task_id_names_its_line(tmp_path, capsys):
+    # reports and transitions key rows by id, so a repeat would be lost
+    dataset = tmp_path / "dup.jsonl"
+    record = json.dumps({"id": "a", "question": "What is x?", "answers": ["x"]})
+    dataset.write_text(f"{record}\n{record}\n")
+    assert run_cli(
+        "run", "--dataset", dataset, "--split", "all", "--mode", "standard",
+        "--generator", "synth-hop", "--out", tmp_path / "o.json",
+    ) == 3
+    assert capsys.readouterr().err.startswith(f"error: {dataset}:2: duplicate task id")
+
+
 def test_malformed_task_record_names_its_line(tmp_path, capsys):
     dataset = tmp_path / "bad.jsonl"
     good = {"id": "a", "question": "What is x?", "answers": ["x"]}
@@ -552,11 +528,18 @@ def test_malformed_task_record_names_its_line(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {dataset}:2: ")
 
 
+_ROW = {"id": "a", "predicted": "x", "gold": ["x"], "em": 1, "f1": 1.0,
+        "iterations": 1, "answered": True, "mode": "standard", "strategy": ""}
+
+
 @pytest.mark.parametrize(
     "content",
     ['{"rows": [{"id": "a", "f1": 0.0, "iterations": 1, "answered": false}]}',
-     '{"mode": "standard", "rows": [', '[]'],
-    ids=["row-without-em", "truncated", "top-level-list"],
+     '{"mode": "standard", "rows": [', '[]',
+     *(json.dumps({"rows": [{**_ROW, **bad}]})
+       for bad in ({"answered": "false"}, {"gold": "abc"}, {"em": 0.9}))],
+    ids=["row-without-em", "truncated", "top-level-list", "answered-string",
+         "gold-string", "em-fraction"],
 )
 def test_malformed_report_is_an_input_error(tmp_path, capsys, content):
     report = tmp_path / "report.json"

@@ -205,6 +205,14 @@ def test_transitions_id_mismatch():
         transitions(_report([_row("1", 1)]), _report([_row("2", 1)]))
 
 
+def test_transitions_refuses_a_repeated_id():
+    # rows are keyed by id, so a repeated row would drop out of the counts
+    before = [_row("1", 0), _row("1", 0), _row("2", 0)]
+    after = [_row("1", 1), _row("1", 1), _row("2", 1)]
+    with pytest.raises(InputError, match="repeats a task id"):
+        transitions(_report(before), _report(after))
+
+
 def test_ttest_identical_lists():
     t, p = paired_ttest([1.0, 0.0, 1.0], [1.0, 0.0, 1.0])
     assert t == 0.0 and p == 1.0

@@ -1,9 +1,11 @@
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from lag._kernels import TILE
 from lag.config import ModelConfig
 from lag.errors import (
     CapacityError,
@@ -313,6 +315,25 @@ def test_prefill_memory_is_bounded():
     )
     grown_mb = float(out.stdout)
     assert grown_mb < 64, f"a 4000-token encode grew peak RSS by {grown_mb:.0f} MB"
+
+
+def test_encode_memory_is_its_kv_plus_one_score_tile():
+    # a full-length encode on the default model holds its KV and, in the
+    # attention kernel, one float32 [heads, TILE, keys] score tile at a time;
+    # an untiled kernel would hold [heads, tokens, keys]
+    cfg = ModelConfig()
+    model = build_model(cfg)
+    n = cfg.max_positions
+    tokens = np.random.default_rng(0).integers(0, 256, n).tolist()
+    kv_bytes = 2 * cfg.num_layers * cfg.num_kv_heads * n * cfg.head_dim * 4
+    tile_bytes = cfg.num_heads * TILE * n * 4
+    tracemalloc.start()
+    try:
+        encode(model, tokens, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * (kv_bytes + tile_bytes), f"encode peaked at {peak / 2**20:.1f} MB"
 
 
 def test_tokenizer_round_trip():
