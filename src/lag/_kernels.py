@@ -1,6 +1,14 @@
 """Hot numeric kernels in numpy: pairwise rotary rotation and query-tiled
 causal grouped-KV attention.
 
+Rotation works on whole rows in three contiguous steps instead of strided
+even/odd slices: each (e, o) pair is swapped to (o, e) by rotating its 64
+bits by 32, multiplied by the signed sin row (-s, +s), and added to x times
+the cos row (c, c). This equals the strided e*c - o*s, o*c + e*s bit for
+bit: adding -(o*s) is subtracting o*s, addition commutes, and separate
+ufuncs round each product on its own (no fused multiply-add). A complex64
+multiply would not be bit-identical.
+
 Attention walks the new-token queries in tiles of ``TILE`` rows, after
 FlashAttention's tiling (Dao et al., 2022, arXiv 2205.14135). A tile scores
 only the keys its queries may see, ``[0, n_prefix + tile_end)``, and masks
@@ -17,19 +25,26 @@ TILE = 128
 # added to a tile's diagonal block: query row r must not see key c > r
 _FUTURE = np.triu(np.full((TILE, TILE), -np.inf, dtype=np.float32), k=1)
 
+_HALF = np.uint64(32)
+
 
 def rotate_pairs(
     x: np.ndarray, cos: np.ndarray, sin: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Rotate interleaved 2D subvectors (x[2i], x[2i+1]) of each head vector.
+    """Rotate interleaved 2D subvectors (e, o) = (x[2i], x[2i+1]) of each
+    head vector to (e*c - o*s, o*c + e*s).
 
-    x and out: [heads, seq, head_dim], not overlapping; cos/sin: [seq, head_dim // 2].
+    x and out: float32 [heads, seq, head_dim] with a contiguous last axis;
+    out may be x itself. cos/sin: [seq, head_dim] rows as ``cos_sin_table``
+    gives them, cos repeated per pair and sin signed (-s, +s) per pair.
     """
-    even = x[..., 0::2]
-    odd = x[..., 1::2]
-    out = np.empty_like(x) if out is None else out
-    out[..., 0::2] = even * cos - odd * sin
-    out[..., 1::2] = even * sin + odd * cos
+    u = x.view(np.uint64)
+    swapped = u << _HALF  # (o, e): a 32-bit rotate, the same on either byte order
+    swapped |= u >> _HALF
+    swapped = swapped.view(np.float32)
+    swapped *= sin
+    out = np.multiply(x, cos, out=out)
+    out += swapped
     return out
 
 

@@ -151,6 +151,12 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     out_dir = Path(args.out)
+    stores = [out_dir / f"store_{kind}" for kind in args.strategies or ()] or [out_dir / "store"]
+    for store in stores:
+        entries = store / ENTRIES_NAME
+        if entries.exists() and entries.stat().st_size:
+            # ingest appends: a second sweep would double every store
+            raise InputError(f"{store} already holds log entries; sweep into a new --out")
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = []
     if args.strategies:

@@ -187,12 +187,11 @@ class EvalReport:
             rows = [TaskRow.from_json(r) for r in data.get("rows", [])]
         except (KeyError, TypeError, ValueError) as err:
             raise InputError(f"{path}: malformed report row: {err!r}") from err
-        return EvalReport(
-            mode=str(data.get("mode", "")),
-            strategy=str(data.get("strategy", "")),
-            label=str(data.get("label", "")),
-            rows=rows,
-        )
+        header = {name: data.get(name, "") for name in ("mode", "strategy", "label")}
+        for name, value in header.items():
+            if not isinstance(value, str):
+                raise InputError(f"{path}: report field {name!r} holds {value!r:.60}")
+        return EvalReport(**header, rows=rows)
 
 
 CORRECT, INCORRECT, UNSOLVABLE = "C", "I", "U"

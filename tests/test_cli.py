@@ -185,6 +185,32 @@ def test_sweep_strategies(tmp_path, suite_files):
 
 
 @pytest.mark.parametrize(
+    "flags,store",
+    [(("--k", "0,1"), "store"), (("--strategies", "last_round"), "store_last_round")],
+    ids=["k", "strategies"],
+)
+def test_sweep_refuses_an_out_whose_store_holds_entries(tmp_path, capsys, flags, store):
+    seen, unseen = build_reuse_suite()
+    combined = tmp_path / "all.jsonl"
+    save_tasks(seen + unseen, combined)
+    out_dir = tmp_path / "sweep"
+    argv = ("sweep", "--dataset", combined, "--out", out_dir, *flags, "--mode", "lag_kv",
+            "--generator", "synth-hop", "--k-docs", "1", "--max-steps", "8")
+    assert run_cli(*argv) == 0
+    entries = out_dir / store / "entries.lag"
+    size = entries.stat().st_size
+    assert size > 0
+    reports = sorted(out_dir.glob("report_*.json"))
+    stamps = [r.stat().st_mtime_ns for r in reports]
+    capsys.readouterr()
+    assert run_cli(*argv) == 3
+    assert capsys.readouterr().err.startswith(f"error: {out_dir / store} ")
+    # nothing ran and nothing was deleted
+    assert entries.stat().st_size == size
+    assert [r.stat().st_mtime_ns for r in reports] == stamps
+
+
+@pytest.mark.parametrize(
     "flags",
     [("--k", "1,,2"), ("--k", "abc"), ("--k", "-1"),
      ("--strategies", "last_round,bogus")],
@@ -537,9 +563,10 @@ _ROW = {"id": "a", "predicted": "x", "gold": ["x"], "em": 1, "f1": 1.0,
     ['{"rows": [{"id": "a", "f1": 0.0, "iterations": 1, "answered": false}]}',
      '{"mode": "standard", "rows": [', '[]',
      *(json.dumps({"rows": [{**_ROW, **bad}]})
-       for bad in ({"answered": "false"}, {"gold": "abc"}, {"em": 0.9}))],
+       for bad in ({"answered": "false"}, {"gold": "abc"}, {"em": 0.9})),
+     '{"mode": "standard", "label": null, "rows": []}', '{"mode": 5, "rows": []}'],
     ids=["row-without-em", "truncated", "top-level-list", "answered-string",
-         "gold-string", "em-fraction"],
+         "gold-string", "em-fraction", "label-null", "mode-int"],
 )
 def test_malformed_report_is_an_input_error(tmp_path, capsys, content):
     report = tmp_path / "report.json"

@@ -66,3 +66,56 @@ def test_single_query_row_softmax_normalizes(rng):
     out = _kernels.causal_attention(q, k, v, 4)
     # zero query attends uniformly over all five visible positions
     assert np.allclose(out[0, 0], v[0].mean(axis=0), atol=1e-6)
+
+
+def strided_rotate(x, cos, sin):
+    """Reference: the strided even/odd rotation with half-width cos/sin
+    [seq, head_dim // 2], one subvector (e, o) -> (e*c - o*s, e*s + o*c)."""
+    even, odd = x[..., 0::2], x[..., 1::2]
+    out = np.empty_like(x)
+    out[..., 0::2] = even * cos - odd * sin
+    out[..., 1::2] = even * sin + odd * cos
+    return out
+
+
+def _rows(rng, seq, head_dim):
+    """Half-width float32 cos/sin of random angles, and the same as the
+    kernel's full-width rows: cos per pair, sin signed (-s, +s) per pair."""
+    angle = rng.uniform(-40.0, 40.0, (seq, head_dim // 2))
+    cos, sin = np.cos(angle).astype(np.float32), np.sin(angle).astype(np.float32)
+    cos_rows = np.repeat(cos, 2, axis=1)
+    sin_rows = np.stack([-sin, sin], axis=-1).reshape(seq, head_dim)
+    return (cos, sin), (cos_rows, sin_rows)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint32)
+
+
+@pytest.mark.parametrize("head_dim", [6, 16])
+@pytest.mark.parametrize("seq", [1, 129])
+def test_rotate_pairs_matches_strided_formula_bit_for_bit(rng, head_dim, seq):
+    x = (rng.standard_normal((3, seq, head_dim)) * 10).astype(np.float32)
+    half, rows = _rows(rng, seq, head_dim)
+    want = strided_rotate(x, *half)
+    assert np.array_equal(_bits(_kernels.rotate_pairs(x, *rows)), _bits(want))
+    out = np.empty_like(x)
+    assert _kernels.rotate_pairs(x, *rows, out=out) is out
+    assert np.array_equal(_bits(out), _bits(want))
+    # in place: out is x
+    assert _kernels.rotate_pairs(x, *rows, out=x) is x
+    assert np.array_equal(_bits(x), _bits(want))
+
+
+def test_rotate_pairs_reads_an_unaligned_read_only_view(rng):
+    # the store serves keys as read-only views over its bytes, at any
+    # 4-byte offset
+    heads, seq, head_dim = 2, 129, 16
+    x = rng.standard_normal((heads, seq, head_dim)).astype(np.float32)
+    raw = bytes(4) + x.tobytes()
+    view = np.frombuffer(raw, dtype=np.float32, offset=4).reshape(x.shape)
+    assert not view.flags.writeable
+    half, rows = _rows(rng, seq, head_dim)
+    got = _kernels.rotate_pairs(view, *rows)
+    assert np.array_equal(_bits(got), _bits(strided_rotate(x, *half)))
+    assert np.array_equal(view, x)

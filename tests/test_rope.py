@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lag import rope
 from lag._kernels import rotate_pairs
 from lag.config import ModelConfig
 from lag.errors import ConfigurationError, PositionError
@@ -142,3 +143,63 @@ def test_rotate_keys_matches_scalar_apply(rng):
             for i in range(3):
                 want = rope_apply(keys[h, t, 2 * i : 2 * i + 2], theta[i])
                 assert np.allclose(rotated[h, t, 2 * i : 2 * i + 2], want, atol=1e-6)
+
+
+def float64_grid_rows(params, positions):
+    """Reference: float32 of cos/sin of the float64 angle grid, half width."""
+    i = np.arange(params.head_dim // 2, dtype=np.float64)
+    freq = params.base ** (-2.0 * i / params.head_dim)
+    grid = np.asarray(positions, dtype=np.float64)[:, None] * freq[None, :]
+    return np.cos(grid).astype(np.float32), np.sin(grid).astype(np.float32)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint32)
+
+
+def assert_rows_match_grid(params, positions):
+    cos, sin = cos_sin_table(params, positions)
+    want_cos, want_sin = float64_grid_rows(params, positions)
+    assert cos.shape == sin.shape == (len(positions), params.head_dim)
+    assert cos.dtype == sin.dtype == np.float32
+    assert np.array_equal(bits(cos[:, 0::2]), bits(want_cos))
+    assert np.array_equal(bits(cos[:, 1::2]), bits(want_cos))
+    assert np.array_equal(bits(sin[:, 0::2]), bits(-want_sin))
+    assert np.array_equal(bits(sin[:, 1::2]), bits(want_sin))
+
+
+@pytest.mark.parametrize("head_dim,base", [(6, 500.0), (16, 10000.0)])
+def test_table_rows_equal_the_float64_grid_bit_for_bit(head_dim, base):
+    params = RopeParams(head_dim, base)
+    assert_rows_match_grid(params, np.array([-4000, -129, -1, 0, 1, 2, 129, 3999]))
+    assert_rows_match_grid(params, np.arange(-300, 300))
+
+
+def test_table_grows_past_its_first_size():
+    params = RopeParams(10, 777.0)  # a table no other test builds
+    rope._TABLES.pop(params, None)
+    assert_rows_match_grid(params, np.arange(-5, 6))
+    first = len(rope._TABLES[params][0])
+    far = np.array([-3 * first, -first, 0, first, 5 * first + 3])
+    assert_rows_match_grid(params, far)
+    assert len(rope._TABLES[params][0]) > 5 * first + 3
+    assert_rows_match_grid(params, np.arange(-5, 6))
+
+
+def test_positions_past_the_table_cap_are_computed_not_tabled():
+    params = RopeParams(12, 900.0)  # a table no other test builds
+    rope._TABLES.pop(params, None)
+    cap = rope.MAX_TABLE_ROWS
+    assert_rows_match_grid(params, np.array([-(2**32 - 1), -cap, 3, cap - 1, cap, 7 * cap]))
+    assert params not in rope._TABLES
+    # doubling stops at the cap
+    assert_rows_match_grid(params, np.array([3 * cap // 4 - 1]))
+    assert_rows_match_grid(params, np.array([-3, 3 * cap // 4]))
+    assert len(rope._TABLES[params][0]) == cap
+
+
+def test_table_refuses_float_positions():
+    with pytest.raises(PositionError):
+        cos_sin_table(RopeParams(8), np.array([0.0, 1.0]))
+    with pytest.raises(PositionError):
+        cos_sin_table(RopeParams(8), [0.5])
