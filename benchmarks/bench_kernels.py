@@ -1,14 +1,17 @@
 """Time the attention kernel, greedy decoding, KV-prefix assembly, opening a
-log store and putting into one, optionally against a baseline source tree,
-and write ``BENCH_kernels.json``.
+log store, putting into one and encoding logs, optionally against a baseline
+source tree, and write ``BENCH_kernels.json``.
 
     python3 benchmarks/bench_kernels.py [--baseline OTHER/src]
 
 Workloads, on the default ``ModelConfig`` (4 layers, 4 query heads over
 2 KV heads, head_dim 16):
 
-* ``attention.prefill``: ``causal_attention`` at the kv_agent prefill shape,
-  q [4 x 1200 x 16] over 1394 keys (a 194-token KV prefix);
+* ``attention.prefill``: ``causal_attention`` at the kv_agent prefill shape
+  before the prompt memo, q [4 x 1200 x 16] over 1394 keys (a 194-token KV
+  prefix), kept for continuity;
+* ``attention.prefill392``: today's kv_agent prefill shape, 392 queries over
+  998 + 392 keys;
 * ``attention.decode``: one query over 2048 keys;
 * ``greedy_decode.prefixN``: 64 greedy tokens after a 16-token prompt and a
   KV prefix of N = 0, 512 and 2048 tokens, copied into a new ``KvCache``
@@ -30,19 +33,28 @@ Workloads, on the default ``ModelConfig`` (4 layers, 4 query heads over
 * ``generate.repeat4``: four identical ``generate`` calls of 64 tokens after
   the same 194-token KV prefix on one new ``ReferenceModelGenerator`` (the
   kv_agent rounds whose messages repeat), so calls 2-4 are exact repeats
-  that return the first call's output with no forward pass.
+  that return the first call's output with no forward pass;
+* ``encode_log.last_round``: ``encode_log`` with the ``last_round`` strategy
+  over the transcripts of four ``lag.synth`` fact-chain tasks of 2 to 5
+  hops (124 to 529 trace tokens), run once per child with
+  ``FactChainGenerator``: the KV write path of ``lag ingest``.
 
 Every measurement runs in a fresh child interpreter with one BLAS thread.
 With ``--baseline`` the children alternate between this checkout's ``src/``
 and the baseline tree, round by round, so that a drift in the host's speed
 falls on both sides alike; each figure is the median over the rounds of
-each child's median of its repeats. Only names both trees define are used:
+each child's median of its repeats, with its quartiles over the rounds
+(``ms_q1``, ``ms_q3``) beside it. ``minflt`` is the median over the rounds
+of the minor page faults per repeat, the ``ru_minflt`` delta over a child's
+timed repeats: a count, so it does not drift with the host's speed. Only
+names both trees define are used:
 ``lag._kernels.causal_attention``, ``lag.model.{build_model, encode,
 greedy_decode}``, ``Model.new_cache``, ``lag.segment.KvCache.from_segment``,
-``lag.codec.{LogEntry, SelectionStrategy}``,
-``lag.orchestrator.assemble_kv_prefix``,
-``lag.backends.ReferenceModelGenerator`` and ``lag.store.LogStore`` (its
-constructor, ``put`` and ``get``).
+``lag.codec.{LogEntry, SelectionStrategy, encode_log}``,
+``lag.orchestrator.{assemble_kv_prefix, RunConfig, run_task}``,
+``lag.backends.{Backends, HashedBagOfWordsEmbedder, ReferenceModelGenerator}``,
+``lag.synth.{FactChainGenerator, build_reuse_suite}`` and
+``lag.store.LogStore`` (its constructor, ``put`` and ``get``).
 """
 
 from __future__ import annotations
@@ -51,6 +63,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -64,28 +77,37 @@ ROUNDS = 5
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _median_ms(fn, repeat: int) -> float:
+def _minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _timed(fn, repeat: int) -> dict[str, float]:
+    """The median ms of ``repeat`` calls after a warm-up, and the minor page
+    faults per call over them."""
     fn()  # warm-up
     times = []
+    faults = _minflt()
     for _ in range(repeat):
         t0 = time.perf_counter()
         fn()
         times.append((time.perf_counter() - t0) * 1e3)
-    return statistics.median(times)
+    faults = _minflt() - faults
+    return {"ms": statistics.median(times), "minflt": faults / repeat}
 
 
-def measure() -> dict[str, float]:
-    """One child's figures, in ms, for the lag on its sys.path."""
+def measure() -> dict[str, dict[str, float]]:
+    """One child's figures for the lag on its sys.path."""
     import numpy as np
 
     from lag._kernels import causal_attention
-    from lag.backends import ReferenceModelGenerator
-    from lag.codec import LogEntry, SelectionStrategy
+    from lag.backends import Backends, HashedBagOfWordsEmbedder, ReferenceModelGenerator
+    from lag.codec import LogEntry, SelectionStrategy, encode_log
     from lag.config import ModelConfig
     from lag.model import build_model, encode, greedy_decode
-    from lag.orchestrator import assemble_kv_prefix
+    from lag.orchestrator import RunConfig, assemble_kv_prefix, run_task
     from lag.segment import KvCache
     from lag.store import LogStore
+    from lag.synth import FactChainGenerator, build_reuse_suite
 
     rng = np.random.default_rng(0)
     cfg = ModelConfig()
@@ -100,9 +122,11 @@ def measure() -> dict[str, float]:
 
     out = {}
     q, k, v = qkv(1200, 1394)
-    out["attention.prefill"] = _median_ms(lambda: causal_attention(q, k, v, 194), 7)
+    out["attention.prefill"] = _timed(lambda: causal_attention(q, k, v, 194), 7)
+    q, k, v = qkv(392, 998 + 392)
+    out["attention.prefill392"] = _timed(lambda: causal_attention(q, k, v, 998), 20)
     q, k, v = qkv(1, 2048)
-    out["attention.decode"] = _median_ms(lambda: causal_attention(q, k, v, 2047), 200)
+    out["attention.decode"] = _timed(lambda: causal_attention(q, k, v, 2047), 200)
 
     model = build_model(cfg)
     prompt = rng.integers(0, 256, 16).tolist()
@@ -116,7 +140,7 @@ def measure() -> dict[str, float]:
             )
             greedy_decode(model, cache, prompt, 64)
 
-        out[f"greedy_decode.prefix{n}"] = _median_ms(decode, 3)
+        out[f"greedy_decode.prefix{n}"] = _timed(decode, 3)
 
     # logs stored from later rounds of their transcripts, so every one moves
     logs = [
@@ -132,11 +156,11 @@ def measure() -> dict[str, float]:
         with LogStore(Path(tmp) / "store", "w") as store:
             for i in range(100):
                 store.put(logs[i % 10])
-        out["store.open"] = _median_ms(lambda: LogStore(Path(tmp) / "store", "r"), 10)
+        out["store.open"] = _timed(lambda: LogStore(Path(tmp) / "store", "r"), 10)
         opened = LogStore(Path(tmp) / "store", "r")
     served = [opened.get(i) for i in range(24)]
     for n in (3, 10, 24):
-        out[f"assemble.prefix{n}"] = _median_ms(
+        out[f"assemble.prefix{n}"] = _timed(
             lambda: assemble_kv_prefix(served[:n], model), 50
         )
 
@@ -157,7 +181,7 @@ def measure() -> dict[str, float]:
             for _ in range(500):
                 store.put(text_log)
 
-    out["store.put"] = _median_ms(puts, 3)
+    out["store.put"] = _timed(puts, 3)
 
     log = encode(model, rng.integers(0, 256, 194).tolist(), 0)[0]
     head = "Answer from the information below only; do not guess. " * 15
@@ -173,14 +197,31 @@ def measure() -> dict[str, float]:
         for messages in prompts:
             gen.generate(messages, kv_prefix=log)
 
-    out["generate.rounds4"] = _median_ms(rounds, 3)
+    out["generate.rounds4"] = _timed(rounds, 3)
 
     def repeats():
         gen = ReferenceModelGenerator(model, max_new=64)
         for _ in range(4):
             gen.generate(prompts[-1], kv_prefix=log)
 
-    out["generate.repeat4"] = _median_ms(repeats, 3)
+    out["generate.repeat4"] = _timed(repeats, 3)
+
+    # the KV write path: finished synth-hop transcripts, encoded as lag ingest
+    # does, with the default full-trace encoding
+    embedder = HashedBagOfWordsEmbedder(dimension=256, seed=0)
+    hop_backends = Backends(FactChainGenerator(), embedder, model)
+    transcripts = [
+        run_task(task, RunConfig(max_steps=8, k_docs=1), hop_backends, None)[1]
+        for hops in (2, 3, 4, 5)
+        for task in build_reuse_suite((0,), hops)[0]
+    ]
+    strategy = SelectionStrategy("last_round")
+
+    def encode_logs():
+        for transcript in transcripts:
+            encode_log(model, transcript, strategy, embedder)
+
+    out["encode_log.last_round"] = _timed(encode_logs, 10)
     return out
 
 
@@ -195,7 +236,7 @@ def cpu_name() -> str:
     return platform.processor() or platform.machine()
 
 
-def run_child(src: Path) -> dict[str, float]:
+def run_child(src: Path) -> dict[str, dict[str, float]]:
     env = {**os.environ, "PYTHONPATH": str(src)}
     env.update({var: "1" for var in THREAD_VARS})
     proc = subprocess.run(
@@ -203,6 +244,19 @@ def run_child(src: Path) -> dict[str, float]:
         text=True, check=True,
     )
     return json.loads(proc.stdout)
+
+
+def summary(figures: list[dict[str, float]]) -> dict[str, float]:
+    """One row of one side over the rounds: the median ms with its
+    quartiles, and the median page faults per repeat."""
+    ms = [f["ms"] for f in figures]
+    q1, _, q3 = statistics.quantiles(ms, n=4, method="inclusive")
+    return {
+        "ms": statistics.median(ms),
+        "ms_q1": q1,
+        "ms_q3": q3,
+        "minflt": statistics.median(f["minflt"] for f in figures),
+    }
 
 
 def main() -> None:
@@ -217,7 +271,7 @@ def main() -> None:
     sides = {"src": ROOT / "src"}
     if args.baseline:
         sides["baseline"] = args.baseline.resolve()
-    runs: dict[str, list[dict[str, float]]] = {side: [] for side in sides}
+    runs: dict[str, list[dict[str, dict[str, float]]]] = {side: [] for side in sides}
     order = list(sides)
     for r in range(ROUNDS):
         for side in order if r % 2 == 0 else order[::-1]:
@@ -225,16 +279,18 @@ def main() -> None:
             print(f"round {r + 1}/{ROUNDS} {side}", file=sys.stderr)
 
     results = {
-        side: {
-            name: statistics.median(run[name] for run in rs) for name in rs[0]
-        }
+        side: {name: summary([run[name] for run in rs]) for name in rs[0]}
         for side, rs in runs.items()
     }
-    print(f"{'workload':<26}" + "".join(f"{side:>12}" for side in results))
+    print(f"{'workload':<24}" + "".join(f"{side + ': ms [q1, q3] minflt':>44}" for side in results))
     for name in results["src"]:
-        print(f"{name:<26}" + "".join(f"{results[s][name]:>10.3f}ms" for s in results))
+        cells = (
+            f"{r['ms']:.3f} [{r['ms_q1']:.3f}, {r['ms_q3']:.3f}] {r['minflt']:.1f}"
+            for r in (results[side][name] for side in results)
+        )
+        print(f"{name:<24}" + "".join(f"{cell:>44}" for cell in cells))
     report = {
-        "unit": "ms",
+        "unit": "ms; minflt in minor page faults per repeat",
         "rounds": ROUNDS,
         "blas_threads": 1,
         "machine": {

@@ -33,8 +33,13 @@ class ByteTokenizer:
 
 
 def _rmsnorm(x: np.ndarray) -> np.ndarray:
-    scale = 1.0 / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + _NORM_EPS)
-    return x * scale.astype(np.float32)
+    # np.mean's float32 sum and divide, without its Python wrapper
+    scale = np.add.reduce(np.square(x), axis=-1, keepdims=True)
+    scale /= np.float32(x.shape[-1])
+    scale += _NORM_EPS
+    np.sqrt(scale, out=scale)
+    np.reciprocal(scale, out=scale)
+    return x * scale
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:

@@ -1,4 +1,7 @@
-"""The query-tiled attention kernel against a full-matrix reference."""
+"""The query-tiled attention kernel against a full-matrix and a per-tile
+reference, and the pair-swap rotation against the strided formula."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +29,32 @@ def full_matrix_attention(q, k, v, n_prefix):
     return out.reshape(n_heads, t_new, d)
 
 
+def per_tile_attention(q, k, v, n_prefix):
+    """Reference: the tiled kernel as it was with a new score array for each
+    tile; the kernel must equal it bit for bit."""
+    n_heads, t_new, d = q.shape
+    n_kv = k.shape[0]
+    group = n_heads // n_kv
+    scale = np.float32(1.0) / np.float32(np.sqrt(d))
+    tile = _kernels.TILE
+    future = np.triu(np.full((tile, tile), -np.inf, dtype=np.float32), k=1)
+
+    qg = q.reshape(n_kv, group, t_new, d)
+    out = np.empty((n_kv, group, t_new, d), dtype=np.float32)
+    for lo in range(0, t_new, tile):
+        hi = min(lo + tile, t_new)
+        n_keys = n_prefix + hi
+        scores = np.matmul(qg[:, :, lo:hi], k[:, None, :n_keys].transpose(0, 1, 3, 2))
+        scores *= scale
+        if hi - lo > 1:
+            scores[..., n_prefix + lo:] += future[: hi - lo, : hi - lo]
+        scores -= scores.max(axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=-1, keepdims=True)
+        np.matmul(scores, v[:, None, :n_keys], out=out[:, :, lo:hi])
+    return out.reshape(n_heads, t_new, d)
+
+
 def _qkv(rng, n_prefix, t_new, heads=4, kv_heads=2, d=16):
     q = rng.standard_normal((heads, t_new, d)).astype(np.float32)
     k = rng.standard_normal((kv_heads, n_prefix + t_new, d)).astype(np.float32)
@@ -42,6 +71,33 @@ def test_tiled_attention_matches_full_matrix(rng, n_prefix, t_new):
     want = full_matrix_attention(q, k, v, n_prefix)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-6
+
+
+@pytest.mark.parametrize("n_prefix", [0, 1000])
+@pytest.mark.parametrize("t_new", [1, 127, 129, 392])
+def test_attention_matches_per_tile_kernel_bit_for_bit(rng, n_prefix, t_new):
+    q, k, v = _qkv(rng, n_prefix, t_new)
+    got = _kernels.causal_attention(q, k, v, n_prefix)
+    want = per_tile_attention(q, k, v, n_prefix)
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+def test_attention_holds_one_score_tile(rng):
+    # every tile writes its scores into one buffer; a new array per tile
+    # would hold two tiles while the next one is computed
+    heads, n_prefix, t_new, d = 4, 1000, 392, 16
+    q, k, v = _qkv(rng, n_prefix, t_new, heads=heads, d=d)
+    tile_bytes = heads * _kernels.TILE * (n_prefix + t_new) * 4
+    out_bytes = heads * t_new * d * 4
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _kernels.causal_attention(q, k, v, n_prefix)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    ratio = peak / (tile_bytes + out_bytes)
+    assert ratio <= 1.25, f"attention peaked at {ratio:.2f} x (one tile + out)"
 
 
 def test_attention_masks_future(rng):

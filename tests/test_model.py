@@ -14,7 +14,15 @@ from lag.errors import (
     InputError,
     PositionError,
 )
-from lag.model import ByteTokenizer, build_model, encode, forward_with_prefix, greedy_decode
+from lag.model import (
+    _NORM_EPS,
+    ByteTokenizer,
+    _rmsnorm,
+    build_model,
+    encode,
+    forward_with_prefix,
+    greedy_decode,
+)
 from lag.segment import KvCache
 from lag.selftest import injection_error
 from tests.conftest import SMALL_CONFIG, child_env
@@ -334,6 +342,18 @@ def test_encode_memory_is_its_kv_plus_one_score_tile():
     finally:
         tracemalloc.stop()
     assert peak < 3 * (kv_bytes + tile_bytes), f"encode peaked at {peak / 2**20:.1f} MB"
+
+
+def test_rmsnorm_matches_the_mean_formula_bit_for_bit(rng):
+    # the reduce-and-divide form must round exactly as np.mean did
+    for shape in ((1, 64), (392, 64), (4000, 64)):
+        for _ in range(50):
+            scale = 10.0 ** rng.uniform(-3, 3)
+            x = (rng.standard_normal(shape) * scale).astype(np.float32)
+            want = x * (1.0 / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + _NORM_EPS))
+            got = _rmsnorm(x)
+            assert got.dtype == np.float32
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 def test_tokenizer_round_trip():
