@@ -4,8 +4,7 @@ The subcommands mirror the experiment workflow: `ingest` executes the seen
 split and fills a log store, `run` executes the unseen split in a chosen
 mode against a read-only store, `eval` prints tables/transitions/t-tests
 over saved reports, `sweep` repeats ingest+run across strategies or k
-values, `store inspect` prints a store summary, and `selftest` re-verifies
-the numeric contracts.
+values, and `store inspect` prints a store summary.
 
 Flags are the only input; the generator endpoint's default may also come
 from the environment (LAG_ENDPOINT).
@@ -42,7 +41,6 @@ from .metrics import (
 from .model import build_model
 from .orchestrator import LAG_TEXT, MODES, STANDARD, RunConfig
 from .runner import ingest_tasks, run_tasks
-from .selftest import run_selftest
 from .store import ENTRIES_NAME, LogStore
 from .synth import FactChainGenerator
 
@@ -211,10 +209,6 @@ def cmd_store_inspect(args) -> int:
     return 0
 
 
-def cmd_selftest(args) -> int:
-    return 0 if run_selftest() else 1
-
-
 def _ks(text: str) -> list[int]:
     if not all(k.strip().isdecimal() for k in text.split(",")):
         raise argparse.ArgumentTypeError(f"expected ints >= 0 and commas, got {text!r}")
@@ -294,9 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     pi = store_sub.add_parser("inspect", help="print a store summary")
     pi.add_argument("--store", required=True)
     pi.set_defaults(func=cmd_store_inspect)
-
-    p = sub.add_parser("selftest", help="run the built-in verification suites")
-    p.set_defaults(func=cmd_selftest)
 
     return parser
 

@@ -61,7 +61,6 @@ class LogStore:
         if mode not in ("r", "w"):
             raise InputError(f"unknown store mode {mode!r}")
         self.path = Path(path)
-        self.mode = mode
         self._entries: list[LogEntry] = []
         self._matrix = None
         self._entries_fh = None
@@ -132,8 +131,8 @@ class LogStore:
         """Store an entry; returns its id. The embedding is L2-normalized
         before it is written, and the store serves the entry decoded from
         the written bytes, not the caller's arrays."""
-        if self.mode != "w":
-            raise InputError("store is open read-only")
+        if self._entries_fh is None:
+            raise InputError("store is not open for writing")
         blob = serialize(replace(entry, embedding=normalize(entry.embedding)))
         stored = self._admit(blob)
         offset = self._entries_fh.tell()

@@ -20,15 +20,15 @@ from lag.orchestrator import RunConfig
 from lag.rope import reposition_segment
 from lag.runner import ingest_tasks, run_tasks
 from lag.segment import KvSegment
-from lag.selftest import (
+from lag.store import LogStore, normalize
+from lag.synth import FactChainGenerator, build_reuse_suite
+
+from tests.oracles import (
     brute_force_topk,
     random_injection_error,
     reposition_error,
     rope_round_trip_error,
 )
-from lag.store import LogStore, normalize
-from lag.synth import FactChainGenerator, build_reuse_suite
-
 from tests.test_codec import transcript
 from tests.test_metrics import (
     CHOICE_CASES,

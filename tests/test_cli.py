@@ -252,10 +252,10 @@ def test_histogram_counts_each_strategy_of_a_mixed_store(tmp_path, suite_files, 
     assert inspected[-2:] == ["  strategy last_action: 4", "  strategy last_round: 4"]
 
 
-def test_selftest_passes(capsys):
-    assert run_cli("selftest") == 0
-    out = capsys.readouterr().out
-    assert out.count("[PASS]") == 5
+def test_selftest_command_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        run_cli("selftest")
+    assert exc.value.code == 2
 
 
 def test_exit_code_config_error(tmp_path, suite_files):

@@ -24,8 +24,8 @@ from lag.model import (
     greedy_decode,
 )
 from lag.segment import KvCache
-from lag.selftest import injection_error
 from tests.conftest import SMALL_CONFIG, child_env
+from tests.oracles import injection_error
 
 
 def test_build_is_deterministic(small_model):

@@ -18,9 +18,9 @@ from lag.model import Model, build_model, encode
 from lag.orchestrator import RunConfig, TaskError, assemble_kv_prefix, run_task
 from lag.rope import reposition_segment
 from lag.segment import KvSegment
-from lag.selftest import reposition_error
 from lag.store import LogStore, normalize
 from tests.conftest import SMALL_CONFIG
+from tests.oracles import reposition_error
 from tests.test_codec import transcript
 
 KNOWLEDGE_HEAD = (

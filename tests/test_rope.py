@@ -7,7 +7,7 @@ from lag.config import ModelConfig
 from lag.errors import ConfigurationError, PositionError
 from lag.model import build_model, encode
 from lag.rope import RopeParams, cos_sin_table, reposition_segment
-from lag.selftest import angles, reposition_error, rope_apply, rope_strip
+from tests.oracles import angles, reposition_error, rope_apply, rope_strip
 
 
 def test_angles_zero_position():

@@ -7,8 +7,8 @@ import pytest
 from lag.cli import main
 from lag.codec import LogEntry, SelectionStrategy, encode_log, serialize
 from lag.errors import FormatError, IncompatibilityError, InputError, NotFoundError
-from lag.selftest import brute_force_topk
-from lag.store import LogStore, normalize
+from lag.store import ENTRIES_NAME, OFFSETS_NAME, LogStore, normalize
+from tests.oracles import brute_force_topk
 from tests.test_codec import THREE_ROUNDS, _random_entry, _sized_entry
 
 
@@ -174,15 +174,19 @@ def test_append_after_reopen(tmp_path, rng):
         assert [e.task_text for e in store.scan()] == ["task 0", "task 1"]
 
 
-def test_reader_mode_cannot_put(tmp_path, rng):
+@pytest.mark.parametrize("target", ["reader", "closed_writer"])
+def test_reader_mode_cannot_put(tmp_path, rng, target):
     path = tmp_path / "s"
-    store = LogStore(path, mode="w")
-    store.put(text_entry(normalize(rng.standard_normal(4).astype(np.float32))))
+    writer = LogStore(path, mode="w")
+    writer.put(text_entry(normalize(rng.standard_normal(4).astype(np.float32))))
+    writer.close()
+    files = [path / ENTRIES_NAME, path / OFFSETS_NAME]
+    before = [f.read_bytes() for f in files]
+    store = LogStore(path, mode="r") if target == "reader" else writer
+    with pytest.raises(InputError, match="not open for writing"):
+        store.put(text_entry(normalize(rng.standard_normal(4).astype(np.float32))))
     store.close()
-    reader = LogStore(path, mode="r")
-    with pytest.raises(InputError):
-        reader.put(text_entry(normalize(rng.standard_normal(4).astype(np.float32))))
-    reader.close()
+    assert [f.read_bytes() for f in files] == before
 
 
 def test_missing_store_raises(tmp_path):
