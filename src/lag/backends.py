@@ -224,14 +224,16 @@ class HashedBagOfWordsEmbedder:
     def __init__(self, dimension: int = 256, seed: int = 0):
         if dimension <= 0:
             raise InputError("embedding dimension must be positive")
+        self._salt = str(seed).encode()
+        if len(self._salt) > 16:  # blake2b's salt limit; two seeds must not share one
+            raise InputError(f"embedder seed {seed}: its decimal form is over 16 bytes")
         self.dimension = dimension
-        self.seed = seed
 
     def embed(self, text: str) -> np.ndarray:
         vec = np.zeros(self.dimension, dtype=np.float64)
         for token in re.findall(r"[a-z0-9]+", (text or "").lower()):
             digest = hashlib.blake2b(
-                token.encode("utf-8"), digest_size=8, salt=str(self.seed).encode()[:16]
+                token.encode("utf-8"), digest_size=8, salt=self._salt
             ).digest()
             h = int.from_bytes(digest, "little")
             idx = h % self.dimension

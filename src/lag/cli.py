@@ -1,10 +1,10 @@
-"""Command-line entry point: build stores, run tasks, evaluate, sweep.
+"""Command-line entry point: build stores, run tasks, evaluate.
 
 The subcommands mirror the experiment workflow: `ingest` executes the seen
 split and fills a log store, `run` executes the unseen split in a chosen
 mode against a read-only store, `eval` prints tables/transitions/t-tests
-over saved reports, `sweep` repeats ingest+run across strategies or k
-values, and `store inspect` prints a store summary.
+over saved reports, and `store inspect` prints a store summary. A grid
+over strategies or k is a shell loop over `ingest` and `run` (see README).
 
 Flags are the only input; the generator endpoint's default may also come
 from the environment (LAG_ENDPOINT).
@@ -25,7 +25,7 @@ from .backends import (
     ReferenceModelGenerator,
     ScriptedGenerator,
 )
-from .codec import ENCODINGS, FORMAT_VERSION, KINDS, TEXT_KINDS, SelectionStrategy
+from .codec import ENCODINGS, FORMAT_VERSION, KINDS, SelectionStrategy
 from .config import ModelConfig
 from .datasets import load_tasks
 from .errors import ConfigurationError, InputError, LagError
@@ -39,7 +39,7 @@ from .metrics import (
     transitions,
 )
 from .model import build_model
-from .orchestrator import LAG_TEXT, MODES, STANDARD, RunConfig
+from .orchestrator import LAG_TEXT, MODES, RunConfig
 from .runner import ingest_tasks, run_tasks
 from .store import ENTRIES_NAME, LogStore
 from .synth import FactChainGenerator
@@ -110,6 +110,9 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_run(args) -> int:
+    out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():  # refuse before any task runs
+        raise InputError(f"{out}: --out must name a file in an existing directory")
     tasks = _pick_split(load_tasks(args.dataset), args)
     backends = _backends(args)
     store = LogStore(args.store, mode="r") if args.store else None
@@ -147,52 +150,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    out_dir = Path(args.out)
-    stores = [out_dir / f"store_{kind}" for kind in args.strategies or ()] or [out_dir / "store"]
-    for store in stores:
-        entries = store / ENTRIES_NAME
-        if entries.exists() and entries.stat().st_size:
-            # ingest appends: a second sweep would double every store
-            raise InputError(f"{store} already holds log entries; sweep into a new --out")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    reports = []
-    if args.strategies:
-        for kind in args.strategies:
-            run_args = argparse.Namespace(**vars(args))
-            run_args.strategy = kind
-            run_args.mode = LAG_TEXT if kind in TEXT_KINDS else args.mode
-            run_args.store = str(out_dir / f"store_{kind}")
-            run_args.split = "seen"
-            cmd_ingest(run_args)
-            size = (Path(run_args.store) / ENTRIES_NAME).stat().st_size
-            run_args.split = "unseen"
-            run_args.out = str(out_dir / f"report_{kind}.json")
-            run_args.label = kind
-            cmd_run(run_args)
-            report = EvalReport.load(run_args.out)
-            report.label = f"{kind} ({size} payload bytes)"
-            reports.append(report)
-    else:
-        ingest_args = argparse.Namespace(**vars(args))
-        ingest_args.store = str(out_dir / "store")
-        ingest_args.split = "seen"
-        cmd_ingest(ingest_args)
-        for k in args.k:
-            run_args = argparse.Namespace(**vars(args))
-            run_args.store = str(out_dir / "store")
-            run_args.split = "unseen"
-            run_args.k_logs = k
-            run_args.mode = STANDARD if k == 0 else args.mode
-            run_args.out = str(out_dir / f"report_k{k}.json")
-            run_args.label = f"k={k}"
-            cmd_run(run_args)
-            reports.append(EvalReport.load(run_args.out))
-    print()
-    print(format_report_table(reports))
-    return 0
-
-
 def cmd_store_inspect(args) -> int:
     store = LogStore(args.store, mode="r")
     entries_size = (Path(args.store) / ENTRIES_NAME).stat().st_size
@@ -207,19 +164,6 @@ def cmd_store_inspect(args) -> int:
     for kind, count in _strategy_histogram(store):
         print(f"  strategy {kind}: {count}")
     return 0
-
-
-def _ks(text: str) -> list[int]:
-    if not all(k.strip().isdecimal() for k in text.split(",")):
-        raise argparse.ArgumentTypeError(f"expected ints >= 0 and commas, got {text!r}")
-    return [int(k) for k in text.split(",")]
-
-
-def _kinds(text: str) -> list[str]:
-    kinds = [k.strip() for k in text.split(",")]
-    if not set(kinds) <= set(KINDS):
-        raise argparse.ArgumentTypeError(f"{text!r}: use kinds of {', '.join(KINDS)}")
-    return kinds
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -238,10 +182,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="HTTP generator timeout in seconds")
     parser.add_argument("--retries", type=int, default=2,
                         help="HTTP generator retry count")
-
-
-def _add_serving(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k-logs", type=int, default=3)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=SPLITS, default="unseen")
     p.add_argument("--label", default="")
     _add_common(p)
-    _add_serving(p)
+    p.add_argument("--k-logs", type=int, default=3)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("eval", help="summarize reports; two reports add "
@@ -272,16 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("reports", nargs="+")
     p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("sweep", help="sweep strategies or k over ingest+run")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--out", required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--strategies", type=_kinds, help="comma-separated strategy kinds")
-    group.add_argument("--k", type=_ks, help="comma-separated k values")
-    _add_common(p)
-    _add_serving(p)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("store", help="store utilities")
     store_sub = p.add_subparsers(dest="store_command", required=True)
@@ -299,7 +229,7 @@ def main(argv=None) -> int:
     except LagError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code
-    except FileNotFoundError as err:
+    except OSError as err:  # a missing or unreadable path
         print(f"error: {err}", file=sys.stderr)
         return InputError.exit_code
 

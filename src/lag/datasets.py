@@ -61,22 +61,25 @@ def task_to_json(task: TaskRecord) -> dict:
 def load_tasks(path: str | Path) -> list[TaskRecord]:
     tasks = []
     ids = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                task = task_from_json(json.loads(line))
-            except json.JSONDecodeError as err:
-                raise InputError(f"{path}:{line_no}: invalid JSON: {err}") from err
-            except InputError as err:
-                raise InputError(f"{path}:{line_no}: {err}") from err
-            # reports and transitions key rows by id
-            if task.id in ids:
-                raise InputError(f"{path}:{line_no}: duplicate task id {task.id!r}")
-            ids.add(task.id)
-            tasks.append(task)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    task = task_from_json(json.loads(line))
+                except json.JSONDecodeError as err:
+                    raise InputError(f"{path}:{line_no}: invalid JSON: {err}") from err
+                except InputError as err:
+                    raise InputError(f"{path}:{line_no}: {err}") from err
+                # reports and transitions key rows by id
+                if task.id in ids:
+                    raise InputError(f"{path}:{line_no}: duplicate task id {task.id!r}")
+                ids.add(task.id)
+                tasks.append(task)
+    except UnicodeDecodeError as err:
+        raise InputError(f"{path}: not a UTF-8 file: {err}") from err
     return tasks
 
 

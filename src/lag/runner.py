@@ -74,15 +74,11 @@ def ingest_tasks(
     """Run tasks without log access (the store is being built), encode each
     transcript under the strategy, and append it to the store. Entries are
     stored for every completed task, right or wrong."""
+    # a bad argument fails here, before the store is created
+    cfg = RunConfig(mode=STANDARD, max_steps=max_steps, k_docs=k_docs, strategy=strategy)
     store = LogStore(store_path, mode="w")
     try:
         for task in tasks:
-            cfg = RunConfig(
-                mode=STANDARD,
-                max_steps=max_steps,
-                k_docs=k_docs,
-                strategy=strategy,
-            )
             _, transcript, _ = run_task(task, cfg, backends, None)
             entry = encode_log(
                 backends.model,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -168,6 +169,21 @@ def test_embedder_is_order_insensitive():
     assert np.allclose(
         embedder.embed("alpha beta gamma"), embedder.embed("gamma ALPHA beta"), atol=1e-7
     )
+
+
+def test_embedder_seed_zero_vectors_are_unchanged():
+    # stores hold embeddings made under seed 0, so its vectors must not move
+    vec = HashedBagOfWordsEmbedder().embed("The capital of France is Paris, 42 times over.")
+    assert hashlib.sha256(vec.tobytes()).hexdigest() == (
+        "4220cdbee1116db8a2169fcfd507c911f553fa5e4b14dd01bc26e130fb901450"
+    )
+
+
+@pytest.mark.parametrize("seed", [10**16, 10**16 + 1, -(10**15)])
+def test_embedder_refuses_a_seed_longer_than_its_salt(seed):
+    # blake2b's salt holds 16 bytes, so longer seeds would share one
+    with pytest.raises(InputError, match="16 bytes"):
+        HashedBagOfWordsEmbedder(seed=seed)
 
 
 def test_doc_retriever_ranking_and_ties():

@@ -150,84 +150,6 @@ def test_eval_single_and_pair(tmp_path, suite_files, capsys):
     assert "p = 1" in same
 
 
-def test_sweep_k_emits_one_report_per_k(tmp_path, suite_files, capsys):
-    seen_path, unseen_path = suite_files
-    # one file holding the full suite so the sweep can split it itself
-    seen, unseen = build_reuse_suite()
-    combined = tmp_path / "all.jsonl"
-    save_tasks(seen + unseen, combined)
-    out_dir = tmp_path / "sweep"
-    assert run_cli(
-        "sweep", "--dataset", combined, "--out", out_dir, "--k", "0,1,2,3",
-        "--mode", "lag_kv", "--generator", "synth-hop", "--k-docs", "1",
-        "--max-steps", "8", "--seed", "3",
-    ) == 0
-    for k in (0, 1, 2, 3):
-        assert (out_dir / f"report_k{k}.json").exists()
-    assert EvalReport.load(out_dir / "report_k0.json").mode == "standard"
-
-
-def test_sweep_strategies(tmp_path, suite_files):
-    seen, unseen = build_reuse_suite()
-    combined = tmp_path / "all.jsonl"
-    save_tasks(seen + unseen, combined)
-    out_dir = tmp_path / "sweep"
-    assert run_cli(
-        "sweep", "--dataset", combined, "--out", out_dir,
-        "--strategies", "last_action,last_round", "--mode", "lag_kv",
-        "--generator", "synth-hop", "--k-docs", "1", "--max-steps", "8",
-    ) == 0
-    size_action = (out_dir / "store_last_action" / "entries.lag").stat().st_size
-    size_round = (out_dir / "store_last_round" / "entries.lag").stat().st_size
-    assert size_action < size_round
-    assert (out_dir / "report_last_action.json").exists()
-    assert (out_dir / "report_last_round.json").exists()
-
-
-@pytest.mark.parametrize(
-    "flags,store",
-    [(("--k", "0,1"), "store"), (("--strategies", "last_round"), "store_last_round")],
-    ids=["k", "strategies"],
-)
-def test_sweep_refuses_an_out_whose_store_holds_entries(tmp_path, capsys, flags, store):
-    seen, unseen = build_reuse_suite()
-    combined = tmp_path / "all.jsonl"
-    save_tasks(seen + unseen, combined)
-    out_dir = tmp_path / "sweep"
-    argv = ("sweep", "--dataset", combined, "--out", out_dir, *flags, "--mode", "lag_kv",
-            "--generator", "synth-hop", "--k-docs", "1", "--max-steps", "8")
-    assert run_cli(*argv) == 0
-    entries = out_dir / store / "entries.lag"
-    size = entries.stat().st_size
-    assert size > 0
-    reports = sorted(out_dir.glob("report_*.json"))
-    stamps = [r.stat().st_mtime_ns for r in reports]
-    capsys.readouterr()
-    assert run_cli(*argv) == 3
-    assert capsys.readouterr().err.startswith(f"error: {out_dir / store} ")
-    # nothing ran and nothing was deleted
-    assert entries.stat().st_size == size
-    assert [r.stat().st_mtime_ns for r in reports] == stamps
-
-
-@pytest.mark.parametrize(
-    "flags",
-    [("--k", "1,,2"), ("--k", "abc"), ("--k", "-1"),
-     ("--strategies", "last_round,bogus")],
-    ids=["k-empty-item", "k-not-int", "k-negative", "strategies-unknown-kind"],
-)
-def test_sweep_refuses_a_bad_list_before_any_work(tmp_path, flags):
-    seen, unseen = build_reuse_suite()
-    combined = tmp_path / "all.jsonl"
-    save_tasks(seen + unseen, combined)
-    out_dir = tmp_path / "sweep"
-    with pytest.raises(SystemExit) as exc:
-        run_cli("sweep", "--dataset", combined, "--out", out_dir, *flags,
-                "--generator", "synth-hop", "--k-docs", "1", "--max-steps", "8")
-    assert exc.value.code == 2
-    assert not out_dir.exists()
-
-
 def test_store_inspect(tmp_path, suite_files, capsys):
     seen_path, _ = suite_files
     ingest_suite(seen_path, tmp_path / "store")
@@ -252,10 +174,42 @@ def test_histogram_counts_each_strategy_of_a_mixed_store(tmp_path, suite_files, 
     assert inspected[-2:] == ["  strategy last_action: 4", "  strategy last_round: 4"]
 
 
-def test_selftest_command_is_gone():
+@pytest.mark.parametrize("command", ["selftest", "sweep"])
+def test_deleted_command_is_gone(tmp_path, command):
+    out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        run_cli("selftest")
+        run_cli(command, "--dataset", tmp_path / "all.jsonl", "--out", out, "--k", "0,1")
     assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_bad_ingest_flag_leaves_no_store(tmp_path, suite_files):
+    seen_path, _ = suite_files
+    for flags in (("--k-docs", "-1"), ("--max-steps", "0")):
+        store = tmp_path / "store"
+        assert run_cli(
+            "ingest", "--dataset", seen_path, "--store", store, "--split", "all",
+            "--generator", "synth-hop", *flags,
+        ) == 2
+        assert not store.exists()
+
+
+@pytest.mark.parametrize("dataset", ["latin1", "directory"])
+def test_unreadable_dataset_is_an_input_error(tmp_path, capsys, dataset):
+    path = tmp_path / "tasks.jsonl"
+    if dataset == "latin1":
+        path.write_bytes('{"id": "a", "question": "Qu\u00e9?", "answers": ["x"]}\n'
+                         .encode("latin-1"))
+    else:
+        path.mkdir()
+    out = tmp_path / "o.json"
+    assert run_cli(
+        "run", "--dataset", path, "--split", "all", "--mode", "standard",
+        "--generator", "synth-hop", "--out", out,
+    ) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert not out.exists()
 
 
 def test_exit_code_config_error(tmp_path, suite_files):
@@ -453,6 +407,22 @@ def test_http_run_in_kv_mode_is_refused_before_any_request(
     assert code == 2
     assert _AnswerHandler.requests == []
     assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("out", ["nodir/r.json", "adir"], ids=["no-parent", "directory"])
+def test_unusable_out_is_refused_before_any_request(
+    tmp_path, capsys, answer_server, one_task, out
+):
+    (tmp_path / "adir").mkdir()
+    out = tmp_path / out
+    assert run_cli(
+        "run", "--dataset", one_task, "--split", "all", "--mode", "standard",
+        "--generator", answer_server, "--k-docs", "0", "--out", out,
+    ) == 3
+    assert capsys.readouterr().err.startswith(f"error: {out}: ")
+    assert _AnswerHandler.requests == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "one.jsonl"]
+    assert list((tmp_path / "adir").iterdir()) == []
 
 
 def test_malformed_http_reply_fails_the_task_not_the_run(tmp_path, answer_server, one_task):
