@@ -1,10 +1,12 @@
 """Command-line entry point: build stores, run tasks, evaluate.
 
 The subcommands mirror the experiment workflow: `ingest` executes the seen
-split and fills a log store, `run` executes the unseen split in a chosen
-mode against a read-only store, `eval` prints tables/transitions/t-tests
-over saved reports, and `store inspect` prints a store summary. A grid
-over strategies or k is a shell loop over `ingest` and `run` (see README).
+split and fills a log store under one `--strategy`, `run` executes the
+unseen split against a read-only store in the mode that store implies
+(`standard` with no store or `--k-logs 0`, `lag_text` over text logs,
+`lag_kv` otherwise), `eval` prints tables/transitions/t-tests over saved
+reports, and `store inspect` prints a store summary. A grid over
+strategies or k is a shell loop over `ingest` and `run` (see README).
 
 Flags are the only input; the generator endpoint's default may also come
 from the environment (LAG_ENDPOINT).
@@ -26,7 +28,7 @@ from .backends import (
     ScriptedGenerator,
 )
 from .codec import ENCODINGS, FORMAT_VERSION, KINDS, SelectionStrategy
-from .config import ModelConfig
+from .config import TEXT_FINGERPRINT, ModelConfig
 from .datasets import load_tasks
 from .errors import ConfigurationError, InputError, LagError
 from .metrics import (
@@ -39,12 +41,14 @@ from .metrics import (
     transitions,
 )
 from .model import build_model
-from .orchestrator import LAG_TEXT, MODES, RunConfig
+from .orchestrator import LAG_KV, LAG_TEXT, STANDARD, RunConfig
 from .runner import ingest_tasks, run_tasks
 from .store import ENTRIES_NAME, LogStore
 from .synth import FactChainGenerator
 
 SPLITS = ("seen", "unseen", "all")
+# every strategy by the name reports and `store inspect` print
+STRATEGIES = {s.name: s for s in (SelectionStrategy(k, e) for k in KINDS for e in ENCODINGS)}
 
 
 def _build_generator(args, model):
@@ -77,15 +81,6 @@ def _pick_split(tasks, args):
     return seen if args.split == "seen" else unseen
 
 
-def _strategy(args) -> SelectionStrategy:
-    """``--strategy`` under ``--encoding`` (text kinds have one encoding);
-    ``auto`` is ``last_round_text`` under ``lag_text``, else ``last_round``."""
-    kind = args.strategy
-    if kind == "auto":
-        kind = "last_round_text" if args.mode == LAG_TEXT else "last_round"
-    return SelectionStrategy(kind, args.encoding)
-
-
 def _strategy_histogram(store: LogStore) -> list[tuple[str, int]]:
     """(strategy name, entry count) pairs, sorted by name."""
     return sorted(Counter(e.strategy.name for e in store.scan()).items())
@@ -96,7 +91,7 @@ def cmd_ingest(args) -> int:
     backends = _backends(args)
     store = ingest_tasks(
         tasks,
-        _strategy(args),
+        STRATEGIES[args.strategy],
         backends,
         args.store,
         max_steps=args.max_steps,
@@ -116,14 +111,16 @@ def cmd_run(args) -> int:
     tasks = _pick_split(load_tasks(args.dataset), args)
     backends = _backends(args)
     store = LogStore(args.store, mode="r") if args.store else None
+    mode = STANDARD if store is None or args.k_logs == 0 else (
+        LAG_TEXT if store.fingerprint == TEXT_FINGERPRINT else LAG_KV)
     # the report names what the store holds when it holds one strategy
     stored = {e.strategy for e in store.scan()} if store is not None else set()
     cfg = RunConfig(
-        mode=args.mode,
+        mode=mode,
         max_steps=args.max_steps,
         k_logs=args.k_logs,
         k_docs=args.k_docs,
-        strategy=stored.pop() if len(stored) == 1 else _strategy(args),
+        strategy=stored.pop() if len(stored) == 1 else SelectionStrategy(),
     )
     report = run_tasks(tasks, cfg, backends, store, label=args.label)
     report.save(args.out)
@@ -133,6 +130,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.cap is not None and args.cap < 1:
+        raise ConfigurationError(f"--cap must be >= 1, got {args.cap}")
     reports = [EvalReport.load(p) for p in args.reports]
     print(format_report_table(reports))
     if len(reports) == 2:
@@ -169,9 +168,6 @@ def cmd_store_inspect(args) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="split seed")
     parser.add_argument("--seen-fraction", type=float, default=0.7)
-    parser.add_argument("--mode", choices=MODES, default="lag_kv")
-    parser.add_argument("--strategy", default="auto", choices=("auto",) + KINDS)
-    parser.add_argument("--encoding", default="full_trace", choices=ENCODINGS)
     parser.add_argument("--k-docs", type=int, default=2)
     parser.add_argument("--max-steps", type=int, default=None,
                         help="iteration cap; default 8 for multi-hop, 3 for reasoning")
@@ -194,6 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--store", required=True)
     p.add_argument("--split", choices=SPLITS, default="seen")
+    p.add_argument("--strategy", default="last_round", choices=STRATEGIES)
     _add_common(p)
     p.set_defaults(func=cmd_ingest)
 

@@ -131,6 +131,10 @@ class TaskRow:
             raise TypeError(f"row field 'gold' holds {row.gold!r:.60}")
         if row.em not in (0, 1):
             raise ValueError(f"row field 'em' holds {row.em!r}, not 0 or 1")
+        if not 0 <= row.f1 <= 1:  # NaN fails this too
+            raise ValueError(f"row field 'f1' holds {row.f1!r}, not within [0, 1]")
+        if row.iterations < 0:
+            raise ValueError(f"row field 'iterations' holds {row.iterations!r}, below 0")
         return row
 
 

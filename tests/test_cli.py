@@ -76,7 +76,7 @@ def test_run_standard_matches_expected_iterations(tmp_path, suite_files):
     seen_path, unseen_path = suite_files
     out = tmp_path / "std.json"
     assert run_cli(
-        "run", "--dataset", unseen_path, "--split", "all", "--mode", "standard",
+        "run", "--dataset", unseen_path, "--split", "all",
         "--generator", "synth-hop", "--k-docs", "1", "--max-steps", "8",
         "--out", out,
     ) == 0
@@ -91,12 +91,12 @@ def test_run_lag_kv_reduces_iterations(tmp_path, suite_files):
     out_std = tmp_path / "std.json"
     out_lag = tmp_path / "lag.json"
     run_cli(
-        "run", "--dataset", unseen_path, "--split", "all", "--mode", "standard",
+        "run", "--dataset", unseen_path, "--split", "all",
         "--generator", "synth-hop", "--k-docs", "1", "--max-steps", "8",
         "--out", out_std,
     )
     assert run_cli(
-        "run", "--dataset", unseen_path, "--split", "all", "--mode", "lag_kv",
+        "run", "--dataset", unseen_path, "--split", "all",
         "--store", tmp_path / "store", "--generator", "synth-hop",
         "--k-docs", "1", "--k-logs", "3", "--max-steps", "8",
         "--out", out_lag,
@@ -117,7 +117,7 @@ def test_run_reasoning_family_defaults_to_cap_three(tmp_path):
     script.write_text(json.dumps({"scripts": {}, "default": ["no tags, keep going"]}))
     out = tmp_path / "mc.json"
     assert run_cli(
-        "run", "--dataset", dataset, "--split", "all", "--mode", "standard",
+        "run", "--dataset", dataset, "--split", "all",
         "--generator", f"scripted:{script}", "--out", out,
     ) == 0
     report = EvalReport.load(out)
@@ -129,10 +129,10 @@ def test_eval_single_and_pair(tmp_path, suite_files, capsys):
     seen_path, unseen_path = suite_files
     ingest_suite(seen_path, tmp_path / "store")
     out_std, out_lag = tmp_path / "std.json", tmp_path / "lag.json"
-    run_cli("run", "--dataset", unseen_path, "--split", "all", "--mode", "standard",
+    run_cli("run", "--dataset", unseen_path, "--split", "all",
             "--generator", "synth-hop", "--k-docs", "1", "--max-steps", "8",
             "--out", out_std)
-    run_cli("run", "--dataset", unseen_path, "--split", "all", "--mode", "lag_kv",
+    run_cli("run", "--dataset", unseen_path, "--split", "all",
             "--store", tmp_path / "store", "--generator", "synth-hop", "--k-docs", "1",
             "--k-logs", "3", "--max-steps", "8", "--out", out_lag)
     capsys.readouterr()
@@ -204,7 +204,7 @@ def test_unreadable_dataset_is_an_input_error(tmp_path, capsys, dataset):
         path.mkdir()
     out = tmp_path / "o.json"
     assert run_cli(
-        "run", "--dataset", path, "--split", "all", "--mode", "standard",
+        "run", "--dataset", path, "--split", "all",
         "--generator", "synth-hop", "--out", out,
     ) == 3
     err = capsys.readouterr().err
@@ -224,7 +224,7 @@ def test_exit_code_config_error(tmp_path, suite_files):
 def test_exit_code_input_error(tmp_path):
     code = run_cli(
         "run", "--dataset", tmp_path / "missing.jsonl", "--split", "all",
-        "--mode", "standard", "--generator", "synth-hop", "--out", tmp_path / "o.json",
+        "--generator", "synth-hop", "--out", tmp_path / "o.json",
     )
     assert code == 3
 
@@ -233,7 +233,7 @@ def test_exit_code_backend_error(tmp_path, suite_files):
     seen_path, _ = suite_files
     code = run_cli(
         "ingest", "--dataset", seen_path, "--store", tmp_path / "s", "--split", "all",
-        "--mode", "lag_text", "--generator", "http://127.0.0.1:1/gen",
+        "--strategy", "last_round_text", "--generator", "http://127.0.0.1:1/gen",
         "--timeout", "0.2", "--retries", "0",
     )
     assert code == 4
@@ -243,14 +243,14 @@ def test_isolated_encoding_end_to_end(tmp_path, suite_files):
     seen_path, unseen_path = suite_files
     assert run_cli(
         "ingest", "--dataset", seen_path, "--store", tmp_path / "iso", "--split", "all",
-        "--encoding", "isolated", "--generator", "synth-hop", "--k-docs", "1",
+        "--strategy", "last_round/isolated", "--generator", "synth-hop", "--k-docs", "1",
         "--max-steps", "8",
     ) == 0
     with LogStore(tmp_path / "iso") as store:
         assert {e.strategy.encoding for e in store.scan()} == {"isolated"}
     out = tmp_path / "iso.json"
     assert run_cli(
-        "run", "--dataset", unseen_path, "--split", "all", "--mode", "lag_kv",
+        "run", "--dataset", unseen_path, "--split", "all",
         "--store", tmp_path / "iso", "--generator", "synth-hop", "--k-docs", "1",
         "--k-logs", "3", "--max-steps", "8", "--out", out,
     ) == 0
@@ -264,16 +264,16 @@ def test_isolated_encoding_end_to_end(tmp_path, suite_files):
 def test_eval_labels_an_unlabelled_run_by_mode_and_strategy(tmp_path, suite_files, capsys):
     seen_path, unseen_path = suite_files
     reports = []
-    for encoding in ("full_trace", "isolated"):
-        store = tmp_path / encoding
+    for i, strategy in enumerate(("last_round", "last_round/isolated")):
+        store = tmp_path / f"store{i}"
         assert run_cli(
             "ingest", "--dataset", seen_path, "--store", store, "--split", "all",
-            "--encoding", encoding, "--generator", "synth-hop", "--k-docs", "1",
+            "--strategy", strategy, "--generator", "synth-hop", "--k-docs", "1",
             "--max-steps", "8",
         ) == 0
-        reports.append(tmp_path / f"{encoding}.json")
+        reports.append(tmp_path / f"report{i}.json")
         assert run_cli(
-            "run", "--dataset", unseen_path, "--split", "all", "--mode", "lag_kv",
+            "run", "--dataset", unseen_path, "--split", "all",
             "--store", store, "--generator", "synth-hop", "--k-docs", "1",
             "--k-logs", "3", "--max-steps", "8",
             "--out", reports[-1],
@@ -284,12 +284,39 @@ def test_eval_labels_an_unlabelled_run_by_mode_and_strategy(tmp_path, suite_file
     assert runs == ["lag_kv/last_round", "lag_kv/last_round/isolated"]
 
 
+def test_run_over_a_text_store_is_lag_text(tmp_path, suite_files):
+    seen_path, unseen_path = suite_files
+    ingest_suite(seen_path, tmp_path / "store", strategy="last_round_text")
+    out = tmp_path / "r.json"
+    assert run_cli(
+        "run", "--dataset", unseen_path, "--split", "all", "--store", tmp_path / "store",
+        "--generator", "synth-hop", "--k-docs", "1", "--max-steps", "8", "--out", out,
+    ) == 0
+    report = EvalReport.load(out)
+    assert (report.mode, report.strategy) == ("lag_text", "last_round_text")
+    assert report.mean_iterations == 3.25
+
+
+def test_run_with_no_logs_to_inject_is_standard(tmp_path, suite_files):
+    seen_path, unseen_path = suite_files
+    ingest_suite(seen_path, tmp_path / "store")
+    out = tmp_path / "r.json"
+    assert run_cli(
+        "run", "--dataset", unseen_path, "--split", "all", "--store", tmp_path / "store",
+        "--k-logs", "0", "--generator", "synth-hop", "--k-docs", "1", "--max-steps", "8",
+        "--out", out,
+    ) == 0
+    report = EvalReport.load(out)
+    assert (report.mode, report.strategy) == ("standard", "last_round")
+    assert report.mean_iterations == 4.0
+
+
 def test_run_report_names_the_store_strategy(tmp_path, suite_files):
     seen_path, unseen_path = suite_files
     ingest_suite(seen_path, tmp_path / "store", strategy="last_action")
     out = tmp_path / "r.json"
     assert run_cli(
-        "run", "--dataset", unseen_path, "--split", "all", "--mode", "lag_kv",
+        "run", "--dataset", unseen_path, "--split", "all",
         "--store", tmp_path / "store", "--generator", "synth-hop", "--k-docs", "1",
         "--max-steps", "8", "--out", out,
     ) == 0
@@ -316,19 +343,25 @@ def test_split_defaults_per_command_then_flag():
 
 
 @pytest.mark.parametrize(
-    "flags",
-    [("--model-seed", "8"), ("--max-new", "8"), ("--embed-dim", "256"),
-     ("--config", "f.conf")],
-    ids=["--model-seed", "--max-new", "--embed-dim", "--config"],
+    "command, flags",
+    [("run", ("--model-seed", "8")), ("run", ("--max-new", "8")),
+     ("run", ("--embed-dim", "256")), ("run", ("--config", "f.conf")),
+     ("run", ("--mode", "standard")), ("run", ("--strategy", "last_round")),
+     ("run", ("--encoding", "isolated")), ("ingest", ("--mode", "lag_text")),
+     ("ingest", ("--encoding", "isolated")), ("ingest", ("--strategy", "auto"))],
+    ids=["--model-seed", "--max-new", "--embed-dim", "--config", "run--mode",
+         "run--strategy", "run--encoding", "ingest--mode", "ingest--encoding",
+         "ingest--strategy-auto"],
 )
-def test_deleted_flag_fails(tmp_path, suite_files, flags):
+def test_deleted_flag_fails(tmp_path, suite_files, command, flags):
     _, unseen_path = suite_files
-    out = tmp_path / "o.json"
+    out, store = tmp_path / "o.json", tmp_path / "store"
+    target = ("--out", out) if command == "run" else ("--store", store)
     with pytest.raises(SystemExit) as exc:
-        run_cli("run", "--dataset", unseen_path, "--split", "all", "--mode", "standard",
-                "--generator", "synth-hop", *flags, "--out", out)
+        run_cli(command, "--dataset", unseen_path, "--split", "all",
+                "--generator", "synth-hop", *flags, *target)
     assert exc.value.code == 2
-    assert not out.exists()
+    assert not out.exists() and not store.exists()
 
 
 def test_seed_does_not_change_the_embedder(tmp_path, suite_files):
@@ -339,7 +372,7 @@ def test_seed_does_not_change_the_embedder(tmp_path, suite_files):
     for seed in ("0", "1"):
         out = tmp_path / f"seed{seed}.json"
         assert run_cli(
-            "run", "--dataset", unseen_path, "--split", "all", "--mode", "lag_kv",
+            "run", "--dataset", unseen_path, "--split", "all",
             "--store", tmp_path / "store", "--generator", "synth-hop", "--k-docs", "1",
             "--k-logs", "1", "--max-steps", "8", "--seed", seed,
             "--out", out,
@@ -400,13 +433,30 @@ def test_http_ingest_under_the_default_kv_mode(tmp_path, answer_server, one_task
 def test_http_run_in_kv_mode_is_refused_before_any_request(
     tmp_path, answer_server, one_task
 ):
+    assert run_cli(
+        "ingest", "--dataset", one_task, "--store", tmp_path / "store", "--split", "all",
+        "--generator", answer_server, "--k-docs", "0",
+    ) == 0
+    _AnswerHandler.requests = []
     code = run_cli(
-        "run", "--dataset", one_task, "--split", "all", "--mode", "lag_kv",
+        "run", "--dataset", one_task, "--split", "all", "--store", tmp_path / "store",
         "--generator", answer_server, "--k-docs", "0", "--out", tmp_path / "o.json",
     )
     assert code == 2
     assert _AnswerHandler.requests == []
     assert not (tmp_path / "o.json").exists()
+
+
+def test_http_run_without_a_store_is_standard(tmp_path, answer_server, one_task):
+    out = tmp_path / "o.json"
+    assert run_cli(
+        "run", "--dataset", one_task, "--split", "all",
+        "--generator", answer_server, "--k-docs", "0", "--out", out,
+    ) == 0
+    assert len(_AnswerHandler.requests) == 1
+    report = EvalReport.load(out)
+    assert report.mode == "standard"
+    assert [r.em for r in report.rows] == [1]
 
 
 @pytest.mark.parametrize("out", ["nodir/r.json", "adir"], ids=["no-parent", "directory"])
@@ -416,7 +466,7 @@ def test_unusable_out_is_refused_before_any_request(
     (tmp_path / "adir").mkdir()
     out = tmp_path / out
     assert run_cli(
-        "run", "--dataset", one_task, "--split", "all", "--mode", "standard",
+        "run", "--dataset", one_task, "--split", "all",
         "--generator", answer_server, "--k-docs", "0", "--out", out,
     ) == 3
     assert capsys.readouterr().err.startswith(f"error: {out}: ")
@@ -429,7 +479,7 @@ def test_malformed_http_reply_fails_the_task_not_the_run(tmp_path, answer_server
     _AnswerHandler.reply = {"text": 5}
     out = tmp_path / "o.json"
     assert run_cli(
-        "run", "--dataset", one_task, "--split", "all", "--mode", "standard",
+        "run", "--dataset", one_task, "--split", "all",
         "--generator", answer_server, "--k-docs", "0", "--out", out,
     ) == 0
     assert len(_AnswerHandler.requests) == 1  # not retried
@@ -452,7 +502,7 @@ def test_out_of_range_numeric_flag_fails_before_any_task(
 ):
     out = tmp_path / "o.json"
     assert run_cli(
-        "run", "--dataset", one_task, "--mode", "standard", "--generator", answer_server,
+        "run", "--dataset", one_task, "--generator", answer_server,
         "--k-docs", "0", *flags, "--out", out,
     ) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -473,7 +523,7 @@ def test_malformed_script_file_is_an_input_error(tmp_path, capsys, one_task, con
     script.write_text(content)
     out = tmp_path / "o.json"
     assert run_cli(
-        "run", "--dataset", one_task, "--split", "all", "--mode", "standard",
+        "run", "--dataset", one_task, "--split", "all",
         "--generator", f"scripted:{script}", "--k-docs", "0", "--out", out,
     ) == 3
     assert capsys.readouterr().err.startswith(f"error: {script}: ")
@@ -494,7 +544,7 @@ def test_malformed_task_record_is_an_input_error(tmp_path, capsys, record):
     script.write_text(json.dumps({"scripts": {}, "default": ["<ans>foo</ans>"]}))
     out = tmp_path / "o.json"
     assert run_cli(
-        "run", "--dataset", dataset, "--split", "all", "--mode", "standard",
+        "run", "--dataset", dataset, "--split", "all",
         "--generator", f"scripted:{script}", "--out", out,
     ) == 3
     assert capsys.readouterr().err.startswith("error: ")
@@ -507,7 +557,7 @@ def test_repeated_task_id_names_its_line(tmp_path, capsys):
     record = json.dumps({"id": "a", "question": "What is x?", "answers": ["x"]})
     dataset.write_text(f"{record}\n{record}\n")
     assert run_cli(
-        "run", "--dataset", dataset, "--split", "all", "--mode", "standard",
+        "run", "--dataset", dataset, "--split", "all",
         "--generator", "synth-hop", "--out", tmp_path / "o.json",
     ) == 3
     assert capsys.readouterr().err.startswith(f"error: {dataset}:2: duplicate task id")
@@ -518,7 +568,7 @@ def test_malformed_task_record_names_its_line(tmp_path, capsys):
     good = {"id": "a", "question": "What is x?", "answers": ["x"]}
     dataset.write_text(json.dumps(good) + "\n[1]\n")
     assert run_cli(
-        "run", "--dataset", dataset, "--split", "all", "--mode", "standard",
+        "run", "--dataset", dataset, "--split", "all",
         "--generator", "synth-hop", "--out", tmp_path / "o.json",
     ) == 3
     assert capsys.readouterr().err.startswith(f"error: {dataset}:2: ")
@@ -533,10 +583,13 @@ _ROW = {"id": "a", "predicted": "x", "gold": ["x"], "em": 1, "f1": 1.0,
     ['{"rows": [{"id": "a", "f1": 0.0, "iterations": 1, "answered": false}]}',
      '{"mode": "standard", "rows": [', '[]',
      *(json.dumps({"rows": [{**_ROW, **bad}]})
-       for bad in ({"answered": "false"}, {"gold": "abc"}, {"em": 0.9})),
+       for bad in ({"answered": "false"}, {"gold": "abc"}, {"em": 0.9},
+                   {"f1": float("nan")}, {"f1": float("inf")}, {"f1": 7.5},
+                   {"f1": -0.5}, {"iterations": -4})),
      '{"mode": "standard", "label": null, "rows": []}', '{"mode": 5, "rows": []}'],
     ids=["row-without-em", "truncated", "top-level-list", "answered-string",
-         "gold-string", "em-fraction", "label-null", "mode-int"],
+         "gold-string", "em-fraction", "f1-nan", "f1-inf", "f1-above-one",
+         "f1-negative", "iterations-negative", "label-null", "mode-int"],
 )
 def test_malformed_report_is_an_input_error(tmp_path, capsys, content):
     report = tmp_path / "report.json"
@@ -545,13 +598,45 @@ def test_malformed_report_is_an_input_error(tmp_path, capsys, content):
     assert capsys.readouterr().err.startswith(f"error: {report}: ")
 
 
-def test_readme_commands_parse():
-    # every ``lag ...`` line of the README's bash blocks, continuations joined
-    blocks = re.findall(r"```bash\n(.*?)```", README.read_text(), re.S)
-    commands = [
-        line for block in blocks
-        for line in block.replace("\\\n", " ").splitlines() if line.startswith("lag ")
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_eval_cap_below_one_fails_before_any_report_is_read(tmp_path, capsys, cap):
+    # the report is missing, so reading it first would exit 3
+    assert run_cli("eval", "--cap", cap, tmp_path / "a.json", tmp_path / "b.json") == 2
+    assert capsys.readouterr().err.startswith("error: --cap")
+
+
+def readme_commands(blocks=None):
+    """Every ``lag ...`` line of the README's bash blocks, continuations
+    joined; ``blocks`` keeps only that many of the blocks that hold one."""
+    found = [
+        [line for line in block.replace("\\\n", " ").splitlines()
+         if line.startswith("lag ")]
+        for block in re.findall(r"```bash\n(.*?)```", README.read_text(), re.S)
     ]
+    return [cmd for block in [b for b in found if b][:blocks] for cmd in block]
+
+
+def test_readme_walkthrough_runs(tmp_path, monkeypatch, capsys):
+    # the first two blocks: the walkthrough, then the isolated and text runs
+    monkeypatch.chdir(tmp_path)
+    seen, unseen = build_reuse_suite()
+    save_tasks(seen, "seen.jsonl")
+    save_tasks(unseen, "unseen.jsonl")
+    for command in readme_commands(blocks=2):
+        assert main(shlex.split(command, comments=True)[1:]) == 0, command
+        printed = capsys.readouterr().out
+    iterations = {name: EvalReport.load(f"{name}.json").mean_iterations
+                  for name in ("standard", "lag_kv", "isolated", "lag_text")}
+    assert iterations == {"standard": 4.0, "lag_kv": 3.25, "isolated": 3.25,
+                          "lag_text": 3.25}
+    # the last command is the ``lag eval`` over the three log runs
+    runs = [line.split()[0] for line in printed.splitlines()[2:5]]
+    assert runs == ["lag_kv/last_round", "lag_kv/last_round/isolated",
+                    "lag_text/last_round_text"]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
     assert len(commands) >= 10
     for command in commands:
         try:
