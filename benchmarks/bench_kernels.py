@@ -16,6 +16,9 @@ Workloads, on the default ``ModelConfig`` (4 layers, 4 query heads over
 * ``greedy_decode.prefixN``: 64 greedy tokens after a 16-token prompt and a
   KV prefix of N = 0, 512 and 2048 tokens, copied into a new ``KvCache``
   in each repeat;
+* ``model.decode_step``: one ``forward_with_prefix`` of one token over a
+  ``Model.prefix_cache`` of 1390 tokens, today's kv_agent decode shape; each
+  repeat first truncates the cache back to those 1390 tokens;
 * ``store.open``: ``LogStore(path, "r")`` of a store of 100 KV logs of 133
   tokens each, written once per child into a temporary directory;
 * ``assemble.prefixN``: ``assemble_kv_prefix`` over the first N = 3, 10 and
@@ -49,7 +52,8 @@ of the minor page faults per repeat, the ``ru_minflt`` delta over a child's
 timed repeats: a count, so it does not drift with the host's speed. Only
 names both trees define are used:
 ``lag._kernels.causal_attention``, ``lag.model.{build_model, encode,
-greedy_decode}``, ``Model.new_cache``, ``lag.segment.KvCache.from_segment``,
+forward_with_prefix, greedy_decode}``, ``Model.{new_cache, prefix_cache}``,
+``lag.segment.KvCache.{from_segment, truncate}``,
 ``lag.codec.{LogEntry, SelectionStrategy, encode_log}``,
 ``lag.orchestrator.{assemble_kv_prefix, RunConfig, run_task}``,
 ``lag.backends.{Backends, HashedBagOfWordsEmbedder, ReferenceModelGenerator}``,
@@ -103,7 +107,7 @@ def measure() -> dict[str, dict[str, float]]:
     from lag.backends import Backends, HashedBagOfWordsEmbedder, ReferenceModelGenerator
     from lag.codec import LogEntry, SelectionStrategy, encode_log
     from lag.config import ModelConfig
-    from lag.model import build_model, encode, greedy_decode
+    from lag.model import build_model, encode, forward_with_prefix, greedy_decode
     from lag.orchestrator import RunConfig, assemble_kv_prefix, run_task
     from lag.segment import KvCache
     from lag.store import LogStore
@@ -141,6 +145,14 @@ def measure() -> dict[str, dict[str, float]]:
             greedy_decode(model, cache, prompt, 64)
 
         out[f"greedy_decode.prefix{n}"] = _timed(decode, 3)
+
+    context = model.prefix_cache(encode(model, rng.integers(0, 256, 1390).tolist(), 0)[0])
+
+    def step():
+        context.truncate(1390)
+        forward_with_prefix(model, context, prompt[:1], 1390)
+
+    out["model.decode_step"] = _timed(step, 200)
 
     # logs stored from later rounds of their transcripts, so every one moves
     logs = [

@@ -3,9 +3,10 @@
 The subcommands mirror the experiment workflow: `ingest` executes the seen
 split and fills a log store under one `--strategy`, `run` executes the
 unseen split against a read-only store in the mode that store implies
-(`standard` with no store or `--k-logs 0`, `lag_text` over text logs,
-`lag_kv` otherwise), `eval` prints tables/transitions/t-tests over saved
-reports, and `store inspect` prints a store summary. A grid over
+(`standard`, which names no strategy, with no store, an empty store or
+`--k-logs 0`; `lag_text` over text logs; `lag_kv` otherwise), `eval`
+prints tables/transitions/t-tests over saved reports, and `store inspect`
+prints a store summary. A grid over
 strategies or k is a shell loop over `ingest` and `run` (see README).
 
 Flags are the only input; the generator endpoint's default may also come
@@ -23,7 +24,6 @@ from pathlib import Path
 from .backends import (
     Backends,
     HashedBagOfWordsEmbedder,
-    HttpGeneratorBackend,
     ReferenceModelGenerator,
     ScriptedGenerator,
 )
@@ -33,7 +33,6 @@ from .datasets import load_tasks
 from .errors import ConfigurationError, InputError, LagError
 from .metrics import (
     EvalReport,
-    SplitSpec,
     format_report_table,
     format_transitions,
     paired_ttest,
@@ -60,6 +59,8 @@ def _build_generator(args, model):
     if spec.startswith("scripted:"):
         return ScriptedGenerator.from_file(spec.split(":", 1)[1])
     if spec.startswith(("http://", "https://")):
+        from .remote import HttpGeneratorBackend  # only this branch loads urllib/ssl
+
         return HttpGeneratorBackend(spec, timeout=args.timeout, retries=args.retries)
     raise ConfigurationError(
         f"unknown generator {spec!r}; use reference, synth-hop, "
@@ -77,7 +78,7 @@ def _backends(args) -> Backends:
 def _pick_split(tasks, args):
     if args.split == "all":
         return tasks
-    seen, unseen = split(tasks, SplitSpec(args.seed, args.seen_fraction))
+    seen, unseen = split(tasks, args.seed, args.seen_fraction)
     return seen if args.split == "seen" else unseen
 
 
@@ -111,10 +112,10 @@ def cmd_run(args) -> int:
     tasks = _pick_split(load_tasks(args.dataset), args)
     backends = _backends(args)
     store = LogStore(args.store, mode="r") if args.store else None
-    mode = STANDARD if store is None or args.k_logs == 0 else (
+    mode = STANDARD if store is None or store.count == 0 or args.k_logs == 0 else (
         LAG_TEXT if store.fingerprint == TEXT_FINGERPRINT else LAG_KV)
     # the report names what the store holds when it holds one strategy
-    stored = {e.strategy for e in store.scan()} if store is not None else set()
+    stored = {e.strategy for e in store.scan()} if mode != STANDARD else set()
     cfg = RunConfig(
         mode=mode,
         max_steps=args.max_steps,

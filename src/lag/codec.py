@@ -118,21 +118,6 @@ class LogEntry:
         if self.kv is not None:
             self.kv.validate()
 
-    def same_content(self, other: "LogEntry") -> bool:
-        """Equality over the persisted fields (wire-format content)."""
-        if (
-            self.task_text != other.task_text
-            or self.retrieval_key_text != other.retrieval_key_text
-            or self.strategy != other.strategy
-            or self.fallback_warning != other.fallback_warning
-            or self.text_payload != other.text_payload
-            or not np.array_equal(self.embedding, other.embedding)
-        ):
-            return False
-        if (self.kv is None) != (other.kv is None):
-            return False
-        return self.kv is None or self.kv.equals(other.kv)
-
 
 def _trace_and_offsets(messages: list[str]) -> tuple[bytes, list[int]]:
     """Newline-joined assistant trace plus the byte offset where each

@@ -18,8 +18,6 @@ class ModelConfig:
     num_heads: int = 4
     num_kv_heads: int = 2
     head_dim: int = 16
-    vocab_size: int = 257
-    rope_base: float = 10000.0
     max_positions: int = 4096
     weight_seed: int = 0
 
@@ -41,15 +39,13 @@ class ModelConfig:
                 f"num_heads ({self.num_heads}) must be a multiple of "
                 f"num_kv_heads ({self.num_kv_heads})"
             )
-        if self.vocab_size <= 0:
-            raise ConfigurationError("vocab_size must be positive")
-        if self.rope_base <= 1.0:
-            raise ConfigurationError("rope_base must be > 1")
         if self.max_positions <= 0:
             raise ConfigurationError("max_positions must be positive")
 
     def fingerprint(self) -> str:
-        """Hex sha256 over every field, including the weight seed."""
+        """Hex sha256 over every field, including the weight seed. The
+        byte vocabulary (257) and the RoPE base (10000.0) are fixed, but stay
+        in the hashed text so that fingerprints keep their bytes."""
         text = "|".join(
             str(v)
             for v in (
@@ -58,8 +54,8 @@ class ModelConfig:
                 self.num_heads,
                 self.num_kv_heads,
                 self.head_dim,
-                self.vocab_size,
-                self.rope_base,
+                257,
+                10000.0,
                 self.max_positions,
                 self.weight_seed,
             )

@@ -76,24 +76,14 @@ def choice_accuracy(pred: str, gold: str) -> int:
     return int(letter == gold_letter)
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    seed: int = 0
-    seen_fraction: float = 0.7
-
-    def __post_init__(self):
-        if not 0.0 <= self.seen_fraction <= 1.0:
-            raise ConfigurationError(
-                f"seen fraction must be in [0, 1], got {self.seen_fraction}"
-            )
-
-
-def split(tasks: list, spec: SplitSpec) -> tuple[list, list]:
+def split(tasks: list, seed: int = 0, seen_fraction: float = 0.7) -> tuple[list, list]:
     """Deterministic shuffle by seed; the first ceil(fraction * n) tasks are
     the seen partition (used to build the store)."""
+    if not 0.0 <= seen_fraction <= 1.0:
+        raise ConfigurationError(f"seen fraction must be in [0, 1], got {seen_fraction}")
     order = list(tasks)
-    random.Random(spec.seed).shuffle(order)
-    n_seen = math.ceil(spec.seen_fraction * len(order))
+    random.Random(seed).shuffle(order)
+    n_seen = math.ceil(seen_fraction * len(order))
     return order[:n_seen], order[n_seen:]
 
 

@@ -60,7 +60,7 @@ class Model:
         config.validate()
         self.config = config
         self.fingerprint = config.fingerprint()
-        self.rope_params = RopeParams(config.head_dim, config.rope_base)
+        self.rope_params = RopeParams(config.head_dim)
         h = config.hidden_dim
         nh, nkv, d = config.num_heads, config.num_kv_heads, config.head_dim
         rng = np.random.default_rng(config.weight_seed)
@@ -69,7 +69,7 @@ class Model:
         def w(*shape):
             return rng.normal(0.0, std, size=shape).astype(np.float32)
 
-        self.embedding = w(config.vocab_size, h)
+        self.embedding = w(ByteTokenizer.vocab_size, h)
         self.layers = [
             {
                 "wq": w(h, nh * d),
@@ -81,12 +81,12 @@ class Model:
             }
             for _ in range(config.num_layers)
         ]
-        self.head = w(h, config.vocab_size)
+        self.head = w(h, ByteTokenizer.vocab_size)
 
     # -- internals ---------------------------------------------------------
 
     def _check_tokens(self, tokens: np.ndarray) -> None:
-        if tokens.size and (tokens.min() < 0 or tokens.max() >= self.config.vocab_size):
+        if tokens.size and (tokens.min() < 0 or tokens.max() >= ByteTokenizer.vocab_size):
             raise InputError("token id out of vocabulary")
 
     def new_cache(self, capacity: int) -> KvCache:

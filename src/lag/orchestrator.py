@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .actions import ANSWER, Action, extract_action
-from .backends import Backends
+from .backends import Backends, CosineDocRetriever
 from .codec import AgentTranscript, LogEntry, SelectionStrategy
 from .config import TEXT_FINGERPRINT
-from .datasets import KNOWLEDGE, TaskRecord
+from .datasets import KNOWLEDGE, REASONING, TaskRecord
 from .errors import BackendError, ConfigurationError, IncompatibilityError, InputError
 from .model import Model
 from .prompts import assemble_prompt
@@ -35,7 +35,7 @@ LAG_TEXT = "lag_text"
 MODES = (STANDARD, LAG_KV, LAG_TEXT)
 
 # step caps from the evaluation protocol: multi-hop tasks get 8, reasoning 3
-DEFAULT_MAX_STEPS = {KNOWLEDGE: 8, "reasoning": 3}
+DEFAULT_MAX_STEPS = {KNOWLEDGE: 8, REASONING: 3}
 
 
 @dataclass
@@ -107,37 +107,28 @@ def run_task(
     elif cfg.mode == LAG_TEXT and has_logs and log_store.fingerprint != TEXT_FINGERPRINT:
         raise InputError("KV log entries cannot join a text prompt")
 
-    retriever = backends.retriever_for(task)
+    retriever = CosineDocRetriever(task.corpus or [], backends.embedder)
     uses_logs = cfg.mode != STANDARD and cfg.k_logs > 0 and has_logs
 
     action_text = task.question
     previous_response = ""
-    docs: list[tuple[str, str]] = []
-    seen_docs: set[tuple[str, str]] = set()
-    log_ids: list[int] = []
-    log_entries: dict[int, LogEntry] = {}
-    log_sims: dict[int, float] = {}
+    docs: dict[tuple[str, str], None] = {}  # an ordered set, first retrieval first
+    # id -> (latest similarity, entry), first retrieval first
+    logs: dict[int, tuple[float, LogEntry]] = {}
     turns: list[tuple[str, str]] = []
     final_action = Action()
     max_steps = cfg.max_steps if cfg.max_steps is not None else DEFAULT_MAX_STEPS[task.family]
 
     while len(turns) < max_steps:
         if cfg.k_docs > 0:
-            for doc in retriever.retrieve(action_text, cfg.k_docs):
-                if doc not in seen_docs:
-                    seen_docs.add(doc)
-                    docs.append(doc)
+            docs.update(dict.fromkeys(retriever.retrieve(action_text, cfg.k_docs)))
         if uses_logs:
             query = backends.embedder.embed(action_text)
             for res in log_store.retrieve_topk(query, cfg.k_logs):
-                log_sims[res.entry_id] = res.similarity
-                if res.entry_id not in log_entries:
-                    log_ids.append(res.entry_id)
-                    log_entries[res.entry_id] = log_store.get(res.entry_id)
-        ordered = sorted(
-            log_entries.values(),
-            key=lambda e: (-log_sims[e.entry_id], e.entry_id),
-        )
+                known = logs.get(res.entry_id)
+                entry = known[1] if known else log_store.get(res.entry_id)
+                logs[res.entry_id] = (res.similarity, entry)
+        ordered = [logs[i][1] for i in sorted(logs, key=lambda i: (-logs[i][0], i))]
 
         kv_prefix = None
         text_logs: list[str] = []
@@ -146,7 +137,7 @@ def run_task(
         elif cfg.mode == LAG_TEXT:
             text_logs = [e.text_payload for e in ordered]
 
-        messages = assemble_prompt(task, docs, text_logs, previous_response)
+        messages = assemble_prompt(task, list(docs), text_logs, previous_response)
         try:
             response = backends.generator.generate(
                 messages, kv_prefix=kv_prefix, log_entries=ordered
@@ -166,4 +157,4 @@ def run_task(
         # kind 'none': the action text is unchanged and the loop continues
 
     transcript = AgentTranscript(turns, final_action)
-    return final_action, transcript, log_ids
+    return final_action, transcript, list(logs)

@@ -20,6 +20,11 @@ def _score(task: TaskRecord, predicted: str | None) -> tuple[int, float]:
     return exact_match(predicted, task.answers), f1(predicted, task.answers)
 
 
+def _strategy_label(cfg: RunConfig) -> str:
+    """A run that injects no logs names no strategy."""
+    return "" if cfg.mode == STANDARD else cfg.strategy.name
+
+
 def run_one(
     task: TaskRecord,
     cfg: RunConfig,
@@ -45,7 +50,7 @@ def run_one(
         iterations=iterations,
         answered=answered,
         mode=cfg.mode,
-        strategy=cfg.strategy.name,
+        strategy=_strategy_label(cfg),
     )
 
 
@@ -59,7 +64,7 @@ def run_tasks(
     """Run the tasks in order, one at a time, and collect a report. Per-task
     backend failures become unanswered rows."""
     rows = [run_one(task, cfg, backends, store) for task in tasks]
-    return EvalReport(mode=cfg.mode, strategy=cfg.strategy.name, rows=rows, label=label)
+    return EvalReport(mode=cfg.mode, strategy=_strategy_label(cfg), rows=rows, label=label)
 
 
 def ingest_tasks(
@@ -75,7 +80,7 @@ def ingest_tasks(
     transcript under the strategy, and append it to the store. Entries are
     stored for every completed task, right or wrong."""
     # a bad argument fails here, before the store is created
-    cfg = RunConfig(mode=STANDARD, max_steps=max_steps, k_docs=k_docs, strategy=strategy)
+    cfg = RunConfig(mode=STANDARD, max_steps=max_steps, k_docs=k_docs)
     store = LogStore(store_path, mode="w")
     try:
         for task in tasks:

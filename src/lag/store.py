@@ -33,7 +33,6 @@ OFFSETS_NAME = "offsets.idx"
 class RetrievalResult:
     entry_id: int
     similarity: float
-    rank: int
 
 
 def normalize(vec: np.ndarray) -> np.ndarray:
@@ -168,10 +167,7 @@ class LogStore:
             q = q / norm
         sims = self._matrix @ q
         order = np.argsort(-sims, kind="stable")[:k]
-        return [
-            RetrievalResult(entry_id=int(i), similarity=float(sims[i]), rank=r + 1)
-            for r, i in enumerate(order)
-        ]
+        return [RetrievalResult(entry_id=int(i), similarity=float(sims[i])) for i in order]
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -13,7 +13,6 @@ SMALL_CONFIG = ModelConfig(
     num_heads=4,
     num_kv_heads=2,
     head_dim=8,
-    vocab_size=257,
     weight_seed=42,
     max_positions=2048,
 )

@@ -82,7 +82,7 @@ def test_criterion_02_repositioning(small_model, rng):
 def test_criterion_03_kv_injection_equivalence():
     model = build_model(
         ModelConfig(num_layers=3, num_heads=4, num_kv_heads=2, head_dim=8,
-                    vocab_size=257, weight_seed=9, max_positions=256)
+                    weight_seed=9, max_positions=256)
     )
     worst = random_injection_error(model, np.random.default_rng(31), 50, 256)
     # fp32 error on the injection suite really is above 1e-9: a tighter gate
@@ -279,7 +279,7 @@ def test_criterion_11_persistence(tmp_path, rng):
     assert reopened.count == 500
     for i, entry in enumerate(entries):
         back = reopened.get(i)
-        assert back.same_content(entry)
+        assert serialize(back) == serialize(entry)
         assert np.array_equal(back.embedding, entry.embedding)
         for l in range(entry.kv.num_layers):
             assert np.array_equal(back.kv.keys[l], entry.kv.keys[l])

@@ -8,15 +8,16 @@ import pytest
 
 import lag.backends
 import lag.model
+import lag.remote
 from lag.backends import (
     CosineDocRetriever,
     HashedBagOfWordsEmbedder,
-    HttpGeneratorBackend,
     ReferenceModelGenerator,
     ScriptedGenerator,
 )
 from lag.errors import BackendError, InputError
 from lag.model import encode, forward_with_prefix
+from lag.remote import HttpGeneratorBackend
 from lag.segment import KvSegment
 
 
@@ -64,13 +65,13 @@ def http_server():
 
 
 def test_http_wire_contract(http_server):
-    backend = HttpGeneratorBackend(http_server, max_tokens=99)
+    backend = HttpGeneratorBackend(http_server)
     text = backend.generate([{"role": "user", "content": "hello wire"}])
     assert text == "echo: hello wire"
     sent = _Handler.requests[-1]
     assert sent == {
         "messages": [{"role": "user", "content": "hello wire"}],
-        "max_tokens": 99,
+        "max_tokens": 512,
         "temperature": 0,
     }
 
@@ -108,7 +109,7 @@ def test_http_dropped_connection_is_retried(http_server):
 @pytest.mark.parametrize("retries,delays", [(3, [0.05, 0.1, 0.2]), (2, [0.05, 0.1])])
 def test_http_backoff_doubles_and_skips_the_last_wait(http_server, monkeypatch, retries, delays):
     slept = []
-    monkeypatch.setattr(lag.backends.time, "sleep", slept.append)
+    monkeypatch.setattr(lag.remote.time, "sleep", slept.append)
     _Handler.failures = [503] * 3
     backend = HttpGeneratorBackend(http_server, retries=retries)
     if retries == 3:
@@ -121,7 +122,7 @@ def test_http_backoff_doubles_and_skips_the_last_wait(http_server, monkeypatch, 
 
 def test_http_backoff_is_capped(http_server, monkeypatch):
     slept = []
-    monkeypatch.setattr(lag.backends.time, "sleep", slept.append)
+    monkeypatch.setattr(lag.remote.time, "sleep", slept.append)
     _Handler.failures = [None] * 8
     backend = HttpGeneratorBackend(http_server, retries=7)
     with pytest.raises(BackendError):

@@ -307,8 +307,16 @@ def test_run_with_no_logs_to_inject_is_standard(tmp_path, suite_files):
         "--out", out,
     ) == 0
     report = EvalReport.load(out)
-    assert (report.mode, report.strategy) == ("standard", "last_round")
+    assert (report.mode, report.strategy) == ("standard", "")
     assert report.mean_iterations == 4.0
+    # nor does a run without a store name one, in the report or its rows
+    assert run_cli(
+        "run", "--dataset", unseen_path, "--split", "all", "--generator", "synth-hop",
+        "--k-docs", "1", "--max-steps", "8", "--out", out,
+    ) == 0
+    report = EvalReport.load(out)
+    assert (report.mode, report.strategy) == ("standard", "")
+    assert {(r.mode, r.strategy) for r in report.rows} == {("standard", "")}
 
 
 def test_run_report_names_the_store_strategy(tmp_path, suite_files):
@@ -457,6 +465,23 @@ def test_http_run_without_a_store_is_standard(tmp_path, answer_server, one_task)
     report = EvalReport.load(out)
     assert report.mode == "standard"
     assert [r.em for r in report.rows] == [1]
+
+
+def test_http_run_over_an_empty_store_is_standard(tmp_path, answer_server, one_task):
+    # a store with no logs injects nothing, so a text-only generator serves it
+    assert run_cli(
+        "ingest", "--dataset", one_task, "--store", tmp_path / "store",
+        "--seen-fraction", "0", "--generator", answer_server,
+    ) == 0
+    assert LogStore(tmp_path / "store").count == 0
+    out = tmp_path / "o.json"
+    assert run_cli(
+        "run", "--dataset", one_task, "--split", "all", "--store", tmp_path / "store",
+        "--generator", answer_server, "--k-docs", "0", "--out", out,
+    ) == 0
+    assert len(_AnswerHandler.requests) == 1
+    report = EvalReport.load(out)
+    assert (report.mode, report.strategy) == ("standard", "")
 
 
 @pytest.mark.parametrize("out", ["nodir/r.json", "adir"], ids=["no-parent", "directory"])

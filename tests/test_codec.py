@@ -201,7 +201,6 @@ def test_serialize_round_trip_100_random_entries(rng):
         entry = _random_entry(rng, kv=bool(i % 2))
         blob = serialize(entry)
         back = deserialize(blob)
-        assert back.same_content(entry)
         assert serialize(back) == blob
 
 
@@ -379,12 +378,11 @@ def _ones_entry(kv_heads, fingerprint="f"):
 
 def test_segments_with_different_head_counts_are_unequal():
     # a broadcasting comparison would call these equal: same values, 1 vs 2 heads
-    one, two = _ones_entry(1), _ones_entry(2)
+    one, two = _ones_entry(1, "f" * 64), _ones_entry(2, "f" * 64)
     assert not one.kv.equals(two.kv)
     assert not two.kv.equals(one.kv)
-    assert not one.same_content(two)
-    assert not two.same_content(one)
-    assert one.same_content(_ones_entry(1))
+    assert serialize(one) != serialize(two)
+    assert serialize(one) == serialize(_ones_entry(1, "f" * 64))
 
 
 def test_segment_equality_is_exact():

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from tests.conftest import child_env
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,6 +42,27 @@ def test_setup_path_imports_no_serving_module():
         "import sys, lag, lag.config, lag.model, lag.store; "
         "print(sorted(m for m in ('lag.backends', 'lag.orchestrator', 'lag.metrics', "
         "'urllib.request') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], check=True, env=child_env(),
+                          capture_output=True, text=True)
+    assert proc.stdout.strip() == "[]"
+
+
+IN_PROCESS_RUN = (
+    "import argparse, lag.cli, lag.runner, lag.synth, lag.orchestrator; "
+    "from lag.config import ModelConfig; from lag.model import build_model; "
+    "model = build_model(ModelConfig()); "
+    "[lag.cli._build_generator(argparse.Namespace(generator=g), model) "
+    "for g in ('reference', 'synth-hop')]"
+)
+LAGBENCH_WORKER = f"import sys; sys.path.insert(0, {str(ROOT / 'lagbench')!r}); import workloads"
+
+
+@pytest.mark.parametrize("code", [IN_PROCESS_RUN, LAGBENCH_WORKER], ids=["cli", "lagbench"])
+def test_in_process_runs_load_no_http_stack(code):
+    code += (
+        "; import sys; print(sorted(m for m in ('ssl', 'http.client', 'urllib.request') "
+        "if m in sys.modules))"
     )
     proc = subprocess.run([sys.executable, "-c", code], check=True, env=child_env(),
                           capture_output=True, text=True)

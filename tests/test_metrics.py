@@ -7,7 +7,6 @@ import pytest
 from lag.errors import DegenerateStatisticError, InputError
 from lag.metrics import (
     EvalReport,
-    SplitSpec,
     TaskRow,
     _student_t_two_sided_p,
     choice_accuracy,
@@ -102,16 +101,16 @@ def test_em_f1_invariant_under_gold_permutation():
 
 def test_split_ceiling_rule():
     tasks = list(range(10))
-    seen, unseen = split(tasks, SplitSpec(seed=5))
+    seen, unseen = split(tasks, seed=5)
     assert len(seen) == 7 and len(unseen) == 3
     assert sorted(seen + unseen) == tasks
 
 
 def test_split_deterministic_and_seed_sensitive():
     tasks = list(range(40))
-    a1 = split(tasks, SplitSpec(seed=1))
-    a2 = split(tasks, SplitSpec(seed=1))
-    b = split(tasks, SplitSpec(seed=2))
+    a1 = split(tasks, seed=1)
+    a2 = split(tasks, seed=1)
+    b = split(tasks, seed=2)
     assert a1 == a2
     assert a1 != b
     seen, unseen = a1

@@ -23,6 +23,7 @@ from lag.model import (
     forward_with_prefix,
     greedy_decode,
 )
+from lag.rope import RopeParams
 from lag.segment import KvCache
 from tests.conftest import SMALL_CONFIG, child_env
 from tests.oracles import injection_error
@@ -58,6 +59,15 @@ def test_seed_changes_weights():
     assert a.fingerprint != b.fingerprint
 
 
+def test_default_model_fingerprint_and_rope_are_pinned():
+    # stores written by earlier versions are keyed by this fingerprint
+    assert ModelConfig().fingerprint() == (
+        "1e88c2ceee459a136fd4e4717281844bed658a8e806b6feb8ad456724b4eebd3")
+    assert SMALL_CONFIG.fingerprint() == (
+        "cddde96672cd122cb0ac65ad4b2e0e3cc399bb20da0e30b2a84d5e1f71916da7")
+    assert build_model(ModelConfig()).rope_params == RopeParams(16, 10000.0)
+
+
 def test_encode_single_token(small_model):
     seg, hidden = encode(small_model, [5], 0)
     assert seg.span_len == 1
@@ -86,7 +96,7 @@ def test_encode_context_changes_keys(small_model, rng):
 
 def test_encode_rejects_bad_token(small_model):
     with pytest.raises(InputError):
-        encode(small_model, [SMALL_CONFIG.vocab_size], 0)
+        encode(small_model, [ByteTokenizer.vocab_size], 0)
 
 
 def test_encode_rejects_capacity_overflow(small_model):
@@ -223,8 +233,7 @@ def test_cache_rejects_a_stale_start(small_model, rng):
 
 def test_cache_capacity():
     model = build_model(
-        ModelConfig(num_layers=2, num_heads=2, num_kv_heads=1, head_dim=4,
-                    vocab_size=257, max_positions=8)
+        ModelConfig(num_layers=2, num_heads=2, num_kv_heads=1, head_dim=4, max_positions=8)
     )
     _, cache = forward_with_prefix(model, None, [1] * 7, 0)
     forward_with_prefix(model, cache, [2], 7)

@@ -70,7 +70,7 @@ def test_get_put_round_trip_bit_exact(tmp_path, rng):
     entry = text_entry(normalize(rng.standard_normal(8).astype(np.float32)))
     entry_id = store.put(entry)
     back = store.get(entry_id)
-    assert back.same_content(entry)
+    assert serialize(back) == serialize(entry)
     assert np.array_equal(back.embedding, entry.embedding)
     store.close()
 
@@ -104,7 +104,6 @@ def test_retrieve_analytic_example(tmp_path):
         store.put(text_entry(vec, tag=tag))
     results = store.retrieve_topk(np.array([1.0, 0.0], dtype=np.float32), 3)
     assert [r.entry_id for r in results] == [0, 2, 1]
-    assert [r.rank for r in results] == [1, 2, 3]
     assert np.allclose([r.similarity for r in results], [1.0, 0.6, 0.0], atol=1e-6)
     store.close()
 
@@ -158,7 +157,7 @@ def test_close_reopen_preserves_everything(tmp_path, rng):
     reopened = LogStore(path, mode="r")
     assert reopened.count == 40
     for i, entry in enumerate(entries):
-        assert reopened.get(i).same_content(entry)
+        assert serialize(reopened.get(i)) == serialize(entry)
     assert [r.entry_id for r in reopened.retrieve_topk(entries[3].embedding, 1)]
     reopened.close()
 
@@ -306,7 +305,7 @@ def test_put_entry_is_served_from_the_stored_bytes(tmp_path, rng):
         for array in (served.kv.keys, served.kv.values, served.embedding):
             assert not array.flags.writeable
     with LogStore(path, mode="r") as reopened:
-        assert reopened.get(0).same_content(served)
+        assert serialize(reopened.get(0)) == serialize(served)
 
 
 def _append_raw(path, entry):
