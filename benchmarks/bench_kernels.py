@@ -49,7 +49,12 @@ falls on both sides alike; each figure is the median over the rounds of
 each child's median of its repeats, with its quartiles over the rounds
 (``ms_q1``, ``ms_q3``) beside it. ``minflt`` is the median over the rounds
 of the minor page faults per repeat, the ``ru_minflt`` delta over a child's
-timed repeats: a count, so it does not drift with the host's speed. Only
+timed repeats: a count, so it does not drift with the host's speed. After
+the timed repeats, each row runs one more call under a ``sys.setprofile``
+hook, which counts its Python calls (``py_calls``) and C calls
+(``c_calls``), the row's own function included, and one more under
+``tracemalloc``, for the peak KiB it allocates (``peak_kb``); neither
+slows a timed repeat. These are medians over the rounds too. Only
 names both trees define are used:
 ``lag._kernels.causal_attention``, ``lag.model.{build_model, encode,
 forward_with_prefix, greedy_decode}``, ``Model.{new_cache, prefix_cache}``,
@@ -73,6 +78,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -85,9 +91,34 @@ def _minflt() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
+def _counted(fn) -> dict[str, float]:
+    """The Python and C calls that one call of ``fn`` makes, ``fn`` itself
+    included, under a profile hook; then the peak KiB that one more call
+    allocates, under tracemalloc."""
+    calls = {"call": 0, "c_call": 0}
+
+    def hook(frame, event, arg):
+        if event in calls and arg is not sys.setprofile:
+            calls[event] += 1
+
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"py_calls": calls["call"], "c_calls": calls["c_call"], "peak_kb": peak / 1024}
+
+
 def _timed(fn, repeat: int) -> dict[str, float]:
     """The median ms of ``repeat`` calls after a warm-up, and the minor page
-    faults per call over them."""
+    faults per call over them; then, after the timed calls, the counts of
+    ``_counted``."""
     fn()  # warm-up
     times = []
     faults = _minflt()
@@ -96,7 +127,7 @@ def _timed(fn, repeat: int) -> dict[str, float]:
         fn()
         times.append((time.perf_counter() - t0) * 1e3)
     faults = _minflt() - faults
-    return {"ms": statistics.median(times), "minflt": faults / repeat}
+    return {"ms": statistics.median(times), "minflt": faults / repeat, **_counted(fn)}
 
 
 def measure() -> dict[str, dict[str, float]]:
@@ -260,15 +291,15 @@ def run_child(src: Path) -> dict[str, dict[str, float]]:
 
 def summary(figures: list[dict[str, float]]) -> dict[str, float]:
     """One row of one side over the rounds: the median ms with its
-    quartiles, and the median page faults per repeat."""
+    quartiles, and the medians of the page faults per repeat, the calls per
+    call and the peak KiB."""
     ms = [f["ms"] for f in figures]
     q1, _, q3 = statistics.quantiles(ms, n=4, method="inclusive")
-    return {
-        "ms": statistics.median(ms),
-        "ms_q1": q1,
-        "ms_q3": q3,
-        "minflt": statistics.median(f["minflt"] for f in figures),
+    medians = {
+        name: statistics.median(f[name] for f in figures)
+        for name in ("minflt", "py_calls", "c_calls", "peak_kb")
     }
+    return {"ms": statistics.median(ms), "ms_q1": q1, "ms_q3": q3, **medians}
 
 
 def main() -> None:
@@ -294,15 +325,18 @@ def main() -> None:
         side: {name: summary([run[name] for run in rs]) for name in rs[0]}
         for side, rs in runs.items()
     }
-    print(f"{'workload':<24}" + "".join(f"{side + ': ms [q1, q3] minflt':>44}" for side in results))
+    head = ": ms [q1, q3] minflt py/c calls peak_kb"
+    print(f"{'workload':<24}" + "".join(f"{side + head:>64}" for side in results))
     for name in results["src"]:
         cells = (
-            f"{r['ms']:.3f} [{r['ms_q1']:.3f}, {r['ms_q3']:.3f}] {r['minflt']:.1f}"
+            f"{r['ms']:.3f} [{r['ms_q1']:.3f}, {r['ms_q3']:.3f}] {r['minflt']:.1f} "
+            f"{r['py_calls']:.0f}/{r['c_calls']:.0f} {r['peak_kb']:.1f}"
             for r in (results[side][name] for side in results)
         )
-        print(f"{name:<24}" + "".join(f"{cell:>44}" for cell in cells))
+        print(f"{name:<24}" + "".join(f"{cell:>64}" for cell in cells))
     report = {
-        "unit": "ms; minflt in minor page faults per repeat",
+        "unit": "ms; minflt in minor page faults per repeat; py_calls and c_calls "
+                "per call; peak_kb in KiB per call",
         "rounds": ROUNDS,
         "blas_threads": 1,
         "machine": {

@@ -180,26 +180,19 @@ class HashedBagOfWordsEmbedder:
 
 class CosineDocRetriever:
     """Exact cosine retrieval over an embedded passage list; ties keep the
-    corpus order."""
+    corpus order. Queries arrive embedded by the same embedder."""
 
     def __init__(self, passages: list[tuple[str, str]], embedder):
         self.passages = list(passages)
-        self.embedder = embedder
-        if self.passages:
-            self._matrix = np.stack(
-                [
-                    np.asarray(embedder.embed(f"{title}\n{text}"), dtype=np.float64)
-                    for title, text in self.passages
-                ]
-            )
-        else:
-            self._matrix = None
+        self._matrix = np.array(
+            [embedder.embed(f"{title}\n{text}") for title, text in self.passages],
+            dtype=np.float64,
+        )
 
-    def retrieve(self, query: str, k: int) -> list[tuple[str, str]]:
+    def retrieve(self, query: np.ndarray, k: int) -> list[tuple[str, str]]:
         if k <= 0 or not self.passages:
             return []
-        q = np.asarray(self.embedder.embed(query), dtype=np.float64)
-        sims = self._matrix @ q
+        sims = self._matrix @ np.asarray(query, dtype=np.float64)
         order = np.argsort(-sims, kind="stable")[:k]
         return [self.passages[int(i)] for i in order]
 

@@ -1,12 +1,13 @@
 """Command-line entry point: build stores, run tasks, evaluate.
 
 The subcommands mirror the experiment workflow: `ingest` executes the seen
-split and fills a log store under one `--strategy`, `run` executes the
-unseen split against a read-only store in the mode that store implies
-(`standard`, which names no strategy, with no store, an empty store or
-`--k-logs 0`; `lag_text` over text logs; `lag_kv` otherwise), `eval`
-prints tables/transitions/t-tests over saved reports, and `store inspect`
-prints a store summary. A grid over
+split, fills a log store under one `--strategy` and prints the store's
+summary, `run` executes the unseen split against a read-only store in the
+mode that store implies (`standard`, which names no strategy, with no
+store, an empty store or `--k-logs 0`; `lag_text` over text logs; `lag_kv`
+otherwise) and names in its report every strategy the store holds, joined
+by `+`, `eval` prints tables/transitions/t-tests over saved reports, and
+`store inspect` prints the same summary as `ingest`. A grid over
 strategies or k is a shell loop over `ingest` and `run` (see README).
 
 Flags are the only input; the generator endpoint's default may also come
@@ -82,9 +83,19 @@ def _pick_split(tasks, args):
     return seen if args.split == "seen" else unseen
 
 
-def _strategy_histogram(store: LogStore) -> list[tuple[str, int]]:
-    """(strategy name, entry count) pairs, sorted by name."""
-    return sorted(Counter(e.strategy.name for e in store.scan()).items())
+def _print_summary(path: str, store: LogStore) -> None:
+    """The store's format version, size, shared fingerprint and embedding
+    dimension (none while it is empty), and its entry count per strategy."""
+    empty = store.count == 0
+    print(f"store {path}")
+    print(f"  version: {FORMAT_VERSION}")
+    print(f"  entries: {store.count}")
+    print(f"  embedding dim: {'none' if empty else store.embedding_dim}")
+    print(f"  fingerprint: {'none' if empty else store.fingerprint}")
+    print(f"  {ENTRIES_NAME} bytes: {(Path(path) / ENTRIES_NAME).stat().st_size}")
+    print(f"  payload bytes: {sum(e.payload_nbytes for e in store.scan())}")
+    for name, count in sorted(Counter(e.strategy.name for e in store.scan()).items()):
+        print(f"  strategy {name}: {count}")
 
 
 def cmd_ingest(args) -> int:
@@ -98,10 +109,7 @@ def cmd_ingest(args) -> int:
         max_steps=args.max_steps,
         k_docs=args.k_docs,
     )
-    print(f"store {args.store}: {store.count} entries, dim {store.embedding_dim}")
-    print(f"fingerprint {store.fingerprint}")
-    for kind, count in _strategy_histogram(store):
-        print(f"  {kind}: {count}")
+    _print_summary(args.store, store)
     return 0
 
 
@@ -114,14 +122,8 @@ def cmd_run(args) -> int:
     store = LogStore(args.store, mode="r") if args.store else None
     mode = STANDARD if store is None or store.count == 0 or args.k_logs == 0 else (
         LAG_TEXT if store.fingerprint == TEXT_FINGERPRINT else LAG_KV)
-    # the report names what the store holds when it holds one strategy
-    stored = {e.strategy for e in store.scan()} if mode != STANDARD else set()
     cfg = RunConfig(
-        mode=mode,
-        max_steps=args.max_steps,
-        k_logs=args.k_logs,
-        k_docs=args.k_docs,
-        strategy=stored.pop() if len(stored) == 1 else SelectionStrategy(),
+        mode=mode, max_steps=args.max_steps, k_logs=args.k_logs, k_docs=args.k_docs
     )
     report = run_tasks(tasks, cfg, backends, store, label=args.label)
     report.save(args.out)
@@ -151,18 +153,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_store_inspect(args) -> int:
-    store = LogStore(args.store, mode="r")
-    entries_size = (Path(args.store) / ENTRIES_NAME).stat().st_size
-    print(f"store {args.store}")
-    print(f"  version: {FORMAT_VERSION}")
-    print(f"  entries: {store.count}")
-    print(f"  embedding dim: {store.embedding_dim}")
-    print(f"  fingerprint: {store.fingerprint}")
-    print(f"  {ENTRIES_NAME} bytes: {entries_size}")
-    total_payload = sum(e.payload_nbytes for e in store.scan())
-    print(f"  payload bytes: {total_payload}")
-    for kind, count in _strategy_histogram(store):
-        print(f"  strategy {kind}: {count}")
+    _print_summary(args.store, LogStore(args.store, mode="r"))
     return 0
 
 

@@ -132,26 +132,23 @@ def _trace_and_offsets(messages: list[str]) -> tuple[bytes, list[int]]:
 
 
 def _select_span(
-    messages: list[str], kind: str
+    messages: list[str], kind: str, starts: list[int], end: int
 ) -> tuple[int, int, bool]:
-    """Token span [start, end) of the stored content within the full trace.
-    Returns (start, end, fallback) where fallback is True when a last_action
-    strategy found no tag and fell back to the whole last round."""
-    trace, starts = _trace_and_offsets(messages)
+    """Token span [start, end) of the stored content within the full trace,
+    given where each message starts in it and its length. Returns (start,
+    end, fallback) where fallback is True when a last_action strategy found
+    no tag and fell back to the whole last round."""
     last_start = starts[-1]
-    end = len(trace)
-    fallback = False
     if kind == "last_action":
         span = find_last_action_span(messages[-1])
         if span is None:
-            fallback = True
-            return last_start, end, fallback
+            return last_start, end, True
         c0, c1 = span
         b0 = len(messages[-1][:c0].encode("utf-8"))
         b1 = len(messages[-1][:c1].encode("utf-8"))
-        return last_start + b0, last_start + b1, fallback
+        return last_start + b0, last_start + b1, False
     rounds = min(_ROUNDS_BACK[kind], len(messages))
-    return starts[-rounds], end, fallback
+    return starts[-rounds], end, False
 
 
 def encode_log(
@@ -169,7 +166,7 @@ def encode_log(
     keyed by the whole trace.
     """
     messages = transcript.assistant_messages
-    trace, _ = _trace_and_offsets(messages)
+    trace, starts = _trace_and_offsets(messages)
 
     if strategy.is_text:
         if strategy.kind == "all_rounds_text":
@@ -188,7 +185,7 @@ def encode_log(
 
     if model is None:
         raise InputError("KV strategies need a model to encode with")
-    start, end, fallback = _select_span(messages, strategy.kind)
+    start, end, fallback = _select_span(messages, strategy.kind, starts, len(trace))
     if strategy.encoding == "isolated":
         span_tokens = list(trace[start:end])
         segment, _ = encode(model, span_tokens, 0)
@@ -318,6 +315,8 @@ def deserialize(buf) -> LogEntry:
     strategy = SelectionStrategy(
         kind, "isolated" if strategy_byte & _ISOLATED_BIT else "full_trace"
     )
+    if strategy.is_text != (payload_kind == 1):
+        raise FormatError("log entry strategy contradicts its payload kind")
     fallback = bool(strategy_byte & _FALLBACK_BIT)
     r = _Reader(view[:-4], _HEADER.size)
     positions = r.array(span_len, "<u4").astype(np.int64)

@@ -87,10 +87,11 @@ def split(tasks: list, seed: int = 0, seen_fraction: float = 0.7) -> tuple[list,
     return order[:n_seen], order[n_seen:]
 
 
-# the JSON type of each report row field; a saved row holds all of them
+# the JSON type of each report row field; a saved row holds all of them, and
+# any other key (rows once repeated the report's mode and strategy) is ignored
 _ROW_TYPES = {
     "id": str, "predicted": (str, type(None)), "gold": list, "em": int,
-    "f1": (int, float), "iterations": int, "answered": bool, "mode": str, "strategy": str,
+    "f1": (int, float), "iterations": int, "answered": bool,
 }
 
 
@@ -103,8 +104,6 @@ class TaskRow:
     f1: float
     iterations: int
     answered: bool
-    mode: str = ""
-    strategy: str = ""
 
     def to_json(self) -> dict:
         return asdict(self)

@@ -44,8 +44,9 @@ class RunConfig:
     max_steps: int | None = None  # None: DEFAULT_MAX_STEPS[task.family]
     k_logs: int = 3
     k_docs: int = 2
+    # read by nothing; lagbench/workloads.py still passes them
     strategy: SelectionStrategy = field(default_factory=SelectionStrategy)
-    gen_max_new: int = 64  # read by nothing; lagbench/workloads.py still passes it
+    gen_max_new: int = 64
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -108,6 +109,7 @@ def run_task(
         raise InputError("KV log entries cannot join a text prompt")
 
     retriever = CosineDocRetriever(task.corpus or [], backends.embedder)
+    uses_docs = cfg.k_docs > 0 and bool(retriever.passages)
     uses_logs = cfg.mode != STANDARD and cfg.k_logs > 0 and has_logs
 
     action_text = task.question
@@ -120,10 +122,11 @@ def run_task(
     max_steps = cfg.max_steps if cfg.max_steps is not None else DEFAULT_MAX_STEPS[task.family]
 
     while len(turns) < max_steps:
-        if cfg.k_docs > 0:
-            docs.update(dict.fromkeys(retriever.retrieve(action_text, cfg.k_docs)))
-        if uses_logs:
+        if uses_docs or uses_logs:  # one query embedding serves both retrievers
             query = backends.embedder.embed(action_text)
+        if uses_docs:
+            docs.update(dict.fromkeys(retriever.retrieve(query, cfg.k_docs)))
+        if uses_logs:
             for res in log_store.retrieve_topk(query, cfg.k_logs):
                 known = logs.get(res.entry_id)
                 entry = known[1] if known else log_store.get(res.entry_id)

@@ -20,11 +20,6 @@ def _score(task: TaskRecord, predicted: str | None) -> tuple[int, float]:
     return exact_match(predicted, task.answers), f1(predicted, task.answers)
 
 
-def _strategy_label(cfg: RunConfig) -> str:
-    """A run that injects no logs names no strategy."""
-    return "" if cfg.mode == STANDARD else cfg.strategy.name
-
-
 def run_one(
     task: TaskRecord,
     cfg: RunConfig,
@@ -49,8 +44,6 @@ def run_one(
         f1=score_f1,
         iterations=iterations,
         answered=answered,
-        mode=cfg.mode,
-        strategy=_strategy_label(cfg),
     )
 
 
@@ -62,9 +55,12 @@ def run_tasks(
     label: str = "",
 ) -> EvalReport:
     """Run the tasks in order, one at a time, and collect a report. Per-task
-    backend failures become unanswered rows."""
+    backend failures become unanswered rows. The report names every strategy
+    the store holds, and none for a run that injects no logs."""
     rows = [run_one(task, cfg, backends, store) for task in tasks]
-    return EvalReport(mode=cfg.mode, strategy=_strategy_label(cfg), rows=rows, label=label)
+    injects = store is not None and cfg.mode != STANDARD
+    held = {e.strategy.name for e in store.scan()} if injects else ()
+    return EvalReport(mode=cfg.mode, strategy="+".join(sorted(held)), rows=rows, label=label)
 
 
 def ingest_tasks(

@@ -195,12 +195,12 @@ def test_doc_retriever_ranking_and_ties():
         ("d2", "cats and dogs together"),
     ]
     retriever = CosineDocRetriever(docs, embedder)
-    got = retriever.retrieve("cats purr", 2)
+    got = retriever.retrieve(embedder.embed("cats purr"), 2)
     assert got[0] == docs[0]
-    assert retriever.retrieve("anything", 0) == []
+    assert retriever.retrieve(embedder.embed("anything"), 0) == []
     # identical embeddings tie and keep corpus order
     dup = CosineDocRetriever([("a", "same words"), ("b", "same words")], embedder)
-    assert [t for t, _ in dup.retrieve("same words", 2)] == ["a", "b"]
+    assert [t for t, _ in dup.retrieve(embedder.embed("same words"), 2)] == ["a", "b"]
 
 
 def test_reference_generator_is_deterministic(small_model):

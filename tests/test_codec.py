@@ -324,6 +324,19 @@ def test_crc_valid_mutation_decodes_or_is_format_error(kv):
     assert 0 < failed < 1000
 
 
+@pytest.mark.parametrize("kv", [True, False], ids=["kv", "text"])
+def test_strategy_that_contradicts_the_payload_is_format_error(rng, kv):
+    # a text kind over a KV payload, or a KV kind over a text payload, would
+    # decode into an entry that serialize refuses
+    blob = bytearray(serialize(_random_entry(rng, kv=kv)))
+    strategy_at = 4 + 2 + 32
+    kind = "last_round_text" if kv else "last_round"
+    blob[strategy_at] = lag.codec.KINDS.index(kind)
+    blob[-4:] = struct.pack("<I", zlib.crc32(blob[:-4]) & 0xFFFFFFFF)
+    with pytest.raises(FormatError):
+        deserialize(bytes(blob))
+
+
 def test_round_trip_preserves_positions_exactly(small_model, embedder):
     entry = encode_log(
         small_model, THREE_ROUNDS, SelectionStrategy("last_action"), embedder

@@ -23,6 +23,10 @@ PASSES = 256
 TOKENS_FED = 1888
 MULTI_TOKEN_PASSES = [1012, 208, 208, 208]
 CALLS, CALLS_WITHOUT_A_PASS = 16, 12
+# Embedder calls: the ingest embeds each seen task's 6 passages and its
+# 4 round queries, and 1 retrieval key (4 x 11); the run embeds each unseen
+# task's 6 passages once and one query per round (4 x 6 + 16)
+INGEST_EMBEDS, RUN_EMBEDS = 44, 40
 
 
 @pytest.fixture(scope="module")
@@ -37,8 +41,18 @@ def test_kv_run_keeps_the_generators_reuse(tmp_path, monkeypatch, default_model)
         embedder=HashedBagOfWordsEmbedder(dimension=256, seed=0),
         model=default_model,
     )
+    embedded = []  # every text the embedder is asked for
+    real_embed = backends.embedder.embed
+
+    def counting_embed(text):
+        embedded.append(text)
+        return real_embed(text)
+
+    monkeypatch.setattr(backends.embedder, "embed", counting_embed)
     ingest_tasks(seen, SelectionStrategy("last_round", "full_trace"), backends,
                  tmp_path / "s", max_steps=4, k_docs=2)
+    assert len(embedded) == INGEST_EMBEDS
+    embedded.clear()
 
     fed = []  # tokens of every forward pass
     real_forward = lag.model.forward_with_prefix
@@ -67,6 +81,7 @@ def test_kv_run_keeps_the_generators_reuse(tmp_path, monkeypatch, default_model)
     finally:
         store.close()
 
+    assert len(embedded) == RUN_EMBEDS
     assert len(fed) == PASSES
     assert sum(fed) == TOKENS_FED
     assert [n for n in fed if n > 1] == MULTI_TOKEN_PASSES
