@@ -45,9 +45,15 @@ Workloads, on the default ``ModelConfig`` (4 layers, 4 query heads over
 Every measurement runs in a fresh child interpreter with one BLAS thread.
 With ``--baseline`` the children alternate between this checkout's ``src/``
 and the baseline tree, round by round, so that a drift in the host's speed
-falls on both sides alike; each figure is the median over the rounds of
-each child's median of its repeats, with its quartiles over the rounds
-(``ms_q1``, ``ms_q3``) beside it. ``minflt`` is the median over the rounds
+falls on both sides alike. A child also runs lagbench's speed probe
+(``lagbench/speed.py``, imported as it is) before its first row, after
+every 30 ms of timed repeats and after its last row, and scales each
+repeat's time to the probe's reference speed by the probes around it, as
+lagbench scales an op; ``store.put``, which writes files, has probes of
+its own that also rewrite a file. Each figure is the median over the rounds of each
+child's median of its scaled repeats (``ms``), with its quartiles over the
+rounds (``ms_q1``, ``ms_q3``) and the same median of the unscaled repeats
+(``raw_ms``) beside it. ``minflt`` is the median over the rounds
 of the minor page faults per repeat, the ``ru_minflt`` delta over a child's
 timed repeats: a count, so it does not drift with the host's speed. After
 the timed repeats, each row runs one more call under a ``sys.setprofile``
@@ -115,24 +121,38 @@ def _counted(fn) -> dict[str, float]:
     return {"py_calls": calls["call"], "c_calls": calls["c_call"], "peak_kb": peak / 1024}
 
 
-def _timed(fn, repeat: int) -> dict[str, float]:
-    """The median ms of ``repeat`` calls after a warm-up, and the minor page
-    faults per call over them; then, after the timed calls, the counts of
+def _timed(fn, repeat: int, speed) -> dict:
+    """The start and end of ``repeat`` calls after a warm-up, with the speed
+    probes that ``speed`` owes after each, and the minor page faults per
+    call over them; then, after the timed calls, the counts of
     ``_counted``."""
     fn()  # warm-up
-    times = []
+    spans = []
     faults = _minflt()
     for _ in range(repeat):
         t0 = time.perf_counter()
         fn()
-        times.append((time.perf_counter() - t0) * 1e3)
+        t1 = time.perf_counter()
+        spans.append((t0, t1))
+        speed.after(t1 - t0)
     faults = _minflt() - faults
-    return {"ms": statistics.median(times), "minflt": faults / repeat, **_counted(fn)}
+    return {"spans": spans, "speed": speed, "minflt": faults / repeat, **_counted(fn)}
+
+
+def _scaled(row: dict) -> dict[str, float]:
+    """A row's median ms at the probe's reference speed and unscaled."""
+    spans, speed = row.pop("spans"), row.pop("speed")
+    raw = [(b - a) * 1e3 for a, b in spans]
+    scaled = [ms * speed.scale((a + b) / 2) for ms, (a, b) in zip(raw, spans)]
+    return {"ms": statistics.median(scaled), "raw_ms": statistics.median(raw), **row}
 
 
 def measure() -> dict[str, dict[str, float]]:
     """One child's figures for the lag on its sys.path."""
     import numpy as np
+
+    sys.path.append(str(ROOT / "lagbench"))  # after src/, so it shadows nothing
+    from speed import Speed
 
     from lag._kernels import causal_attention
     from lag.backends import Backends, HashedBagOfWordsEmbedder, ReferenceModelGenerator
@@ -155,13 +175,15 @@ def measure() -> dict[str, dict[str, float]]:
             rng.standard_normal((kv_heads, n_keys, d)).astype(np.float32),
         )
 
+    speed = Speed()
+    speed.probe()
     out = {}
     q, k, v = qkv(1200, 1394)
-    out["attention.prefill"] = _timed(lambda: causal_attention(q, k, v, 194), 7)
+    out["attention.prefill"] = _timed(lambda: causal_attention(q, k, v, 194), 7, speed)
     q, k, v = qkv(392, 998 + 392)
-    out["attention.prefill392"] = _timed(lambda: causal_attention(q, k, v, 998), 20)
+    out["attention.prefill392"] = _timed(lambda: causal_attention(q, k, v, 998), 20, speed)
     q, k, v = qkv(1, 2048)
-    out["attention.decode"] = _timed(lambda: causal_attention(q, k, v, 2047), 200)
+    out["attention.decode"] = _timed(lambda: causal_attention(q, k, v, 2047), 200, speed)
 
     model = build_model(cfg)
     prompt = rng.integers(0, 256, 16).tolist()
@@ -175,7 +197,7 @@ def measure() -> dict[str, dict[str, float]]:
             )
             greedy_decode(model, cache, prompt, 64)
 
-        out[f"greedy_decode.prefix{n}"] = _timed(decode, 3)
+        out[f"greedy_decode.prefix{n}"] = _timed(decode, 3, speed)
 
     context = model.prefix_cache(encode(model, rng.integers(0, 256, 1390).tolist(), 0)[0])
 
@@ -183,7 +205,7 @@ def measure() -> dict[str, dict[str, float]]:
         context.truncate(1390)
         forward_with_prefix(model, context, prompt[:1], 1390)
 
-    out["model.decode_step"] = _timed(step, 200)
+    out["model.decode_step"] = _timed(step, 200, speed)
 
     # logs stored from later rounds of their transcripts, so every one moves
     logs = [
@@ -199,12 +221,12 @@ def measure() -> dict[str, dict[str, float]]:
         with LogStore(Path(tmp) / "store", "w") as store:
             for i in range(100):
                 store.put(logs[i % 10])
-        out["store.open"] = _timed(lambda: LogStore(Path(tmp) / "store", "r"), 10)
+        out["store.open"] = _timed(lambda: LogStore(Path(tmp) / "store", "r"), 10, speed)
         opened = LogStore(Path(tmp) / "store", "r")
     served = [opened.get(i) for i in range(24)]
     for n in (3, 10, 24):
         out[f"assemble.prefix{n}"] = _timed(
-            lambda: assemble_kv_prefix(served[:n], model), 50
+            lambda: assemble_kv_prefix(served[:n], model), 50, speed
         )
 
     # a last_round_text log of an ingest_text task: the last message is both
@@ -224,7 +246,13 @@ def measure() -> dict[str, dict[str, float]]:
             for _ in range(500):
                 store.put(text_log)
 
-    out["store.put"] = _timed(puts, 3)
+    # the puts write files, so their probe rewrites a file too, as
+    # lagbench's does for a workload whose ops write
+    with tempfile.TemporaryDirectory() as tmp:
+        writes = Speed(tmp)
+        writes.probe()
+        out["store.put"] = _timed(puts, 3, writes)
+        writes.probe()
 
     log = encode(model, rng.integers(0, 256, 194).tolist(), 0)[0]
     head = "Answer from the information below only; do not guess. " * 15
@@ -240,14 +268,14 @@ def measure() -> dict[str, dict[str, float]]:
         for messages in prompts:
             gen.generate(messages, kv_prefix=log)
 
-    out["generate.rounds4"] = _timed(rounds, 3)
+    out["generate.rounds4"] = _timed(rounds, 3, speed)
 
     def repeats():
         gen = ReferenceModelGenerator(model, max_new=64)
         for _ in range(4):
             gen.generate(prompts[-1], kv_prefix=log)
 
-    out["generate.repeat4"] = _timed(repeats, 3)
+    out["generate.repeat4"] = _timed(repeats, 3, speed)
 
     # the KV write path: finished synth-hop transcripts, encoded as lag ingest
     # does, with the default full-trace encoding
@@ -264,8 +292,9 @@ def measure() -> dict[str, dict[str, float]]:
         for transcript in transcripts:
             encode_log(model, transcript, strategy, embedder)
 
-    out["encode_log.last_round"] = _timed(encode_logs, 10)
-    return out
+    out["encode_log.last_round"] = _timed(encode_logs, 10, speed)
+    speed.probe()
+    return {name: _scaled(row) for name, row in out.items()}
 
 
 def cpu_name() -> str:
@@ -290,14 +319,14 @@ def run_child(src: Path) -> dict[str, dict[str, float]]:
 
 
 def summary(figures: list[dict[str, float]]) -> dict[str, float]:
-    """One row of one side over the rounds: the median ms with its
-    quartiles, and the medians of the page faults per repeat, the calls per
-    call and the peak KiB."""
+    """One row of one side over the rounds: the median scaled ms with its
+    quartiles, and the medians of the unscaled ms, the page faults per
+    repeat, the calls per call and the peak KiB."""
     ms = [f["ms"] for f in figures]
     q1, _, q3 = statistics.quantiles(ms, n=4, method="inclusive")
     medians = {
         name: statistics.median(f[name] for f in figures)
-        for name in ("minflt", "py_calls", "c_calls", "peak_kb")
+        for name in ("raw_ms", "minflt", "py_calls", "c_calls", "peak_kb")
     }
     return {"ms": statistics.median(ms), "ms_q1": q1, "ms_q3": q3, **medians}
 
@@ -325,18 +354,19 @@ def main() -> None:
         side: {name: summary([run[name] for run in rs]) for name in rs[0]}
         for side, rs in runs.items()
     }
-    head = ": ms [q1, q3] minflt py/c calls peak_kb"
-    print(f"{'workload':<24}" + "".join(f"{side + head:>64}" for side in results))
+    head = ": ms [q1, q3] raw_ms minflt py/c calls peak_kb"
+    print(f"{'workload':<24}" + "".join(f"{side + head:>72}" for side in results))
     for name in results["src"]:
         cells = (
-            f"{r['ms']:.3f} [{r['ms_q1']:.3f}, {r['ms_q3']:.3f}] {r['minflt']:.1f} "
-            f"{r['py_calls']:.0f}/{r['c_calls']:.0f} {r['peak_kb']:.1f}"
+            f"{r['ms']:.3f} [{r['ms_q1']:.3f}, {r['ms_q3']:.3f}] {r['raw_ms']:.3f} "
+            f"{r['minflt']:.1f} {r['py_calls']:.0f}/{r['c_calls']:.0f} {r['peak_kb']:.1f}"
             for r in (results[side][name] for side in results)
         )
-        print(f"{name:<24}" + "".join(f"{cell:>64}" for cell in cells))
+        print(f"{name:<24}" + "".join(f"{cell:>72}" for cell in cells))
     report = {
-        "unit": "ms; minflt in minor page faults per repeat; py_calls and c_calls "
-                "per call; peak_kb in KiB per call",
+        "unit": "ms at the speed probe's reference speed (lagbench/speed.py REF_MS); "
+                "raw_ms unscaled; minflt in minor page faults per repeat; py_calls "
+                "and c_calls per call; peak_kb in KiB per call",
         "rounds": ROUNDS,
         "blas_threads": 1,
         "machine": {

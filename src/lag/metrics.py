@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import re
 import string
@@ -163,9 +164,18 @@ class EvalReport:
         }
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-            fh.write("\n")
+        """Write the report to a temporary file beside ``path`` and move it
+        into place, so a failed write leaves any earlier report whole."""
+        path = Path(path)
+        tmp = path.with_name(path.name + ".tmp")
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(self.to_json(), fh, indent=2)
+                fh.write("\n")
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @staticmethod
     def load(path: str | Path) -> "EvalReport":

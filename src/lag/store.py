@@ -16,6 +16,7 @@ opens read-only and never mutates the store.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -73,10 +74,13 @@ class LogStore:
             (self.path / ENTRIES_NAME).touch()
             (self.path / OFFSETS_NAME).touch()
         if mode == "w":
-            self._entries_fh = open(self.path / ENTRIES_NAME, "ab")
-            self._offsets_fh = open(self.path / OFFSETS_NAME, "ab")
+            self._open_for_append()
 
     # -- persistence -----------------------------------------------------
+
+    def _open_for_append(self) -> None:
+        self._entries_fh = open(self.path / ENTRIES_NAME, "ab")
+        self._offsets_fh = open(self.path / OFFSETS_NAME, "ab")
 
     def _load(self) -> None:
         raw_offsets = (self.path / OFFSETS_NAME).read_bytes()
@@ -135,13 +139,32 @@ class LogStore:
         blob = serialize(replace(entry, embedding=normalize(entry.embedding)))
         stored = self._admit(blob)
         offset = self._entries_fh.tell()
-        self._entries_fh.write(blob)
-        self._entries_fh.flush()
-        self._offsets_fh.write(struct.pack("<Q", offset))
-        self._offsets_fh.flush()
+        index_size = self._offsets_fh.tell()
+        try:
+            self._entries_fh.write(blob)
+            self._entries_fh.flush()
+            self._offsets_fh.write(struct.pack("<Q", offset))
+            self._offsets_fh.flush()
+        except BaseException:
+            self._roll_back(offset, index_size)
+            raise
         self._entries.append(stored)
         self._rebuild_matrix()
         return stored.entry_id
+
+    def _roll_back(self, entries_size: int, index_size: int) -> None:
+        """Cut both files back to their sizes before a failed put and reopen
+        them, so the store reads as it did before the put."""
+        for name, fh, size in (
+            (ENTRIES_NAME, self._entries_fh, entries_size),
+            (OFFSETS_NAME, self._offsets_fh, index_size),
+        ):
+            try:
+                fh.close()  # writes what the put left buffered, or drops it
+            except OSError:
+                pass
+            os.truncate(self.path / name, size)
+        self._open_for_append()
 
     def get(self, entry_id: int) -> LogEntry:
         if not (0 <= entry_id < len(self._entries)):

@@ -1,3 +1,4 @@
+import errno
 import os
 
 import numpy as np
@@ -39,3 +40,45 @@ def child_env(**extra: str) -> dict:
     lag_root = os.path.dirname(os.path.dirname(os.path.abspath(lag.__file__)))
     pythonpath = os.pathsep.join(p for p in (lag_root, os.environ.get("PYTHONPATH")) if p)
     return {**os.environ, "PYTHONPATH": pythonpath, **extra}
+
+
+class FailingFile:
+    """A file whose ``fails`` call ("write", "flush" or "close") fails as on
+    a full disk, after ``succeeds`` such calls went through. A failing write
+    first puts half its data into the file, so a writer must also undo bytes
+    that reached it."""
+
+    def __init__(self, fh, fails: str, succeeds: int = 0):
+        self._fh, self._fails, self._left = fh, fails, succeeds
+
+    def _fail(self, call: str) -> bool:
+        if call != self._fails:
+            return False
+        self._left -= 1
+        return self._left < 0
+
+    def write(self, data):
+        if self._fail("write"):
+            self._fh.write(data[: len(data) // 2])
+            self._fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self._fh.write(data)
+
+    def flush(self):
+        if self._fail("flush"):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self._fh.flush()
+
+    def close(self):
+        self._fh.close()
+        if self._fail("close"):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)

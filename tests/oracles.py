@@ -1,16 +1,18 @@
 """Independent oracles for the numeric contracts the tests pin.
 
 Rotary round trips, repositioning vs a scalar longhand, KV-prefix injection
-vs a full forward pass, and top-k retrieval vs brute force. Each test picks
-its own seeds, sizes and tolerances.
+vs a full forward pass, the forward pass vs its unfused form, and top-k
+retrieval vs brute force. Each test picks its own seeds, sizes and
+tolerances.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from lag.model import encode, forward_with_prefix
-from lag.rope import RopeParams
+from lag._kernels import TILE, rotate_pairs
+from lag.model import _rmsnorm, encode, forward_with_prefix
+from lag.rope import RopeParams, cos_sin_table
 from lag.segment import KvSegment
 
 
@@ -78,6 +80,64 @@ def random_injection_error(model, rng, pairs: int, vocab: int) -> float:
         t2 = rng.integers(0, vocab, n2).tolist()
         worst = max(worst, injection_error(model, t1, t2))
     return worst
+
+
+def per_tile_attention(q, k, v, n_prefix):
+    """The query-tiled attention kernel with a new score array for each
+    tile, at every query count, one included."""
+    n_heads, t_new, d = q.shape
+    n_kv = k.shape[0]
+    group = n_heads // n_kv
+    scale = np.float32(1.0) / np.float32(np.sqrt(d))
+    future = np.triu(np.full((TILE, TILE), -np.inf, dtype=np.float32), k=1)
+
+    qg = q.reshape(n_kv, group, t_new, d)
+    out = np.empty((n_kv, group, t_new, d), dtype=np.float32)
+    for lo in range(0, t_new, TILE):
+        hi = min(lo + TILE, t_new)
+        n_keys = n_prefix + hi
+        scores = np.matmul(qg[:, :, lo:hi], k[:, None, :n_keys].transpose(0, 1, 3, 2))
+        scores *= scale
+        if hi - lo > 1:
+            scores[..., n_prefix + lo:] += future[: hi - lo, : hi - lo]
+        scores -= scores.max(axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=-1, keepdims=True)
+        np.matmul(scores, v[:, None, :n_keys], out=out[:, :, lo:hi])
+    return out.reshape(n_heads, t_new, d)
+
+
+def _longhand_gelu(x):
+    c = np.float32(np.sqrt(2.0 / np.pi))
+    return np.float32(0.5) * x * (
+        np.float32(1.0) + np.tanh(c * (x + np.float32(0.044715) * x * x * x))
+    )
+
+
+def unfused_logits(model, cache, tokens, start_position: int) -> np.ndarray:
+    """Logits of ``tokens`` after ``cache``, which it extends in place, by
+    the forward pass in its longhand form: q and k rotated apart, the
+    query-tiled kernel for every query count and the longhand GELU."""
+    cfg = model.config
+    nh, nkv, d = cfg.num_heads, cfg.num_kv_heads, cfg.head_dim
+    t_new = len(tokens)
+    n_prefix = cache.span_len
+    positions = np.arange(start_position, start_position + t_new, dtype=np.int64)
+    cos, sin = cos_sin_table(model.rope_params, positions)
+    x = model.embedding[np.asarray(tokens, dtype=np.int64)]
+    for li, layer in enumerate(model.layers):
+        xn = _rmsnorm(x)
+        q = np.ascontiguousarray((xn @ layer["wq"]).reshape(t_new, nh, d).transpose(1, 0, 2))
+        k = (xn @ layer["wk"]).reshape(t_new, nkv, d).transpose(1, 0, 2)
+        v = (xn @ layer["wv"]).reshape(t_new, nkv, d).transpose(1, 0, 2)
+        q = rotate_pairs(q, cos, sin)
+        k_all, v_all = cache.stage(li, rotate_pairs(k, cos, sin), v)
+        att = per_tile_attention(q, k_all, v_all, n_prefix)
+        x = x + att.transpose(1, 0, 2).reshape(t_new, nh * d) @ layer["wo"]
+        xf = _rmsnorm(x)
+        x = x + _longhand_gelu(xf @ layer["w1"]) @ layer["w2"]
+    cache.commit(positions)
+    return _rmsnorm(x) @ model.head
 
 
 def brute_force_topk(embeddings, query, k: int) -> list[int]:

@@ -7,11 +7,13 @@ from pathlib import Path
 
 import pytest
 
+from lag import metrics, store
 from lag.cli import build_parser, main
 from lag.datasets import TaskRecord, save_tasks
 from lag.metrics import EvalReport
 from lag.store import LogStore
 from lag.synth import build_reuse_suite
+from tests.conftest import FailingFile
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -83,6 +85,25 @@ def test_run_standard_matches_expected_iterations(tmp_path, suite_files):
     report = EvalReport.load(out)
     assert [r.iterations for r in report.rows] == [4, 4, 4, 4]
     assert report.mean_em == 1.0
+
+
+def test_a_failed_write_exits_3_and_keeps_what_was_written(tmp_path, suite_files, monkeypatch):
+    seen_path, unseen_path = suite_files
+    out = tmp_path / "std.json"
+    run = ("run", "--dataset", unseen_path, "--split", "all", "--generator", "synth-hop",
+           "--k-docs", "1", "--max-steps", "8", "--out", out)
+    assert run_cli(*run) == 0
+    report = out.read_bytes()
+
+    def failing_open(*args, **kwargs):  # the third write of each file fails
+        return FailingFile(open(*args, **kwargs), "write", succeeds=2)
+
+    monkeypatch.setattr(metrics, "open", failing_open, raising=False)
+    monkeypatch.setattr(store, "open", failing_open, raising=False)
+    assert run_cli(*run) == 3
+    assert out.read_bytes() == report
+    assert ingest_suite(seen_path, tmp_path / "store") == 3
+    assert LogStore(tmp_path / "store").count == 2
 
 
 def test_run_lag_kv_reduces_iterations(tmp_path, suite_files):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lag import _kernels
+from tests.oracles import per_tile_attention
 
 
 def full_matrix_attention(q, k, v, n_prefix):
@@ -26,32 +27,6 @@ def full_matrix_attention(q, k, v, n_prefix):
     np.exp(scores, out=scores)
     scores /= scores.sum(axis=-1, keepdims=True)
     out = np.matmul(scores, v[:, None, :, :])
-    return out.reshape(n_heads, t_new, d)
-
-
-def per_tile_attention(q, k, v, n_prefix):
-    """Reference: the tiled kernel as it was with a new score array for each
-    tile; the kernel must equal it bit for bit."""
-    n_heads, t_new, d = q.shape
-    n_kv = k.shape[0]
-    group = n_heads // n_kv
-    scale = np.float32(1.0) / np.float32(np.sqrt(d))
-    tile = _kernels.TILE
-    future = np.triu(np.full((tile, tile), -np.inf, dtype=np.float32), k=1)
-
-    qg = q.reshape(n_kv, group, t_new, d)
-    out = np.empty((n_kv, group, t_new, d), dtype=np.float32)
-    for lo in range(0, t_new, tile):
-        hi = min(lo + tile, t_new)
-        n_keys = n_prefix + hi
-        scores = np.matmul(qg[:, :, lo:hi], k[:, None, :n_keys].transpose(0, 1, 3, 2))
-        scores *= scale
-        if hi - lo > 1:
-            scores[..., n_prefix + lo:] += future[: hi - lo, : hi - lo]
-        scores -= scores.max(axis=-1, keepdims=True)
-        np.exp(scores, out=scores)
-        scores /= scores.sum(axis=-1, keepdims=True)
-        np.matmul(scores, v[:, None, :n_keys], out=out[:, :, lo:hi])
     return out.reshape(n_heads, t_new, d)
 
 

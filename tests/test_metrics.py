@@ -1,9 +1,11 @@
+import json
 import math
 import subprocess
 import sys
 
 import pytest
 
+from lag import metrics
 from lag.errors import DegenerateStatisticError, InputError
 from lag.metrics import (
     EvalReport,
@@ -18,7 +20,7 @@ from lag.metrics import (
     split,
     transitions,
 )
-from tests.conftest import child_env
+from tests.conftest import FailingFile, child_env
 
 # hand-computed scoring fixtures (the expected values were worked out by
 # applying the normalization rules on paper, not by running the code)
@@ -273,6 +275,36 @@ def test_report_aggregates_recompute_from_rows(tmp_path):
     assert loaded.mean_em == report.mean_em
     assert [r.id for r in loaded.rows] == ["1", "2"]
     assert loaded.to_json()["aggregates"]["mean_em"] == report.mean_em
+
+
+def test_a_report_is_saved_as_its_json(tmp_path):
+    report = _report([_row("1", 1), _row("2", 0, answered=False)])
+    report.save(tmp_path / "r.json")
+    want = json.dumps(report.to_json(), indent=2) + "\n"
+    assert (tmp_path / "r.json").read_text(encoding="utf-8") == want
+    assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+
+
+# json.dump writes the report in chunks, then save writes one newline
+@pytest.mark.parametrize(
+    "fails, succeeds", [("write", 0), ("write", 5), ("close", 0)],
+    ids=["first_write", "mid_write", "close"],
+)
+def test_a_failed_save_leaves_the_earlier_report_whole(
+    tmp_path, monkeypatch, fails, succeeds
+):
+    path = tmp_path / "r.json"
+    _report([_row("1", 1)]).save(path)
+    before = path.read_bytes()
+
+    def failing_open(*args, **kwargs):
+        return FailingFile(open(*args, **kwargs), fails, succeeds)
+
+    monkeypatch.setattr(metrics, "open", failing_open, raising=False)
+    with pytest.raises(OSError):
+        _report([_row("1", 0), _row("2", 1)]).save(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
 
 
 def test_import_lag_leaves_scipy_stats_unloaded():

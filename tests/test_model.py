@@ -26,7 +26,7 @@ from lag.model import (
 from lag.rope import RopeParams
 from lag.segment import KvCache
 from tests.conftest import SMALL_CONFIG, child_env
-from tests.oracles import injection_error
+from tests.oracles import injection_error, unfused_logits
 
 
 def test_build_is_deterministic(small_model):
@@ -363,6 +363,42 @@ def test_rmsnorm_matches_the_mean_formula_bit_for_bit(rng):
             got = _rmsnorm(x)
             assert got.dtype == np.float32
             assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ModelConfig(num_heads=4, num_kv_heads=4, head_dim=8, max_positions=256),
+        ModelConfig(max_positions=256),
+        ModelConfig(num_layers=2, num_heads=6, num_kv_heads=2, head_dim=32,
+                    max_positions=256),
+        ModelConfig(num_layers=3, num_heads=6, num_kv_heads=3, head_dim=8,
+                    max_positions=256, weight_seed=5),
+    ],
+    ids=["group1_d8", "group2_d16", "group3_d32", "group2_d8"],
+)
+def test_forward_matches_the_unfused_forward_bit_for_bit(config):
+    # a 50-token prefill, a 129-token one after it (two tiles, the second of
+    # one query) and 40 greedy decode steps, on both forms of the pass
+    model = build_model(config)
+    tokens = np.random.default_rng(3).integers(0, 256, 179).tolist()
+    lean, unfused = model.new_cache(256), model.new_cache(256)
+
+    def step(tokens, start):
+        got, _ = forward_with_prefix(model, lean, tokens, start)
+        want = unfused_logits(model, unfused, tokens, start)
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        return got
+
+    step(tokens[:50], 0)
+    logits = step(tokens[50:], 50)
+    for position in range(179, 219):
+        logits = step([int(np.argmax(logits[-1]))], position)
+    got, want = lean.segment(), unfused.segment()
+    assert got.span_len == want.span_len == 219
+    assert got.keys.tobytes() == want.keys.tobytes()
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.positions.tobytes() == want.positions.tobytes()
 
 
 def test_tokenizer_round_trip():

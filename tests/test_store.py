@@ -8,6 +8,7 @@ from lag.cli import main
 from lag.codec import LogEntry, SelectionStrategy, encode_log, serialize
 from lag.errors import FormatError, IncompatibilityError, InputError, NotFoundError
 from lag.store import ENTRIES_NAME, OFFSETS_NAME, LogStore, normalize
+from tests.conftest import FailingFile
 from tests.oracles import brute_force_topk
 from tests.test_codec import THREE_ROUNDS, _random_entry, _sized_entry
 
@@ -331,3 +332,34 @@ def test_mixed_store_is_refused_on_open(tmp_path, rng, differs):
         with pytest.raises(IncompatibilityError, match="entry 3"):
             LogStore(path, mode)
     assert main(["store", "inspect", "--store", str(path)]) == 5
+
+
+def _store_bytes(path):
+    return (path / ENTRIES_NAME).read_bytes(), (path / OFFSETS_NAME).read_bytes()
+
+
+@pytest.mark.parametrize("fails", ["write", "flush"])
+@pytest.mark.parametrize("handle", ["_entries_fh", "_offsets_fh"])
+def test_a_failed_put_leaves_the_store_as_it_was(tmp_path, rng, handle, fails):
+    entries = [
+        text_entry(normalize(rng.standard_normal(8).astype(np.float32)), tag=str(i))
+        for i in range(4)
+    ]
+    with LogStore(tmp_path / "clean", mode="w") as clean:
+        for entry in (entries[0], entries[1], entries[3]):
+            clean.put(entry)
+
+    store = LogStore(tmp_path / "s", mode="w")
+    store.put(entries[0])
+    store.put(entries[1])
+    before = _store_bytes(tmp_path / "s")
+    setattr(store, handle, FailingFile(getattr(store, handle), fails))
+    with pytest.raises(OSError):
+        store.put(entries[2])
+    assert _store_bytes(tmp_path / "s") == before
+    assert store.count == 2
+    assert [e.task_text for e in LogStore(tmp_path / "s").scan()] == ["task 0", "task 1"]
+
+    assert store.put(entries[3]) == 2  # the store stays open for writing
+    store.close()
+    assert _store_bytes(tmp_path / "s") == _store_bytes(tmp_path / "clean")

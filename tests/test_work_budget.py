@@ -27,6 +27,9 @@ CALLS, CALLS_WITHOUT_A_PASS = 16, 12
 # 4 round queries, and 1 retrieval key (4 x 11); the run embeds each unseen
 # task's 6 passages once and one query per round (4 x 6 + 16)
 INGEST_EMBEDS, RUN_EMBEDS = 44, 40
+# Rotations per forward pass: one of the q and k heads together per layer
+# (rotating q and k apart made it two per layer)
+ROTATIONS_PER_LAYER = 1
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +64,13 @@ def test_kv_run_keeps_the_generators_reuse(tmp_path, monkeypatch, default_model)
         fed.append(len(tokens))
         return real_forward(model, prefix, tokens, start_position)
 
+    rotations = []  # every rotate_pairs call of a forward pass
+    real_rotate = lag.model.rotate_pairs
+
+    def counting_rotate(*args, **kwargs):
+        rotations.append(1)
+        return real_rotate(*args, **kwargs)
+
     passes_per_call = []
     real_generate = backends.generator.generate
 
@@ -73,6 +83,7 @@ def test_kv_run_keeps_the_generators_reuse(tmp_path, monkeypatch, default_model)
 
     # greedy_decode looks forward_with_prefix up as a module global
     monkeypatch.setattr(lag.model, "forward_with_prefix", counting_forward)
+    monkeypatch.setattr(lag.model, "rotate_pairs", counting_rotate)
     monkeypatch.setattr(backends.generator, "generate", counting_generate)
     store = LogStore(tmp_path / "s", mode="r")
     try:
@@ -83,6 +94,7 @@ def test_kv_run_keeps_the_generators_reuse(tmp_path, monkeypatch, default_model)
 
     assert len(embedded) == RUN_EMBEDS
     assert len(fed) == PASSES
+    assert len(rotations) == PASSES * ROTATIONS_PER_LAYER * default_model.config.num_layers
     assert sum(fed) == TOKENS_FED
     assert [n for n in fed if n > 1] == MULTI_TOKEN_PASSES
     assert len(passes_per_call) == CALLS
