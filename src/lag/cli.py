@@ -3,9 +3,8 @@
 The subcommands mirror the experiment workflow: `ingest` executes the seen
 split, fills a log store under one `--strategy` and prints the store's
 summary, `run` executes the unseen split against a read-only store in the
-mode that store implies (`standard`, which names no strategy, with no
-store, an empty store or `--k-logs 0`; `lag_text` over text logs; `lag_kv`
-otherwise) and names in its report every strategy the store holds, joined
+mode that store and `--k-logs` imply (`orchestrator.mode_of`) and names in
+its report every strategy the store holds (none in `standard` mode), joined
 by `+`, `eval` prints tables/transitions/t-tests over saved reports, and
 `store inspect` prints the same summary as `ingest`. A grid over
 strategies or k is a shell loop over `ingest` and `run` (see README).
@@ -29,7 +28,7 @@ from .backends import (
     ScriptedGenerator,
 )
 from .codec import ENCODINGS, FORMAT_VERSION, KINDS, SelectionStrategy
-from .config import TEXT_FINGERPRINT, ModelConfig
+from .config import ModelConfig
 from .datasets import load_tasks
 from .errors import ConfigurationError, InputError, LagError
 from .metrics import (
@@ -41,7 +40,7 @@ from .metrics import (
     transitions,
 )
 from .model import build_model
-from .orchestrator import LAG_KV, LAG_TEXT, STANDARD, RunConfig
+from .orchestrator import RunConfig
 from .runner import ingest_tasks, run_tasks
 from .store import ENTRIES_NAME, LogStore
 from .synth import FactChainGenerator
@@ -120,11 +119,7 @@ def cmd_run(args) -> int:
     tasks = _pick_split(load_tasks(args.dataset), args)
     backends = _backends(args)
     store = LogStore(args.store, mode="r") if args.store else None
-    mode = STANDARD if store is None or store.count == 0 or args.k_logs == 0 else (
-        LAG_TEXT if store.fingerprint == TEXT_FINGERPRINT else LAG_KV)
-    cfg = RunConfig(
-        mode=mode, max_steps=args.max_steps, k_logs=args.k_logs, k_docs=args.k_docs
-    )
+    cfg = RunConfig(max_steps=args.max_steps, k_logs=args.k_logs, k_docs=args.k_docs)
     report = run_tasks(tasks, cfg, backends, store, label=args.label)
     report.save(args.out)
     print(format_report_table([report]))

@@ -116,6 +116,8 @@ class LogEntry:
         if self.strategy.is_text != (self.text_payload is not None):
             raise InputError("payload kind does not match strategy")
         if self.kv is not None:
+            if self.kv.model_fingerprint == TEXT_FINGERPRINT:
+                raise InputError("a KV payload cannot carry the text fingerprint")
             self.kv.validate()
 
 
@@ -328,6 +330,8 @@ def deserialize(buf) -> LogEntry:
         text_payload = r.text(len(r.buf) - r.pos)
         embedding = np.frombuffer(embedding.tobytes(), "<f4")  # a read-only copy
     elif payload_kind == 0:
+        if fingerprint.hex() == TEXT_FINGERPRINT:
+            raise FormatError("a KV payload carries the text fingerprint")
         shape = (layers, 2, kv_heads, span_len, head_dim)
         block = r.array(2 * layers * kv_heads * span_len * head_dim, "<f4").reshape(shape)
         if r.pos != len(r.buf):

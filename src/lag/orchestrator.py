@@ -4,9 +4,10 @@ retrieval, prompt assembly, and KV-prefix injection.
 One run executes at most ``max_steps`` generations. Each round retrieves
 documents and logs for the current action text (initially the task itself),
 folds the accumulated documents into the prompt, injects accumulated logs
-(as a repositioned KV prefix or as prepended text depending on mode), and
-extracts the next action from the model's response. The loop stops on an
-answer action or when the step cap is hit.
+in the mode that ``mode_of`` derives from the store alone (as a repositioned
+KV prefix, or as prepended text over text logs), and extracts the next
+action from the model's response. The loop stops on an answer action or
+when the step cap is hit.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .store import LogStore
 STANDARD = "standard"
 LAG_KV = "lag_kv"
 LAG_TEXT = "lag_text"
-MODES = (STANDARD, LAG_KV, LAG_TEXT)
 
 # step caps from the evaluation protocol: multi-hop tasks get 8, reasoning 3
 DEFAULT_MAX_STEPS = {KNOWLEDGE: 8, REASONING: 3}
@@ -40,17 +40,15 @@ DEFAULT_MAX_STEPS = {KNOWLEDGE: 8, REASONING: 3}
 
 @dataclass
 class RunConfig:
-    mode: str = STANDARD
     max_steps: int | None = None  # None: DEFAULT_MAX_STEPS[task.family]
     k_logs: int = 3
     k_docs: int = 2
     # read by nothing; lagbench/workloads.py still passes them
+    mode: str | None = None
     strategy: SelectionStrategy = field(default_factory=SelectionStrategy)
     gen_max_new: int = 64
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ConfigurationError(f"unknown mode {self.mode!r}")
         if self.max_steps is not None and self.max_steps < 1:
             raise ConfigurationError("max_steps must be >= 1")
         if self.k_logs < 0 or self.k_docs < 0:
@@ -88,6 +86,14 @@ def assemble_kv_prefix(
     return reposition_segment(stored, np.arange(stored.span_len), model.rope_params)
 
 
+def mode_of(log_store: LogStore | None, k_logs: int) -> str:
+    """How logs reach a task: not at all with no store, an empty store or
+    ``k_logs == 0``; as prompt text over text logs; as a KV prefix otherwise."""
+    if log_store is None or log_store.count == 0 or k_logs == 0:
+        return STANDARD
+    return LAG_TEXT if log_store.fingerprint == TEXT_FINGERPRINT else LAG_KV
+
+
 def run_task(
     task: TaskRecord,
     cfg: RunConfig,
@@ -95,22 +101,20 @@ def run_task(
     log_store: LogStore | None = None,
 ) -> tuple[Action, AgentTranscript, list[int]]:
     """Execute one task; returns (final action, transcript, retrieved ids)."""
-    has_logs = log_store is not None and log_store.count > 0
-    if cfg.mode == LAG_KV:
+    mode = mode_of(log_store, cfg.k_logs)
+    if mode == LAG_KV:
         if not backends.generator.accepts_kv_prefix:
-            raise ConfigurationError(f"mode {cfg.mode} needs a KV-capable generator")
+            raise ConfigurationError(f"mode {mode} needs a KV-capable generator")
         if backends.model is None:
-            raise ConfigurationError(f"mode {cfg.mode} needs a model for the prefix")
-        if has_logs and log_store.fingerprint != backends.model.fingerprint:
+            raise ConfigurationError(f"mode {mode} needs a model for the prefix")
+        if log_store.fingerprint != backends.model.fingerprint:
             raise IncompatibilityError(
                 "log store fingerprint does not match the generation model"
             )
-    elif cfg.mode == LAG_TEXT and has_logs and log_store.fingerprint != TEXT_FINGERPRINT:
-        raise InputError("KV log entries cannot join a text prompt")
 
     retriever = CosineDocRetriever(task.corpus or [], backends.embedder)
     uses_docs = cfg.k_docs > 0 and bool(retriever.passages)
-    uses_logs = cfg.mode != STANDARD and cfg.k_logs > 0 and has_logs
+    uses_logs = mode != STANDARD
 
     action_text = task.question
     previous_response = ""
@@ -133,11 +137,11 @@ def run_task(
                 logs[res.entry_id] = (res.similarity, entry)
         ordered = [logs[i][1] for i in sorted(logs, key=lambda i: (-logs[i][0], i))]
 
-        kv_prefix = None
+        kv_prefix = None  # frees the last round's prefix before the next is built
         text_logs: list[str] = []
-        if cfg.mode == LAG_KV and ordered:
+        if mode == LAG_KV:
             kv_prefix = assemble_kv_prefix(ordered, backends.model)
-        elif cfg.mode == LAG_TEXT:
+        elif mode == LAG_TEXT:
             text_logs = [e.text_payload for e in ordered]
 
         messages = assemble_prompt(task, list(docs), text_logs, previous_response)

@@ -7,7 +7,7 @@ from .backends import Backends
 from .codec import SelectionStrategy, encode_log
 from .datasets import REASONING, TaskRecord
 from .metrics import EvalReport, TaskRow, choice_accuracy, exact_match, f1
-from .orchestrator import STANDARD, RunConfig, TaskError, run_task
+from .orchestrator import STANDARD, RunConfig, TaskError, mode_of, run_task
 from .store import LogStore
 
 
@@ -55,12 +55,12 @@ def run_tasks(
     label: str = "",
 ) -> EvalReport:
     """Run the tasks in order, one at a time, and collect a report. Per-task
-    backend failures become unanswered rows. The report names every strategy
-    the store holds, and none for a run that injects no logs."""
+    backend failures become unanswered rows. The report names the mode
+    (``mode_of``) and every strategy the store holds; a standard run, none."""
     rows = [run_one(task, cfg, backends, store) for task in tasks]
-    injects = store is not None and cfg.mode != STANDARD
-    held = {e.strategy.name for e in store.scan()} if injects else ()
-    return EvalReport(mode=cfg.mode, strategy="+".join(sorted(held)), rows=rows, label=label)
+    mode = mode_of(store, cfg.k_logs)
+    held = {e.strategy.name for e in store.scan()} if mode != STANDARD else ()
+    return EvalReport(mode=mode, strategy="+".join(sorted(held)), rows=rows, label=label)
 
 
 def ingest_tasks(
@@ -76,7 +76,7 @@ def ingest_tasks(
     transcript under the strategy, and append it to the store. Entries are
     stored for every completed task, right or wrong."""
     # a bad argument fails here, before the store is created
-    cfg = RunConfig(mode=STANDARD, max_steps=max_steps, k_docs=k_docs)
+    cfg = RunConfig(max_steps=max_steps, k_docs=k_docs)
     store = LogStore(store_path, mode="w")
     try:
         for task in tasks:

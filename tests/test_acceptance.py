@@ -159,7 +159,7 @@ def test_criterion_06_storage_law(small_model, embedder, rng):
             keys=rng.standard_normal((layers, kv_heads, span, head_dim)).astype(np.float32),
             values=rng.standard_normal((layers, kv_heads, span, head_dim)).astype(np.float32),
             positions=np.arange(span, dtype=np.int64),
-            model_fingerprint="00" * 32,
+            model_fingerprint="ab" * 32,
         )
         entry = LogEntry(
             task_text="a", retrieval_key_text="b",
@@ -225,9 +225,9 @@ def test_criterion_09_behavioral_reuse(tmp_path, small_model):
     ingest_tasks(seen, SelectionStrategy("last_round", "full_trace"), backends,
                  tmp_path / "store", max_steps=8, k_docs=1)
     store = LogStore(tmp_path / "store", mode="r")
-    standard = run_tasks(unseen, RunConfig(mode="standard", max_steps=8, k_docs=1),
+    standard = run_tasks(unseen, RunConfig(max_steps=8, k_docs=1),
                          backends, None)
-    lag_kv = run_tasks(unseen, RunConfig(mode="lag_kv", max_steps=8, k_docs=1, k_logs=3),
+    lag_kv = run_tasks(unseen, RunConfig(max_steps=8, k_docs=1, k_logs=3),
                        backends, store)
     store.close()
     assert lag_kv.mean_iterations < standard.mean_iterations

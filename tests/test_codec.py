@@ -209,7 +209,7 @@ def _sized_entry(rng, span, layers, kv_heads, head_dim):
         keys=rng.standard_normal((layers, kv_heads, span, head_dim)).astype(np.float32),
         values=rng.standard_normal((layers, kv_heads, span, head_dim)).astype(np.float32),
         positions=np.arange(span, dtype=np.int64),
-        model_fingerprint="00" * 32,
+        model_fingerprint="ab" * 32,
     )
     return seg, LogEntry(
         task_text="t",

@@ -36,6 +36,26 @@ def test_third_party_imports_are_exactly_the_declared_dependencies():
     assert third_party == declared_dependencies(ROOT / "pyproject.toml")
 
 
+def unused_imports(path: Path) -> list[str]:
+    """Names a module imports at module level and never references; a
+    reference is a bare name, or the head of a dotted one."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = [
+        alias.asname or alias.name.split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in (ROOT / "src" / "lag").glob("*.py")))
+def test_every_module_level_import_is_used(module):
+    assert unused_imports(ROOT / "src" / "lag" / module) == []
+
+
 def test_setup_path_imports_no_serving_module():
     # what a fresh process loads to build the model and open a store
     code = (

@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -11,14 +12,18 @@ from lag.backends import (
     ReferenceModelGenerator,
     ScriptedGenerator,
 )
+from lag.cli import main
 from lag.codec import LogEntry, SelectionStrategy, encode_log
-from lag.datasets import TaskRecord
+from lag.config import ModelConfig
+from lag.datasets import TaskRecord, save_tasks
 from lag.errors import ConfigurationError, IncompatibilityError, InputError
 from lag.model import Model, build_model, encode
 from lag.orchestrator import RunConfig, TaskError, assemble_kv_prefix, run_task
 from lag.rope import reposition_segment
+from lag.runner import ingest_tasks
 from lag.segment import KvSegment
 from lag.store import LogStore, normalize
+from lag.synth import FactChainGenerator, build_reuse_suite
 from tests.conftest import SMALL_CONFIG
 from tests.oracles import reposition_error
 from tests.test_codec import transcript
@@ -92,7 +97,7 @@ def test_golden_answer_on_round_one():
         "<ans>Frank Herbert</ans>"
     )
     backends = scripted_backends({"Who wrote Dune?": [response]})
-    cfg = RunConfig(mode="standard", max_steps=8, k_docs=2)
+    cfg = RunConfig(max_steps=8, k_docs=2)
     final, transcript_, log_ids = run_task(task, cfg, backends, None)
 
     expected_user = (
@@ -119,7 +124,7 @@ def test_golden_keywords_then_answer():
     round1 = "I need more information. <keywords>capital of France</keywords>"
     round2 = "Paris is the capital. <ans>Paris</ans>"
     backends = scripted_backends({"What is the capital of France?": [round1, round2]})
-    cfg = RunConfig(mode="standard", max_steps=8, k_docs=0)
+    cfg = RunConfig(max_steps=8, k_docs=0)
     final, transcript_, _ = run_task(task, cfg, backends, None)
 
     expected_user = (
@@ -138,7 +143,7 @@ def test_golden_cap_exhaustion_knowledge_c8():
     task = TaskRecord(id="g-c8", question="Unanswerable?", answers=["nothing"])
     response = "Still thinking about it."
     backends = scripted_backends({}, default=[response])
-    cfg = RunConfig(mode="standard", max_steps=8, k_docs=0)
+    cfg = RunConfig(max_steps=8, k_docs=0)
     final, transcript_, _ = run_task(task, cfg, backends, None)
 
     expected_user = (
@@ -159,7 +164,7 @@ def test_golden_cap_exhaustion_reasoning_c3():
         "No conclusion yet. <subquestion>third follow-up</subquestion>",
     ]
     backends = scripted_backends({"How many?": rounds})
-    cfg = RunConfig(mode="standard", max_steps=3, k_docs=0)
+    cfg = RunConfig(max_steps=3, k_docs=0)
     final, transcript_, _ = run_task(task, cfg, backends, None)
 
     def reasoning_prompt(previous):
@@ -197,9 +202,9 @@ def test_standard_equals_lag_kv_with_empty_store(tmp_path, small_model):
             "<ans>Paris</ans>",
         ]
     }
-    cfg_std = RunConfig(mode="standard", max_steps=8, k_docs=0)
+    cfg_std = RunConfig(max_steps=8, k_docs=0)
     _, t_std, ids_std = run_task(task, cfg_std, scripted_backends(scripts), None)
-    cfg_kv = RunConfig(mode="lag_kv", max_steps=8, k_docs=0, k_logs=3)
+    cfg_kv = RunConfig(max_steps=8, k_docs=0, k_logs=3)
     _, t_kv, ids_kv = run_task(
         task, cfg_kv, scripted_backends(scripts, model=small_model), empty
     )
@@ -210,7 +215,7 @@ def test_standard_equals_lag_kv_with_empty_store(tmp_path, small_model):
 def test_run_twice_is_byte_identical(small_model):
     task = TaskRecord(id="t", question="What is the capital of France?", answers=["Paris"])
     scripts = {"What is the capital of France?": ["<keywords>x y</keywords>", "<ans>Paris</ans>"]}
-    cfg = RunConfig(mode="standard", max_steps=8, k_docs=0)
+    cfg = RunConfig(max_steps=8, k_docs=0)
     _, t1, _ = run_task(task, cfg, scripted_backends(scripts), None)
     _, t2, _ = run_task(task, cfg, scripted_backends(scripts), None)
     assert t1.turns == t2.turns
@@ -234,7 +239,7 @@ def test_log_accumulation_is_dedup_and_nondecreasing(tmp_path, embedder):
     scripts = {
         "alpha": ["<keywords>beta</keywords>", "<keywords>alpha</keywords>", "<ans>x</ans>"]
     }
-    cfg = RunConfig(mode="lag_text", max_steps=8, k_docs=0, k_logs=1)
+    cfg = RunConfig(max_steps=8, k_docs=0, k_logs=1)
     _, transcript_, log_ids = run_task(task, cfg, scripted_backends(scripts), store)
     assert log_ids == [0, 1]  # alpha first, then beta; re-retrieval adds nothing
     assert transcript_.iterations == 3
@@ -254,27 +259,13 @@ def test_text_mode_prepends_log_payloads(tmp_path, embedder):
     store.close()
     store = LogStore(tmp_path / "s", mode="r")
     task = TaskRecord(id="t", question="alpha", answers=["x"])
-    cfg = RunConfig(mode="lag_text", max_steps=8, k_docs=0, k_logs=1)
+    cfg = RunConfig(max_steps=8, k_docs=0, k_logs=1)
     _, transcript_, _ = run_task(
         task, cfg, scripted_backends({"alpha": ["<ans>x</ans>"]}), store
     )
     user = transcript_.turns[0][0]
     assert user.startswith("first round thoughts\nlast round thoughts\n")
     assert "Here is the user question:\nalpha" in user
-
-
-def test_text_mode_refuses_kv_entries(tmp_path, small_model, embedder):
-    # a KV log has no text to prepend; it must not join the prompt as ""
-    with LogStore(tmp_path / "s", mode="w") as store:
-        store.put(kv_entry(small_model, embedder, "alpha"))
-    task = TaskRecord(id="t", question="alpha", answers=["x"])
-    backends = scripted_backends({"alpha": ["<ans>x</ans>"]})
-    with LogStore(tmp_path / "s", mode="r") as store:
-        # the store is checked once, before any round, whatever k_logs is
-        for k_logs in (1, 0):
-            cfg = RunConfig(mode="lag_text", max_steps=8, k_docs=0, k_logs=k_logs)
-            with pytest.raises(InputError, match="KV"):
-                run_task(task, cfg, backends, store)
 
 
 def test_kv_mode_keeps_prompt_free_of_log_text(tmp_path, small_model, embedder):
@@ -289,7 +280,7 @@ def test_kv_mode_keeps_prompt_free_of_log_text(tmp_path, small_model, embedder):
     store.close()
     store = LogStore(tmp_path / "s", mode="r")
     task = TaskRecord(id="t", question="magic word", answers=["xyzzy"])
-    cfg = RunConfig(mode="lag_kv", max_steps=8, k_docs=0, k_logs=1)
+    cfg = RunConfig(max_steps=8, k_docs=0, k_logs=1)
     captured = {}
 
     class Spy(ScriptedGenerator):
@@ -312,42 +303,42 @@ def test_kv_mode_keeps_prompt_free_of_log_text(tmp_path, small_model, embedder):
     assert captured["entries"][0].entry_id == 0
 
 
-def test_kv_mode_rejects_mismatched_store(tmp_path, small_model, embedder):
-    store = LogStore(tmp_path / "text", mode="w")
-    store.put(
-        LogEntry(
-            task_text="q",
-            retrieval_key_text="q",
-            embedding=embedder.embed("q"),
-            strategy=SelectionStrategy("last_round_text"),
-            text_payload="just text",
-        )
-    )
-    store.close()
-    store = LogStore(tmp_path / "text", mode="r")
-    task = TaskRecord(id="t", question="q", answers=["a"])
-    backends = scripted_backends({"q": ["<ans>a</ans>"]}, model=small_model)
-    with pytest.raises(IncompatibilityError):
-        run_task(task, RunConfig(mode="lag_kv", max_steps=2, k_docs=0), backends, store)
-    store.close()
+def test_kv_mode_rejects_mismatched_store(tmp_path):
+    # KV logs of other weights: the store implies lag_kv, but its fingerprint
+    # is not the generation model's
+    seen, unseen = build_reuse_suite()
+    foreign = build_model(ModelConfig(weight_seed=1))
+    ingest = Backends(FactChainGenerator(), HashedBagOfWordsEmbedder(), model=foreign)
+    ingest_tasks(seen[:1], SelectionStrategy("last_round"), ingest, tmp_path / "s", k_docs=1)
+    model = build_model(ModelConfig())
+    backends = Backends(FactChainGenerator(), HashedBagOfWordsEmbedder(), model=model)
+    with LogStore(tmp_path / "s", mode="r") as store:
+        with pytest.raises(IncompatibilityError):
+            run_task(unseen[0], RunConfig(k_docs=1), backends, store)
+    save_tasks(unseen, tmp_path / "unseen.jsonl")
+    out = tmp_path / "r.json"
+    assert main([
+        "run", "--dataset", str(tmp_path / "unseen.jsonl"), "--split", "all",
+        "--store", str(tmp_path / "s"), "--generator", "synth-hop", "--out", str(out),
+    ]) == 5
+    assert not out.exists()
 
 
-def test_kv_mode_requires_capable_generator(small_model):
+def test_kv_mode_requires_capable_generator(tmp_path, small_model, embedder):
     class NoKv(ScriptedGenerator):
         accepts_kv_prefix = False
 
+    with LogStore(tmp_path / "s", mode="w") as store:
+        store.put(kv_entry(small_model, embedder, "q"))
     task = TaskRecord(id="t", question="q", answers=["a"])
-    backends = Backends(
-        generator=NoKv({}),
-        embedder=HashedBagOfWordsEmbedder(dimension=64, seed=0),
-        model=small_model,
-    )
-    with pytest.raises(ConfigurationError):
-        run_task(task, RunConfig(mode="lag_kv", max_steps=2), backends, None)
+    backends = Backends(generator=NoKv({}), embedder=embedder, model=small_model)
+    with LogStore(tmp_path / "s", mode="r") as store:
+        with pytest.raises(ConfigurationError, match="KV-capable"):
+            run_task(task, RunConfig(max_steps=2), backends, store)
 
 
-def test_standard_mode_forces_k_logs_zero(tmp_path, small_model, embedder, monkeypatch):
-    # standard mode reads no logs, whatever k_logs and the store say
+def test_k_logs_zero_over_a_kv_store_is_standard(tmp_path, small_model, embedder, monkeypatch):
+    # no log is read and no prefix is built, whatever the store holds
     with LogStore(tmp_path / "s", mode="w") as store:
         store.put(kv_entry(small_model, embedder, "alpha"))
     retrievals = []
@@ -365,12 +356,36 @@ def test_standard_mode_forces_k_logs_zero(tmp_path, small_model, embedder, monke
         model=small_model,
     )
     task = TaskRecord(id="t", question="alpha", answers=["x"])
-    cfg = RunConfig(mode="standard", max_steps=8, k_docs=0, k_logs=3)
+    cfg = RunConfig(max_steps=8, k_docs=0, k_logs=0)
     with LogStore(tmp_path / "s", mode="r") as store:
         _, _, log_ids = run_task(task, cfg, backends, store)
-    assert cfg.k_logs == 3
     assert retrievals == [] and log_ids == []
     assert handed == [(None, []), (None, [])]
+
+
+def test_a_rounds_prefix_is_freed_before_the_next_is_built(
+    tmp_path, small_model, embedder, monkeypatch
+):
+    # two prefixes alive at once make every round map fresh memory: on the
+    # hop_reuse workload that was ~27x the page faults and a slower op
+    with LogStore(tmp_path / "s", mode="w") as store:
+        store.put(kv_entry(small_model, embedder, "alpha"))
+    built = []
+    real = lag.orchestrator.assemble_kv_prefix
+
+    def tracked(entries, model):
+        assert all(ref() is None for ref in built)
+        prefix = real(entries, model)
+        built.append(weakref.ref(prefix))
+        return prefix
+
+    monkeypatch.setattr(lag.orchestrator, "assemble_kv_prefix", tracked)
+    replies = ["<keywords>alpha</keywords>", "<keywords>alpha</keywords>", "<ans>x</ans>"]
+    backends = scripted_backends({"alpha": replies}, model=small_model)
+    task = TaskRecord(id="t", question="alpha", answers=["x"])
+    with LogStore(tmp_path / "s", mode="r") as store:
+        run_task(task, RunConfig(max_steps=8, k_docs=0, k_logs=1), backends, store)
+    assert len(built) == 3
 
 
 def test_backend_failure_carries_partial_transcript():
@@ -390,7 +405,7 @@ def test_backend_failure_carries_partial_transcript():
         generator=Boom(), embedder=HashedBagOfWordsEmbedder(dimension=64, seed=0)
     )
     with pytest.raises(TaskError) as err:
-        run_task(task, RunConfig(mode="standard", max_steps=8, k_docs=0), backends, None)
+        run_task(task, RunConfig(max_steps=8, k_docs=0), backends, None)
     assert err.value.partial_transcript.iterations == 1
 
 
@@ -544,7 +559,7 @@ def test_reference_generator_consumes_injected_prefix(tmp_path, small_model, emb
         embedder=HashedBagOfWordsEmbedder(dimension=64, seed=0),
         model=small_model,
     )
-    cfg = RunConfig(mode="lag_kv", max_steps=2, k_docs=0, k_logs=2)
+    cfg = RunConfig(max_steps=2, k_docs=0, k_logs=2)
     _, t1, ids1 = run_task(task, cfg, backends, store)
     _, t2, ids2 = run_task(task, cfg, backends, store)
     store.close()
@@ -570,7 +585,7 @@ def test_lag_kv_round_validates_its_prefix_once(tmp_path, small_model, embedder,
         model=small_model,
     )
     task = TaskRecord(id="t", question="stored reasoning", answers=["?"])
-    cfg = RunConfig(mode="lag_kv", max_steps=1, k_docs=0, k_logs=3)
+    cfg = RunConfig(max_steps=1, k_docs=0, k_logs=3)
     _, _, ids = run_task(task, cfg, backends, store)
     assert len(ids) == 3
     # once, on the whole assembled prefix, where it enters the model

@@ -25,16 +25,16 @@ REASONING_TASK = TaskRecord(id="r", question="q", answers=["(A)"], choices=["1",
 
 def test_steps_for_family_defaults(embedder):
     backends = _never_answers(embedder)
-    cfg = RunConfig(mode="standard", k_docs=0)  # no max_steps: the family's cap
+    cfg = RunConfig(k_docs=0)  # no max_steps: the family's cap
     assert run_task(KNOWLEDGE_TASK, cfg, backends)[1].iterations == 8
     assert run_task(REASONING_TASK, cfg, backends)[1].iterations == 3
-    cfg = RunConfig(mode="standard", max_steps=5, k_docs=0)
+    cfg = RunConfig(max_steps=5, k_docs=0)
     assert run_task(REASONING_TASK, cfg, backends)[1].iterations == 5
 
 
 def test_run_tasks_keeps_the_configured_step_cap(embedder):
     report = run_tasks(
-        [KNOWLEDGE_TASK, REASONING_TASK], RunConfig(mode="standard", max_steps=2, k_docs=0),
+        [KNOWLEDGE_TASK, REASONING_TASK], RunConfig(max_steps=2, k_docs=0),
         _never_answers(embedder), None,
     )
     assert [r.iterations for r in report.rows] == [2, 2]
@@ -84,7 +84,7 @@ def test_the_memo_carried_across_tasks_never_changes_a_reply(tmp_path, small_mod
     ingest_tasks(seen, SelectionStrategy("last_round"), ingest, tmp_path / "s",
                  max_steps=3, gen_max_new=8, k_docs=1)
     store = LogStore(tmp_path / "s", mode="r")
-    cfg = RunConfig(mode="lag_kv", max_steps=3, k_docs=1, k_logs=3, gen_max_new=8)
+    cfg = RunConfig(max_steps=3, k_docs=1, k_logs=3, gen_max_new=8)
     shared = RecordingReferenceGenerator(small_model, max_new=8)
     report = run_tasks(unseen * 2, cfg, Backends(shared, embedder, model=small_model), store)
     fresh_rows, fresh_replies, fresh_caches = [], [], []
@@ -122,7 +122,7 @@ def test_backend_failures_become_unanswered_rows(embedder):
     ]
     backends = Backends(generator=FailsOnSecondTask(), embedder=embedder)
     report = run_tasks(
-        tasks, RunConfig(mode="standard", max_steps=2, k_docs=0), backends, None
+        tasks, RunConfig(max_steps=2, k_docs=0), backends, None
     )
     assert report.rows[0].em == 1
     assert report.rows[1].answered is False
@@ -136,8 +136,34 @@ def test_choice_tasks_scored_by_letter(embedder):
         embedder=embedder,
     )
     report = run_tasks(
-        [task], RunConfig(mode="standard", k_docs=0), backends, None
+        [task], RunConfig(k_docs=0), backends, None
     )
     assert report.rows[0].em == 1
     assert report.rows[0].f1 == 1.0
     assert report.rows[0].iterations == 1
+
+
+@pytest.mark.parametrize(
+    "stored,k_logs,header",
+    [
+        (None, 3, ("standard", "")),
+        ("empty", 3, ("standard", "")),
+        ("last_round", 0, ("standard", "")),
+        ("last_round_text", 3, ("lag_text", "last_round_text")),
+        ("last_round", 3, ("lag_kv", "last_round")),
+    ],
+    ids=["no-store", "empty-store", "kv-store-k0", "text-store", "kv-store"],
+)
+def test_the_store_decides_the_report_mode(tmp_path, small_model, embedder, stored, k_logs,
+                                           header):
+    task = TaskRecord(id="t", question="q", answers=["a"])
+    backends = Backends(ScriptedGenerator({}, default=["<ans>a</ans>"]), embedder,
+                        model=small_model)
+    store = None
+    if stored is not None:
+        tasks, strategy = ([], "last_round") if stored == "empty" else ([task], stored)
+        ingest_tasks(tasks, SelectionStrategy(strategy), backends, tmp_path / "s", k_docs=0)
+        store = LogStore(tmp_path / "s", mode="r")
+    report = run_tasks([task], RunConfig(k_logs=k_logs, k_docs=0), backends, store)
+    assert (report.mode, report.strategy) == header
+    assert report.rows[0].em == 1

@@ -1,11 +1,14 @@
 import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 
 from lag.cli import main
 from lag.codec import LogEntry, SelectionStrategy, encode_log, serialize
+from lag.config import TEXT_FINGERPRINT
+from lag.datasets import TaskRecord, save_tasks
 from lag.errors import FormatError, IncompatibilityError, InputError, NotFoundError
 from lag.store import ENTRIES_NAME, OFFSETS_NAME, LogStore, normalize
 from tests.conftest import FailingFile
@@ -363,3 +366,36 @@ def test_a_failed_put_leaves_the_store_as_it_was(tmp_path, rng, handle, fails):
     assert store.put(entries[3]) == 2  # the store stays open for writing
     store.close()
     assert _store_bytes(tmp_path / "s") == _store_bytes(tmp_path / "clean")
+
+
+def test_put_refuses_a_kv_entry_with_the_text_fingerprint(tmp_path, small_model, embedder):
+    # the text fingerprint marks text logs: a store of them runs as lag_text
+    entry = encode_log(small_model, THREE_ROUNDS, SelectionStrategy("last_round"), embedder)
+    entry.kv.model_fingerprint = TEXT_FINGERPRINT
+    with LogStore(tmp_path / "s", mode="w") as store:
+        with pytest.raises(InputError, match="text fingerprint"):
+            store.put(entry)
+        assert store.count == 0
+    assert _store_bytes(tmp_path / "s") == (b"", b"")
+
+
+def test_a_kv_entry_with_the_text_fingerprint_fails_to_open(tmp_path, small_model, embedder):
+    # a valid entry with its fingerprint (header bytes 6..38) zeroed and its
+    # CRC recomputed, written past put
+    blob = bytearray(serialize(encode_log(
+        small_model, THREE_ROUNDS, SelectionStrategy("last_round"), embedder)))
+    blob[6:38] = bytes(32)
+    blob[-4:] = struct.pack("<I", zlib.crc32(blob[:-4]))
+    path = tmp_path / "s"
+    path.mkdir()
+    (path / ENTRIES_NAME).write_bytes(bytes(blob))
+    (path / OFFSETS_NAME).write_bytes(struct.pack("<Q", 0))
+    for mode in ("r", "w"):
+        with pytest.raises(FormatError, match="text fingerprint"):
+            LogStore(path, mode)
+    dataset = tmp_path / "tasks.jsonl"
+    save_tasks([TaskRecord(id="t", question="q", answers=["a"])], dataset)
+    out = tmp_path / "r.json"
+    assert main(["run", "--dataset", str(dataset), "--split", "all", "--store", str(path),
+                 "--generator", "synth-hop", "--out", str(out)]) == 3
+    assert not out.exists()

@@ -44,10 +44,10 @@ def suite_runs(tmp_path_factory, small_model):
     )
     store = LogStore(store_path, mode="r")
     standard = run_tasks(
-        unseen, RunConfig(mode="standard", max_steps=8, k_docs=1), backends, None
+        unseen, RunConfig(max_steps=8, k_docs=1), backends, None
     )
     lag_kv = run_tasks(
-        unseen, RunConfig(mode="lag_kv", max_steps=8, k_docs=1, k_logs=3), backends, store
+        unseen, RunConfig(max_steps=8, k_docs=1, k_logs=3), backends, store
     )
     store.close()
     return standard, lag_kv

@@ -87,8 +87,8 @@ def test_kv_run_keeps_the_generators_reuse(tmp_path, monkeypatch, default_model)
     monkeypatch.setattr(backends.generator, "generate", counting_generate)
     store = LogStore(tmp_path / "s", mode="r")
     try:
-        cfg = RunConfig(mode=LAG_KV, max_steps=4, k_logs=3, k_docs=2)
-        run_tasks(unseen, cfg, backends, store)
+        cfg = RunConfig(max_steps=4, k_logs=3, k_docs=2)
+        assert run_tasks(unseen, cfg, backends, store).mode == LAG_KV
     finally:
         store.close()
 
