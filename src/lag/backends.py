@@ -46,6 +46,14 @@ class ReferenceModelGenerator(GeneratorBackend):
     plus the prompt's common head with the cached tokens and prefills only
     the rest. A call that also repeats the cached prompt and ``max_new``
     returns the cached output with no forward pass.
+
+    Decoding is ``greedy_decode``'s: after each output token it drafts the
+    tokens that followed the first earlier occurrence of the context's last
+    3 (else 2) tokens, up to a limit that starts at 1, doubles on a full
+    accept and falls to what was accepted otherwise, and checks them in one
+    pass. The output is the one-token loop's up to float order, as with the
+    memo's split prefill: a multi-row pass rounds differently from a one-row
+    pass.
     """
 
     accepts_kv_prefix = True

@@ -21,6 +21,8 @@ _GELU_HALF = np.float32(0.5)
 _GELU_ONE = np.float32(1.0)
 _GELU_C = np.float32(np.sqrt(2.0 / np.pi))
 _GELU_CUBE = np.float32(0.044715)
+# greedy_decode's draft keys: the context's last 3 tokens, else its last 2
+_DRAFT_NGRAMS = (3, 2)
 
 
 class ByteTokenizer:
@@ -230,23 +232,75 @@ def greedy_decode(
     span. A generated stop id is consumed but excluded from the returned
     sequence. The cache is extended in place and ends holding the prompt and
     the output, less its last token on a ``max_new`` stop (it is never fed
-    back)."""
+    back), and never a stop id.
+
+    Tokens are checked in batches, as in speculative decoding (Leviathan et
+    al., 2023) with a draft copied from the context, as in LLMA (Yang et al.,
+    2023). The context is this call's prompt plus the output so far. After
+    each output token, its last 3 tokens, else its last 2, are looked up at
+    their first earlier occurrence, and the tokens that followed it are the
+    draft. One pass feeds the output token and the draft; the longest run of
+    the draft that the pass's argmaxes agree with, stopping before a stop
+    id, is output, the next token comes from the row after it and the cache
+    is truncated to drop the rest. The draft holds at most ``limit`` tokens:
+    1 at first, doubled after a draft is accepted in full, and
+    ``max(1, accepted)`` after one is not. It is also capped so the pass
+    fits in ``max_new``, ``max_positions`` and the cache. The output is the
+    one-token-per-pass loop's up to float order: a pass of several rows
+    rounds differently from a pass of one, so logits are not bit-identical.
+    """
     out: list[int] = []
     if max_new <= 0:
         return out
-    prompt = list(prompt)
-    if not prompt:
+    context = list(prompt)
+    if not context:
         raise InputError("greedy_decode needs a non-empty prompt")
     pos = cache.last_position + 1
-    logits, _ = forward_with_prefix(model, cache, prompt, pos)
-    pos += len(prompt)
-    while True:
-        next_id = int(np.argmax(logits[-1]))
-        if next_id in stop_ids:
-            break
-        out.append(next_id)
+    logits, _ = forward_with_prefix(model, cache, context, pos)
+    pos += len(context)
+    firsts: dict[tuple[int, ...], int] = {}  # n-gram -> its first start in context
+    for n in _DRAFT_NGRAMS:
+        for i in range(len(context) - n + 1):
+            firsts.setdefault(tuple(context[i : i + n]), i)
+
+    def push(tok: int) -> int | None:
+        """Appends an output token; returns where the tokens after the first
+        earlier occurrence of the context's last n-gram start, if any."""
+        out.append(tok)
+        context.append(tok)
+        after = None
+        for n in _DRAFT_NGRAMS:
+            if len(context) >= n:
+                start = firsts.setdefault(tuple(context[-n:]), len(context) - n)
+                if after is None and start < len(context) - n:
+                    after = start + n
+        return after
+
+    max_positions = model.config.max_positions
+    limit = 1
+    next_id = int(np.argmax(logits[-1]))
+    while next_id not in stop_ids:
+        after = push(next_id)
         if len(out) >= max_new:
             break
-        logits, _ = forward_with_prefix(model, cache, [next_id], pos)
-        pos += 1
+        room = min(
+            max_new - len(out), max_positions - pos, cache.capacity - cache.span_len
+        ) - 1
+        draft = context[after : after + min(limit, room)] if after is not None else []
+        logits, _ = forward_with_prefix(model, cache, [next_id] + draft, pos)
+        best = np.argmax(logits, axis=-1).tolist()
+        accepted = 0
+        while (
+            accepted < len(draft)
+            and best[accepted] == draft[accepted]
+            and draft[accepted] not in stop_ids
+        ):
+            accepted += 1
+        if draft:
+            limit = 2 * limit if accepted == len(draft) else max(1, accepted)
+        cache.truncate(cache.span_len - len(draft) + accepted)
+        pos += 1 + accepted
+        for tok in draft[:accepted]:
+            push(tok)
+        next_id = best[accepted]
     return out

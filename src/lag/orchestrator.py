@@ -122,6 +122,7 @@ def run_task(
     # id -> (latest similarity, entry), first retrieval first
     logs: dict[int, tuple[float, LogEntry]] = {}
     turns: list[tuple[str, str]] = []
+    kv_prefix, prefix_order = None, None  # the assembled prefix and its entry ids
     final_action = Action()
     max_steps = cfg.max_steps if cfg.max_steps is not None else DEFAULT_MAX_STEPS[task.family]
 
@@ -135,12 +136,15 @@ def run_task(
                 known = logs.get(res.entry_id)
                 entry = known[1] if known else log_store.get(res.entry_id)
                 logs[res.entry_id] = (res.similarity, entry)
-        ordered = [logs[i][1] for i in sorted(logs, key=lambda i: (-logs[i][0], i))]
+        order = sorted(logs, key=lambda i: (-logs[i][0], i))
+        ordered = [logs[i][1] for i in order]
 
-        kv_prefix = None  # frees the last round's prefix before the next is built
         text_logs: list[str] = []
-        if mode == LAG_KV:
+        if mode == LAG_KV and order != prefix_order:
+            # the same ids in the same order hand over the last round's prefix
+            kv_prefix = None  # frees the last round's prefix before the next is built
             kv_prefix = assemble_kv_prefix(ordered, backends.model)
+            prefix_order = order
         elif mode == LAG_TEXT:
             text_logs = [e.text_payload for e in ordered]
 

@@ -1,8 +1,8 @@
 """Independent oracles for the numeric contracts the tests pin.
 
 Rotary round trips, repositioning vs a scalar longhand, KV-prefix injection
-vs a full forward pass, the forward pass vs its unfused form, and top-k
-retrieval vs brute force. Each test picks its own seeds, sizes and
+vs a full forward pass, the forward pass vs its unfused form, greedy
+decoding vs one token per pass, and top-k retrieval vs brute force. Each test picks its own seeds, sizes and
 tolerances.
 """
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+import lag.model
 from lag._kernels import TILE, rotate_pairs
 from lag.model import _rmsnorm, encode, forward_with_prefix
 from lag.rope import RopeParams, cos_sin_table
@@ -138,6 +139,29 @@ def unfused_logits(model, cache, tokens, start_position: int) -> np.ndarray:
         x = x + _longhand_gelu(xf @ layer["w1"]) @ layer["w2"]
     cache.commit(positions)
     return _rmsnorm(x) @ model.head
+
+
+def stepwise_greedy_decode(model, cache, prompt, max_new: int, stop_ids=frozenset()):
+    """Greedy decoding one token per forward pass, the loop ``greedy_decode``
+    drafts over: the same output ids and, on return, the same cache span.
+    Like it, it looks ``forward_with_prefix`` up on ``lag.model``, so a hook
+    there sees the passes of both."""
+    out: list[int] = []
+    if max_new <= 0:
+        return out
+    pos = cache.last_position + 1
+    logits, _ = lag.model.forward_with_prefix(model, cache, list(prompt), pos)
+    pos += len(prompt)
+    while True:
+        next_id = int(np.argmax(logits[-1]))
+        if next_id in stop_ids:
+            break
+        out.append(next_id)
+        if len(out) >= max_new:
+            break
+        logits, _ = lag.model.forward_with_prefix(model, cache, [next_id], pos)
+        pos += 1
+    return out
 
 
 def brute_force_topk(embeddings, query, k: int) -> list[int]:

@@ -1,3 +1,4 @@
+import functools
 import subprocess
 import sys
 import tracemalloc
@@ -5,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import lag.model
 from lag._kernels import TILE
 from lag.config import ModelConfig
 from lag.errors import (
@@ -26,7 +28,7 @@ from lag.model import (
 from lag.rope import RopeParams
 from lag.segment import KvCache
 from tests.conftest import SMALL_CONFIG, child_env
-from tests.oracles import injection_error, unfused_logits
+from tests.oracles import injection_error, stepwise_greedy_decode, unfused_logits
 
 
 def test_build_is_deterministic(small_model):
@@ -399,6 +401,116 @@ def test_forward_matches_the_unfused_forward_bit_for_bit(config):
     assert got.keys.tobytes() == want.keys.tobytes()
     assert got.values.tobytes() == want.values.tobytes()
     assert got.positions.tobytes() == want.positions.tobytes()
+
+
+# -- greedy_decode's drafts against one token per pass --------------------------
+
+DECODE_CONFIGS = {
+    "default": ModelConfig(),
+    "small": SMALL_CONFIG,
+    "kv3_d8": ModelConfig(num_layers=3, num_heads=6, num_kv_heads=3, head_dim=8),
+}
+
+
+@functools.cache
+def decode_model(name):
+    return build_model(DECODE_CONFIGS[name])
+
+
+def decode_prompt(kind, seed, n=24):
+    rng = np.random.default_rng(seed)
+    if kind == "repeating":
+        return [int(rng.integers(0, 256))] * n
+    if kind == "periodic":
+        return (rng.integers(0, 256, 3).tolist() * n)[:n]
+    return rng.integers(0, 256, n).tolist()
+
+
+def assert_decodes_like_the_oracle(model, make_cache, prompt, max_new, stop_ids=frozenset()):
+    """greedy_decode and one token per pass give the same ids and leave their
+    caches with the same span and positions."""
+    want_cache, got_cache = make_cache(), make_cache()
+    want = stepwise_greedy_decode(model, want_cache, prompt, max_new, stop_ids)
+    got = greedy_decode(model, got_cache, prompt, max_new, stop_ids)
+    assert got == want
+    assert got_cache.span_len == want_cache.span_len
+    assert np.array_equal(got_cache.segment().positions, want_cache.segment().positions)
+    return got
+
+
+@pytest.mark.parametrize("name", DECODE_CONFIGS)
+@pytest.mark.parametrize("kind", ["repeating", "periodic", "random"])
+@pytest.mark.parametrize("max_new", [1, 2, 64])
+def test_greedy_decode_matches_one_token_per_pass(name, kind, max_new):
+    model = decode_model(name)
+    for seed in range(3):
+        prompt = decode_prompt(kind, seed)
+        assert_decodes_like_the_oracle(model, lambda: model.prefix_cache(None), prompt, max_new)
+
+
+@pytest.mark.parametrize("name", DECODE_CONFIGS)
+def test_greedy_decode_after_a_kv_prefix_matches_one_token_per_pass(name):
+    model = decode_model(name)
+    prefix, _ = encode(model, decode_prompt("random", 7, 40), 0)
+    for kind in ("repeating", "periodic", "random"):
+        assert_decodes_like_the_oracle(
+            model, lambda: model.prefix_cache(prefix), decode_prompt(kind, 8), 64
+        )
+
+
+def test_greedy_decode_never_accepts_a_stop_id_from_a_draft(monkeypatch):
+    # the prompt ends with the model's own periodic output, so the first
+    # draft copies its next token from the prompt; that token is the stop id
+    model = decode_model("kv3_d8")
+    head = decode_prompt("repeating", 2)
+    out = stepwise_greedy_decode(model, model.prefix_cache(None), head, 8)
+    prompt, stop = head + out[:4], out[5]
+    assert out[4:6] == out[:2]  # the output repeats with period 2
+    fed = []
+    real = lag.model.forward_with_prefix
+
+    def recording(model, prefix, tokens, start_position):
+        fed.append(list(tokens))
+        return real(model, prefix, tokens, start_position)
+
+    monkeypatch.setattr(lag.model, "forward_with_prefix", recording)
+    got = assert_decodes_like_the_oracle(
+        model, lambda: model.prefix_cache(None), prompt, 64, {stop})
+    assert got == [out[4]]
+    assert [out[4], stop] in fed  # the draft held the stop id the pass then predicted
+
+
+@pytest.mark.parametrize("name", DECODE_CONFIGS)
+@pytest.mark.parametrize("kind", ["repeating", "periodic", "random"])
+def test_greedy_decode_near_max_positions_matches_one_token_per_pass(name, kind):
+    # the prompt ends 5 positions before the end: 6 new tokens fill them (the
+    # last is never fed back), and a 7th would need a position past the end
+    model = decode_model(name)
+    end = model.config.max_positions
+    prefix, _ = encode(model, decode_prompt("random", 9, 16), end - 16 - 24 - 5)
+
+    def make_cache():
+        return model.prefix_cache(prefix)
+
+    got = assert_decodes_like_the_oracle(model, make_cache, decode_prompt(kind, 10), 6)
+    assert len(got) == 6
+    assert make_cache().capacity == end
+    for decode in (stepwise_greedy_decode, greedy_decode):
+        with pytest.raises(CapacityError):
+            decode(model, make_cache(), decode_prompt(kind, 10), 7)
+
+
+def test_greedy_decode_drafts_stop_at_the_last_position():
+    # 16 tokens repeat and then the model predicts EOS; the prompt leaves
+    # exactly 16 positions, so an uncapped draft of the repeat would need
+    # positions past the end, where one token per pass stops on EOS in time
+    model = decode_model("default")
+    end = model.config.max_positions
+    prompt = decode_prompt("repeating", 1)
+    prefix, _ = encode(model, prompt[:1], end - len(prompt) - 16 - 1)
+    got = assert_decodes_like_the_oracle(
+        model, lambda: model.prefix_cache(prefix), prompt, 64, {ByteTokenizer.EOS})
+    assert got == [22] * 16
 
 
 def test_tokenizer_round_trip():

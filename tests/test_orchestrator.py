@@ -367,9 +367,11 @@ def test_a_rounds_prefix_is_freed_before_the_next_is_built(
     tmp_path, small_model, embedder, monkeypatch
 ):
     # two prefixes alive at once make every round map fresh memory: on the
-    # hop_reuse workload that was ~27x the page faults and a slower op
+    # hop_reuse workload that was ~27x the page faults and a slower op. Each
+    # round retrieves one more log, so each builds a new prefix.
     with LogStore(tmp_path / "s", mode="w") as store:
-        store.put(kv_entry(small_model, embedder, "alpha"))
+        for text in ("alpha", "beta", "gamma"):
+            store.put(kv_entry(small_model, embedder, text))
     built = []
     real = lag.orchestrator.assemble_kv_prefix
 
@@ -380,12 +382,44 @@ def test_a_rounds_prefix_is_freed_before_the_next_is_built(
         return prefix
 
     monkeypatch.setattr(lag.orchestrator, "assemble_kv_prefix", tracked)
-    replies = ["<keywords>alpha</keywords>", "<keywords>alpha</keywords>", "<ans>x</ans>"]
+    replies = ["<keywords>beta</keywords>", "<keywords>gamma</keywords>", "<ans>x</ans>"]
     backends = scripted_backends({"alpha": replies}, model=small_model)
     task = TaskRecord(id="t", question="alpha", answers=["x"])
     with LogStore(tmp_path / "s", mode="r") as store:
-        run_task(task, RunConfig(max_steps=8, k_docs=0, k_logs=1), backends, store)
+        _, _, log_ids = run_task(task, RunConfig(max_steps=8, k_docs=0, k_logs=1), backends, store)
+    assert log_ids == [0, 1, 2]
     assert len(built) == 3
+
+
+def test_an_unchanged_prefix_is_handed_over_not_rebuilt(
+    tmp_path, small_model, embedder, monkeypatch
+):
+    # rounds 1 and 2 retrieve alpha alone; round 3 adds beta
+    with LogStore(tmp_path / "s", mode="w") as store:
+        for text in ("alpha", "beta"):
+            store.put(kv_entry(small_model, embedder, text))
+    built = []
+    real = lag.orchestrator.assemble_kv_prefix
+    monkeypatch.setattr(
+        lag.orchestrator, "assemble_kv_prefix",
+        lambda entries, model: built.append(len(entries)) or real(entries, model),
+    )
+    handed = []
+
+    class Spy(ScriptedGenerator):
+        def generate(self, messages, kv_prefix=None, log_entries=None):
+            handed.append(kv_prefix)
+            return super().generate(messages, kv_prefix=kv_prefix, log_entries=log_entries)
+
+    replies = ["<keywords>alpha</keywords>", "<keywords>beta</keywords>", "<ans>x</ans>"]
+    backends = Backends(Spy({"alpha": replies}), embedder, small_model)
+    task = TaskRecord(id="t", question="alpha", answers=["x"])
+    with LogStore(tmp_path / "s", mode="r") as store:
+        run_task(task, RunConfig(max_steps=8, k_docs=0, k_logs=1), backends, store)
+        both = assemble_kv_prefix([store.get(0), store.get(1)], small_model)
+    assert built == [1, 2]
+    assert handed[1] is handed[0]  # every round is still handed its prefix
+    assert handed[2] is not handed[1] and handed[2].equals(both)
 
 
 def test_backend_failure_carries_partial_transcript():

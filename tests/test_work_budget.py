@@ -5,24 +5,36 @@ with no memo writes the same ones. Forward-pass counts do, and they are
 deterministic, so a lost reuse fails here instead of only in a timed run.
 """
 
+import numpy as np
 import pytest
 
 import lag.model
+import lag.orchestrator
 from lag.backends import Backends, HashedBagOfWordsEmbedder, ReferenceModelGenerator
 from lag.codec import SelectionStrategy
 from lag.config import ModelConfig
-from lag.model import build_model
+from lag.model import build_model, greedy_decode
 from lag.orchestrator import LAG_KV, RunConfig
 from lag.runner import ingest_tasks, run_tasks
 from lag.store import LogStore
 from lag.synth import build_reuse_suite
+from tests.oracles import stepwise_greedy_decode
 
-# Recorded at commit 1cc223a. A change that moves them must say why the new
-# counts are right.
-PASSES = 256
+# Recorded at commit 1cc223a and re-pinned when greedy_decode began to check
+# drafted tokens in batches. A change that moves them must say why the new
+# counts are right. Each of the 4 decoding calls prefills its prompt (1012
+# tokens, then 208 after the memo's reuse) and decodes 64 copies of one byte:
+# 1 token from the prefill, 2 passes of 1 token before a 2-gram repeats, then
+# drafts of 1, 2, 4, 8 and 16 accepted in full and one of 24 capped by
+# max_new. That is 9 passes a call, and 63 decode tokens fed, as before.
+PASSES = 36
 TOKENS_FED = 1888
-MULTI_TOKEN_PASSES = [1012, 208, 208, 208]
+DRAFT_PASSES = [2, 3, 5, 9, 17, 25]
+MULTI_TOKEN_PASSES = [1012, *DRAFT_PASSES] + [208, *DRAFT_PASSES] * 3
 CALLS, CALLS_WITHOUT_A_PASS = 16, 12
+# Prefix assemblies: every round of a task retrieves the same logs in the
+# same order, so each of the 4 tasks assembles its prefix once
+ASSEMBLIES = 4
 # Embedder calls: the ingest embeds each seen task's 6 passages and its
 # 4 round queries, and 1 retrieval key (4 x 11); the run embeds each unseen
 # task's 6 passages once and one query per round (4 x 6 + 16)
@@ -71,6 +83,13 @@ def test_kv_run_keeps_the_generators_reuse(tmp_path, monkeypatch, default_model)
         rotations.append(1)
         return real_rotate(*args, **kwargs)
 
+    assemblies = []
+    real_assemble = lag.orchestrator.assemble_kv_prefix
+
+    def counting_assemble(entries, model):
+        assemblies.append(len(entries))
+        return real_assemble(entries, model)
+
     passes_per_call = []
     real_generate = backends.generator.generate
 
@@ -85,6 +104,7 @@ def test_kv_run_keeps_the_generators_reuse(tmp_path, monkeypatch, default_model)
     monkeypatch.setattr(lag.model, "forward_with_prefix", counting_forward)
     monkeypatch.setattr(lag.model, "rotate_pairs", counting_rotate)
     monkeypatch.setattr(backends.generator, "generate", counting_generate)
+    monkeypatch.setattr(lag.orchestrator, "assemble_kv_prefix", counting_assemble)
     store = LogStore(tmp_path / "s", mode="r")
     try:
         cfg = RunConfig(max_steps=4, k_logs=3, k_docs=2)
@@ -99,3 +119,35 @@ def test_kv_run_keeps_the_generators_reuse(tmp_path, monkeypatch, default_model)
     assert [n for n in fed if n > 1] == MULTI_TOKEN_PASSES
     assert len(passes_per_call) == CALLS
     assert passes_per_call.count(0) == CALLS_WITHOUT_A_PASS
+    assert len(assemblies) == ASSEMBLIES
+
+
+def test_a_decode_whose_drafts_fail_feeds_at_most_twice_the_tokens(
+    monkeypatch, default_model
+):
+    # random prompts give outputs that repeat little, so many drafts fail;
+    # the draft limit falls back to what was accepted, so the decode passes
+    # feed at most twice the tokens of one token per pass (1.48 times here)
+    fed = []
+    real_forward = lag.model.forward_with_prefix
+
+    def counting_forward(model, prefix, tokens, start_position):
+        fed.append(len(tokens))
+        return real_forward(model, prefix, tokens, start_position)
+
+    monkeypatch.setattr(lag.model, "forward_with_prefix", counting_forward)
+    rng = np.random.default_rng(0)
+    rejected = 0
+    for _ in range(8):
+        prompt = rng.integers(0, 256, 16).tolist()
+        fed.clear()
+        want = stepwise_greedy_decode(
+            default_model, default_model.prefix_cache(None), prompt, 64)
+        oracle = sum(fed[1:])
+        fed.clear()
+        got = greedy_decode(default_model, default_model.prefix_cache(None), prompt, 64)
+        drafted = sum(fed[1:])
+        assert got == want
+        assert drafted <= 2 * oracle
+        rejected += drafted - oracle
+    assert rejected > 0  # some drafts did fail
