@@ -1,6 +1,5 @@
 """Hot numeric kernels in numpy: pairwise rotary rotation and causal
-grouped-KV attention, query-tiled for a prefill and one matmul pair for a
-decode step.
+grouped-KV attention, query-tiled.
 
 Rotation works on whole rows in three contiguous steps instead of strided
 even/odd slices: each (e, o) pair is swapped to (o, e) by rotating its 64
@@ -22,16 +21,10 @@ mapping of 2.3 to 2.8 MB at the kv_agent prefill shape (392 queries over
 ~1390 keys): about 7200 minor page faults per kv_agent op, against 0 with
 one buffer. The output is bit-identical either way.
 
-A decode step (one query) takes its own branch of the same kernel: one
-``np.matmul`` scores the query against every key into a new
-``[kv_heads, group, 1, keys]`` array, which is scaled, softmaxed in place
-and multiplied by the values. It has no flat buffer, no tile loop and no
-mask, and its BLAS calls are those of the one tile the loop would run, so
-its output is bit-identical to the tiled path's. Both paths call
-``np.maximum.reduce`` and ``np.add.reduce``, which ``.max()`` and
-``.sum()`` reach through Python wrappers. At the kv_agent decode shape
-(one query over 1390 keys) a model decode step makes 44 Python and 84 C
-calls where it made 54 and 126 (``BENCH_kernels.json``).
+One path serves every query count, a decode step's one query being one
+unmasked tile: with prompt-lookup drafting a kv_agent op makes ~9.4 forward
+passes of which ~2.4 are one-token passes, so a separate one-query branch
+saved ~25 us of a ~37 ms op.
 """
 
 from __future__ import annotations
@@ -81,13 +74,6 @@ def causal_attention(
     scale = np.float32(1.0) / np.float32(np.sqrt(d))
 
     qg = q.reshape(n_kv, group, t_new, d)
-    if t_new == 1:  # a decode step: one row of scores per head, nothing to mask
-        scores = np.matmul(qg, k[:, None].transpose(0, 1, 3, 2))
-        scores *= scale
-        scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
-        np.exp(scores, out=scores)
-        scores /= np.add.reduce(scores, axis=-1, keepdims=True)
-        return np.matmul(scores, v[:, None]).reshape(n_heads, 1, d)
     out = np.empty((n_kv, group, t_new, d), dtype=np.float32)
     # one score buffer for every tile: at most TILE rows over at most all keys
     buf = np.empty(n_heads * min(TILE, t_new) * (n_prefix + t_new), dtype=np.float32)

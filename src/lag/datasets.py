@@ -27,6 +27,12 @@ class TaskRecord:
         return REASONING if self.choices else KNOWLEDGE
 
 
+def _text(value, field: str) -> str:
+    if not isinstance(value, str):
+        raise InputError(f"task record {field} is not a string: {value!r:.60}")
+    return value
+
+
 def task_from_json(data) -> TaskRecord:
     if not isinstance(data, dict):
         raise InputError(f"task record is not a JSON object: {data!r:.60}")
@@ -39,11 +45,12 @@ def task_from_json(data) -> TaskRecord:
     try:
         corpus = data.get("corpus")
         return TaskRecord(
-            id=str(data["id"]),
-            question=str(data["question"]),
-            answers=[str(a) for a in answers],
-            choices=[str(c) for c in choices] if choices else None,
-            corpus=[(str(d["title"]), str(d["text"])) for d in corpus] if corpus else None,
+            id=_text(data["id"], "'id'"),
+            question=_text(data["question"], "'question'"),
+            answers=[_text(a, "answer") for a in answers],
+            choices=[_text(c, "choice") for c in choices] if choices else None,
+            corpus=[(_text(d["title"], "corpus title"), _text(d["text"], "corpus text"))
+                    for d in corpus] if corpus else None,
         )
     except (KeyError, TypeError) as err:
         raise InputError(f"malformed task record: {err}") from err

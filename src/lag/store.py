@@ -39,10 +39,11 @@ class RetrievalResult:
 def normalize(vec: np.ndarray) -> np.ndarray:
     """L2-normalize; the zero vector stays zero (cosine defined as 0).
     Vectors already at unit norm pass through bit-unchanged so that putting
-    a normalized entry round-trips exactly."""
+    a normalized entry round-trips exactly, and so does a vector with a
+    non-finite norm, for the store to refuse."""
     vec = np.asarray(vec, dtype=np.float32)
     norm = float(np.linalg.norm(vec.astype(np.float64)))
-    if norm == 0.0 or abs(norm - 1.0) < 1e-6:
+    if norm == 0.0 or abs(norm - 1.0) < 1e-6 or not np.isfinite(norm):
         return vec.copy()
     return (vec.astype(np.float64) / norm).astype(np.float32)
 
@@ -52,9 +53,9 @@ class LogStore:
 
     Every entry, loaded on open or just put, enters through ``_admit``: it
     is decoded from the store's own bytes, so its embedding, keys and values
-    are read-only views over them, and an entry whose fingerprint or
-    embedding dimension differs from entry 0's is refused. Ids are the
-    insertion ordinals (sequential from 0).
+    are read-only views over them, and an entry whose embedding is not
+    finite, or whose fingerprint or embedding dimension differs from entry
+    0's, is refused. Ids are the insertion ordinals (sequential from 0).
     """
 
     def __init__(self, path: str | Path, mode: str = "r"):
@@ -94,10 +95,13 @@ class LogStore:
         self._rebuild_matrix()
 
     def _admit(self, blob) -> LogEntry:
-        """Decode the bytes of the next entry and check them against entry 0:
-        the one way, on open and on put, that an entry enters the store."""
+        """Decode the bytes of the next entry, refuse a non-finite embedding
+        and check the rest against entry 0: the one way, on open and on put,
+        that an entry enters the store."""
         entry = deserialize(blob)
         entry.entry_id = i = len(self._entries)
+        if not np.isfinite(entry.embedding).all():
+            raise InputError(f"entry {i}: embedding holds NaN or inf")
         first = self._entries[0] if self._entries else entry
         if entry.fingerprint != first.fingerprint:
             raise IncompatibilityError(f"entry {i}: fingerprint differs from the store's")

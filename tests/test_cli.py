@@ -664,12 +664,22 @@ def test_repeated_task_id_names_its_line(tmp_path, capsys):
 def test_malformed_task_record_names_its_line(tmp_path, capsys):
     dataset = tmp_path / "bad.jsonl"
     good = {"id": "a", "question": "What is x?", "answers": ["x"]}
-    dataset.write_text(json.dumps(good) + "\n[1]\n")
-    assert run_cli(
-        "run", "--dataset", dataset, "--split", "all",
-        "--generator", "synth-hop", "--out", tmp_path / "o.json",
-    ) == 3
-    assert capsys.readouterr().err.startswith(f"error: {dataset}:2: ")
+    # a text field holding anything but a JSON string is refused, not str()-ed
+    for bad, reason in (
+        ([1], "not a JSON object"),
+        ({"id": None, "question": None, "answers": ["x"]}, "'id' is not a string: None"),
+        ({**good, "answers": [None]}, "answer is not a string: None"),
+        ({**good, "corpus": [{"title": None, "text": 5}]}, "corpus title is not a string"),
+        ({**good, "corpus": [{"title": "t", "text": 5}]}, "corpus text is not a string: 5"),
+        ({**good, "choices": [None, 3]}, "choice is not a string: None"),
+    ):
+        dataset.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        assert run_cli(
+            "run", "--dataset", dataset, "--split", "all",
+            "--generator", "synth-hop", "--out", tmp_path / "o.json",
+        ) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {dataset}:2: ") and reason in err
 
 
 _ROW = {"id": "a", "predicted": "x", "gold": ["x"], "em": 1, "f1": 1.0,

@@ -56,6 +56,44 @@ def test_every_module_level_import_is_used(module):
     assert unused_imports(ROOT / "src" / "lag" / module) == []
 
 
+def top_level_definitions(path: Path) -> list[str]:
+    """Functions, classes and assigned names a module defines at top level,
+    dunders excepted."""
+    names = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
+def referenced_names() -> set[str]:
+    """Every name read, attribute taken or name imported in the program's
+    Python files, and every identifier in README's code blocks."""
+    names = set()
+    for folder in ("src", "lagbench", "benchmarks"):
+        for path in (ROOT / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name.split(".")[-1])
+    for block in re.findall(r"```\w*\n(.*?)```", (ROOT / "README.md").read_text(), re.S):
+        names.update(re.findall(r"\w+", block))
+    return names
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in (ROOT / "src" / "lag").glob("*.py")))
+def test_every_top_level_definition_is_used(module):
+    used = referenced_names()
+    dead = [n for n in top_level_definitions(ROOT / "src" / "lag" / module) if n not in used]
+    assert dead == []
+
+
 def test_setup_path_imports_no_serving_module():
     # what a fresh process loads to build the model and open a store
     code = (

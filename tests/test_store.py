@@ -1,5 +1,6 @@
 import struct
 import tracemalloc
+import warnings
 import zlib
 
 import numpy as np
@@ -392,6 +393,38 @@ def test_a_kv_entry_with_the_text_fingerprint_fails_to_open(tmp_path, small_mode
     (path / OFFSETS_NAME).write_bytes(struct.pack("<Q", 0))
     for mode in ("r", "w"):
         with pytest.raises(FormatError, match="text fingerprint"):
+            LogStore(path, mode)
+    dataset = tmp_path / "tasks.jsonl"
+    save_tasks([TaskRecord(id="t", question="q", answers=["a"])], dataset)
+    out = tmp_path / "r.json"
+    assert main(["run", "--dataset", str(dataset), "--split", "all", "--store", str(path),
+                 "--generator", "synth-hop", "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_put_refuses_a_non_finite_embedding(tmp_path, rng, bad):
+    path = tmp_path / "s"
+    _three_entry_store(path, rng)
+    before = _store_bytes(path)
+    embedding = normalize(rng.standard_normal(4).astype(np.float32))
+    embedding[1] = bad
+    with LogStore(path, mode="w") as store, warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused, not normalized into NaN first
+        with pytest.raises(InputError, match="entry 3: embedding holds NaN or inf"):
+            store.put(text_entry(embedding, "3"))
+        assert store.count == 3
+    assert _store_bytes(path) == before
+    _assert_reopens_whole(path, rng)
+
+
+def test_an_entry_with_a_nan_embedding_fails_to_open(tmp_path, rng):
+    # serialized with its CRC computed over the NaN, and written past put
+    path = tmp_path / "s"
+    _three_entry_store(path, rng)
+    _append_raw(path, text_entry([0.5, np.nan, 0.5, 0.5], "3"))
+    for mode in ("r", "w"):
+        with pytest.raises(InputError, match="entry 3: embedding holds NaN or inf"):
             LogStore(path, mode)
     dataset = tmp_path / "tasks.jsonl"
     save_tasks([TaskRecord(id="t", question="q", answers=["a"])], dataset)
