@@ -7,6 +7,11 @@ from dataclasses import dataclass
 
 from .errors import ConfigurationError
 
+# fixed parts of the model that its fingerprint hashes: the byte vocabulary
+# (256 bytes and end-of-text) and the RoPE base (RoFormer, Su et al., 2021)
+VOCAB_SIZE = 257
+ROPE_BASE = 10000.0
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -43,9 +48,8 @@ class ModelConfig:
             raise ConfigurationError("max_positions must be positive")
 
     def fingerprint(self) -> str:
-        """Hex sha256 over every field, including the weight seed. The
-        byte vocabulary (257) and the RoPE base (10000.0) are fixed, but stay
-        in the hashed text so that fingerprints keep their bytes."""
+        """Hex sha256 over every field, including the weight seed, and the
+        fixed ``VOCAB_SIZE`` and ``ROPE_BASE`` the model computes with."""
         text = "|".join(
             str(v)
             for v in (
@@ -54,8 +58,8 @@ class ModelConfig:
                 self.num_heads,
                 self.num_kv_heads,
                 self.head_dim,
-                257,
-                10000.0,
+                VOCAB_SIZE,
+                ROPE_BASE,
                 self.max_positions,
                 self.weight_seed,
             )

@@ -11,9 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from ._kernels import causal_attention, rotate_pairs
-from .config import ModelConfig
+from .config import VOCAB_SIZE, ModelConfig
 from .errors import CapacityError, IncompatibilityError, InputError, PositionError
-from .rope import RopeParams, cos_sin_table
+from .rope import cos_sin_table
 from .segment import KvCache, KvSegment
 
 _NORM_EPS = np.float32(1e-5)
@@ -29,7 +29,7 @@ class ByteTokenizer:
     """Byte-level tokenizer: ids 0..255 are raw bytes, 256 is end-of-text."""
 
     EOS = 256
-    vocab_size = 257
+    vocab_size = VOCAB_SIZE
 
     def encode(self, text: str) -> list[int]:
         return list(text.encode("utf-8"))
@@ -81,11 +81,12 @@ class Model:
     40 rounds).
     """
 
+    rope_params = None  # lagbench's prefix check passes it; reposition_segment ignores it
+
     def __init__(self, config: ModelConfig):
         config.validate()
         self.config = config
         self.fingerprint = config.fingerprint()
-        self.rope_params = RopeParams(config.head_dim)
         h = config.hidden_dim
         nh, nkv, d = config.num_heads, config.num_kv_heads, config.head_dim
         rng = np.random.default_rng(config.weight_seed)
@@ -166,7 +167,7 @@ class Model:
         cfg = self.config
         nh, nkv, d = cfg.num_heads, cfg.num_kv_heads, cfg.head_dim
         positions = np.arange(start_position, start_position + t_new, dtype=np.int64)
-        cos, sin = cos_sin_table(self.rope_params, positions)
+        cos, sin = cos_sin_table(d, positions)
 
         x = self.embedding[tokens]
         for li, layer in enumerate(self.layers):

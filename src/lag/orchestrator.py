@@ -73,17 +73,26 @@ def assemble_kv_prefix(
     0..total_span, so the prompt that follows starts at total_span. A
     token's rotation depends only on its stored and new positions, so one
     rotation of the concatenated stored spans equals rotating each span to
-    its slot and concatenating the results, bit for bit.
+    its slot and concatenating the results, bit for bit. An entry of
+    another model's fingerprint or KV shape is refused.
     """
+    cfg = model.config
+    want = (cfg.num_layers, cfg.num_kv_heads, cfg.head_dim)
     for e in entries:
         if e.kv is None:
             raise InputError("text log entries cannot join a KV prefix")
         if e.kv.model_fingerprint != model.fingerprint:
-            raise IncompatibilityError("log entry KV belongs to a different model")
+            raise IncompatibilityError(f"log entry {e.entry_id}: KV belongs to a different model")
+        shape = (e.kv.num_layers, e.kv.num_kv_heads, e.kv.head_dim)
+        if shape != want:
+            raise IncompatibilityError(
+                f"log entry {e.entry_id}: KV shape (layers, KV heads, head dim) "
+                f"{shape} is not the model's {want}"
+            )
     stored = KvSegment.concat([e.kv for e in entries])
     if stored.span_len == 0:
         return None
-    return reposition_segment(stored, np.arange(stored.span_len), model.rope_params)
+    return reposition_segment(stored, np.arange(stored.span_len))
 
 
 def mode_of(log_store: LogStore | None, k_logs: int) -> str:
@@ -119,8 +128,7 @@ def run_task(
     action_text = task.question
     previous_response = ""
     docs: dict[tuple[str, str], None] = {}  # an ordered set, first retrieval first
-    # id -> (latest similarity, entry), first retrieval first
-    logs: dict[int, tuple[float, LogEntry]] = {}
+    logs: dict[int, float] = {}  # id -> latest similarity, first retrieval first
     turns: list[tuple[str, str]] = []
     kv_prefix, prefix_order = None, None  # the assembled prefix and its entry ids
     final_action = Action()
@@ -133,11 +141,9 @@ def run_task(
             docs.update(dict.fromkeys(retriever.retrieve(query, cfg.k_docs)))
         if uses_logs:
             for res in log_store.retrieve_topk(query, cfg.k_logs):
-                known = logs.get(res.entry_id)
-                entry = known[1] if known else log_store.get(res.entry_id)
-                logs[res.entry_id] = (res.similarity, entry)
-        order = sorted(logs, key=lambda i: (-logs[i][0], i))
-        ordered = [logs[i][1] for i in order]
+                logs[res.entry_id] = res.similarity
+        order = sorted(logs, key=lambda i: (-logs[i], i))
+        ordered = [log_store.get(i) for i in order]
 
         text_logs: list[str] = []
         if mode == LAG_KV and order != prefix_order:

@@ -11,16 +11,17 @@ from __future__ import annotations
 import numpy as np
 
 import lag.model
+from lag import config
 from lag._kernels import TILE, rotate_pairs
 from lag.model import _rmsnorm, encode, forward_with_prefix
-from lag.rope import RopeParams, cos_sin_table
+from lag.rope import cos_sin_table
 from lag.segment import KvSegment
 
 
-def angles(params: RopeParams, position: int | float) -> np.ndarray:
+def angles(head_dim: int, position: int | float) -> np.ndarray:
     """Rotation angles for one position: position * base^(-2i/head_dim)."""
-    i = np.arange(params.head_dim // 2, dtype=np.float64)
-    return position * params.base ** (-2.0 * i / params.head_dim)
+    i = np.arange(head_dim // 2, dtype=np.float64)
+    return position * config.ROPE_BASE ** (-2.0 * i / head_dim)
 
 
 def rope_apply(x, theta: float) -> np.ndarray:
@@ -43,18 +44,19 @@ def rope_round_trip_error(xs, thetas) -> float:
     )
 
 
-def reposition_error(original: KvSegment, moved: KvSegment, params: RopeParams) -> float:
+def reposition_error(original: KvSegment, moved: KvSegment) -> float:
     """Worst key error of ``moved`` against a scalar longhand that moves each
     key 2-vector of ``original`` to ``moved.positions``: strip the rotation
     of the old position, then apply that of the new one."""
-    k_old = original.keys.reshape(-1, original.span_len, params.head_dim)
+    head_dim = original.head_dim
+    k_old = original.keys.reshape(-1, original.span_len, head_dim)
     k_new = moved.keys.reshape(k_old.shape)
     worst = 0.0
     for t in range(original.span_len):
-        th_old = angles(params, int(original.positions[t]))
-        th_new = angles(params, int(moved.positions[t]))
+        th_old = angles(head_dim, int(original.positions[t]))
+        th_new = angles(head_dim, int(moved.positions[t]))
         for h in range(k_old.shape[0]):
-            for i in range(params.head_dim // 2):
+            for i in range(head_dim // 2):
                 pair = slice(2 * i, 2 * i + 2)
                 want = rope_apply(rope_strip(k_old[h, t, pair], th_old[i]), th_new[i])
                 worst = max(worst, float(np.abs(want - k_new[h, t, pair]).max()))
@@ -124,7 +126,7 @@ def unfused_logits(model, cache, tokens, start_position: int) -> np.ndarray:
     t_new = len(tokens)
     n_prefix = cache.span_len
     positions = np.arange(start_position, start_position + t_new, dtype=np.int64)
-    cos, sin = cos_sin_table(model.rope_params, positions)
+    cos, sin = cos_sin_table(d, positions)
     x = model.embedding[np.asarray(tokens, dtype=np.int64)]
     for li, layer in enumerate(model.layers):
         xn = _rmsnorm(x)

@@ -61,17 +61,16 @@ def test_criterion_01_rope_round_trip():
 
 
 def test_criterion_02_repositioning(small_model, rng):
-    params = small_model.rope_params
     seg, _ = encode(small_model, rng.integers(0, 256, 14).tolist(), 9)
     new_positions = np.arange(120, 134)
-    moved = reposition_segment(seg, new_positions, params)
-    worst = reposition_error(seg, moved, params)
+    moved = reposition_segment(seg, new_positions)
+    worst = reposition_error(seg, moved)
     assert worst <= 1e-6
     for l in range(seg.num_layers):
         assert np.array_equal(moved.values[l], seg.values[l])
 
     q = np.arange(500, 514)
-    via_q = reposition_segment(reposition_segment(seg, q, params), new_positions, params)
+    via_q = reposition_segment(reposition_segment(seg, q), new_positions)
     comp = max(
         float(np.abs(via_q.keys[l] - moved.keys[l]).max()) for l in range(seg.num_layers)
     )

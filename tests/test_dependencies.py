@@ -56,11 +56,11 @@ def test_every_module_level_import_is_used(module):
     assert unused_imports(ROOT / "src" / "lag" / module) == []
 
 
-def top_level_definitions(path: Path) -> list[str]:
-    """Functions, classes and assigned names a module defines at top level,
+def _definitions(body: list[ast.stmt]) -> list[str]:
+    """Functions, classes and assigned names a block of statements defines,
     dunders excepted."""
     names = []
-    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+    for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.append(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -69,9 +69,26 @@ def top_level_definitions(path: Path) -> list[str]:
     return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
 
 
+def top_level_definitions(path: Path) -> list[str]:
+    """Functions, classes and assigned names a module defines at top level,
+    dunders excepted."""
+    return _definitions(ast.parse(path.read_text(encoding="utf-8")).body)
+
+
+def class_members(path: Path) -> list[str]:
+    """Methods, properties, class attributes and dataclass fields of the
+    classes a module defines at top level, dunders excepted."""
+    names = []
+    for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(cls, ast.ClassDef):
+            names += _definitions(cls.body)
+    return names
+
+
 def referenced_names() -> set[str]:
-    """Every name read, attribute taken or name imported in the program's
-    Python files, and every identifier in README's code blocks."""
+    """Every name read, attribute taken, keyword argument passed or name
+    imported in the program's Python files, and every identifier in README's
+    code blocks."""
     names = set()
     for folder in ("src", "lagbench", "benchmarks"):
         for path in (ROOT / folder).rglob("*.py"):
@@ -80,6 +97,8 @@ def referenced_names() -> set[str]:
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     names.add(node.attr)
+                elif isinstance(node, ast.keyword) and node.arg:
+                    names.add(node.arg)
                 elif isinstance(node, ast.alias):
                     names.add(node.name.split(".")[-1])
     for block in re.findall(r"```\w*\n(.*?)```", (ROOT / "README.md").read_text(), re.S):
@@ -91,6 +110,13 @@ def referenced_names() -> set[str]:
 def test_every_top_level_definition_is_used(module):
     used = referenced_names()
     dead = [n for n in top_level_definitions(ROOT / "src" / "lag" / module) if n not in used]
+    assert dead == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in (ROOT / "src" / "lag").glob("*.py")))
+def test_every_class_member_is_used(module):
+    used = referenced_names()
+    dead = [n for n in class_members(ROOT / "src" / "lag" / module) if n not in used]
     assert dead == []
 
 

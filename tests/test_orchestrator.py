@@ -324,6 +324,32 @@ def test_kv_mode_rejects_mismatched_store(tmp_path):
     assert not out.exists()
 
 
+@pytest.fixture(scope="module", params=["head_dim-8", "3-layer"])
+def misshapen_store(request, tmp_path_factory):
+    """KV logs of another geometry that carry the default model's fingerprint."""
+    geometry = {"head_dim-8": ModelConfig(head_dim=8), "3-layer": ModelConfig(num_layers=3)}
+    foreign = build_model(geometry[request.param])
+    foreign.fingerprint = ModelConfig().fingerprint()
+    path = tmp_path_factory.mktemp("misshapen") / request.param
+    seen, _ = build_reuse_suite()
+    ingest = Backends(FactChainGenerator(), HashedBagOfWordsEmbedder(), model=foreign)
+    ingest_tasks(seen[:1], SelectionStrategy("last_round"), ingest, path, k_docs=1)
+    return path
+
+
+@pytest.mark.parametrize("generator", ["synth-hop", "reference"])
+def test_run_refuses_kv_of_another_shape(misshapen_store, generator, tmp_path, capsys):
+    _, unseen = build_reuse_suite()
+    save_tasks(unseen, tmp_path / "unseen.jsonl")
+    out = tmp_path / "r.json"
+    assert main([
+        "run", "--dataset", str(tmp_path / "unseen.jsonl"), "--split", "all",
+        "--store", str(misshapen_store), "--generator", generator, "--out", str(out),
+    ]) == 5
+    assert not out.exists()
+    assert "log entry 0: KV shape" in capsys.readouterr().err
+
+
 def test_kv_mode_requires_capable_generator(tmp_path, small_model, embedder):
     class NoKv(ScriptedGenerator):
         accepts_kv_prefix = False
@@ -477,9 +503,8 @@ def test_prefix_two_logs_concatenate_contiguously(small_model, embedder):
             np.concatenate([e1.kv.values[l], e2.kv.values[l]], axis=1),
         )
     # longhand strip/reapply oracle on each segment's part of the prefix
-    params = small_model.rope_params
-    assert reposition_error(e1.kv, prefix.slice(0, 3), params) <= 1e-6
-    assert reposition_error(e2.kv, prefix.slice(3, 8), params) <= 1e-6
+    assert reposition_error(e1.kv, prefix.slice(0, 3)) <= 1e-6
+    assert reposition_error(e2.kv, prefix.slice(3, 8)) <= 1e-6
 
 
 def test_prefix_empty_list(small_model):
@@ -504,14 +529,12 @@ def stored_logs(model, embedder, layout):
     return logs
 
 
-def longhand_prefix(entries, model):
+def longhand_prefix(entries):
     """Each entry repositioned to its own slot, then concatenated."""
     parts, offset = [], 0
     for e in entries:
         span = e.kv.span_len
-        parts.append(
-            reposition_segment(e.kv, np.arange(offset, offset + span), model.rope_params)
-        )
+        parts.append(reposition_segment(e.kv, np.arange(offset, offset + span)))
         offset += span
     return KvSegment.concat(parts)
 
@@ -530,7 +553,7 @@ def longhand_prefix(entries, model):
 def test_prefix_equals_per_entry_repositioning(wide_model, embedder, layout):
     entries = stored_logs(wide_model, embedder, layout)
     prefix = assemble_kv_prefix(entries, wide_model)
-    longhand = longhand_prefix(entries, wide_model)
+    longhand = longhand_prefix(entries)
     total = sum(span for span, _ in layout)
     assert np.array_equal(prefix.positions, np.arange(total))
     assert np.array_equal(prefix.positions, longhand.positions)

@@ -1,35 +1,47 @@
 import numpy as np
 import pytest
 
-from lag import rope
+from lag import config, rope
 from lag._kernels import rotate_pairs
 from lag.config import ModelConfig
 from lag.errors import ConfigurationError, PositionError
 from lag.model import build_model, encode
-from lag.rope import RopeParams, cos_sin_table, reposition_segment
+from lag.rope import cos_sin_table, reposition_segment
 from tests.oracles import angles, reposition_error, rope_apply, rope_strip
 
 
 def test_angles_zero_position():
-    assert np.array_equal(angles(RopeParams(8), 0), np.zeros(4))
+    assert np.array_equal(angles(8, 0), np.zeros(4))
 
 
 def test_angles_closed_form():
     # base^0 = 1, base^(-1/2) = 0.01 for base 10000, head_dim 4
-    got = angles(RopeParams(4, 10000.0), 1)
+    got = angles(4, 1)
     assert np.allclose(got, [1.0, 0.01], atol=1e-12)
 
 
 def test_angles_linear_in_position():
-    params = RopeParams(16, 10000.0)
-    assert np.allclose(angles(params, 2), 2 * angles(params, 1))
+    assert np.allclose(angles(16, 2), 2 * angles(16, 1))
 
 
-def test_params_validation():
+@pytest.mark.parametrize("head_dim", [7, 0, -2])
+def test_table_refuses_an_odd_or_non_positive_head_dim(head_dim):
     with pytest.raises(ConfigurationError):
-        RopeParams(7)
+        cos_sin_table(head_dim, np.arange(3))
     with pytest.raises(ConfigurationError):
-        RopeParams(8, base=1.0)
+        cos_sin_table(head_dim, np.array([7 * rope.MAX_TABLE_ROWS]))
+    assert head_dim not in rope._TABLES
+
+
+def test_the_config_base_sets_both_the_fingerprint_and_the_rows(monkeypatch):
+    positions = np.array([-9, 0, 1, 5, 300])
+    pinned = ModelConfig().fingerprint()
+    rows = cos_sin_table(16, positions)
+    monkeypatch.setattr(config, "ROPE_BASE", 500.0)
+    monkeypatch.setattr(rope, "_TABLES", {})  # tables built at the old base
+    assert ModelConfig().fingerprint() != pinned
+    assert not np.array_equal(cos_sin_table(16, positions)[1], rows[1])
+    assert_rows_match_grid(16, positions)
 
 
 def test_apply_quarter_turn():
@@ -70,53 +82,57 @@ def segment(small_model, rng):
     return seg
 
 
-@pytest.fixture()
-def params(small_model):
-    return small_model.rope_params
-
-
-def test_reposition_same_positions_is_identity(segment, params):
-    moved = reposition_segment(segment, segment.positions, params)
+def test_reposition_same_positions_is_identity(segment):
+    moved = reposition_segment(segment, segment.positions)
     for l in range(segment.num_layers):
         assert np.abs(moved.keys[l] - segment.keys[l]).max() <= 1e-6
 
 
-def test_reposition_matches_longhand_oracle(segment, params, rng):
-    moved = reposition_segment(segment, np.arange(50, 60), params)
-    assert reposition_error(segment, moved, params) <= 1e-6
+def test_reposition_matches_longhand_oracle(segment, rng):
+    moved = reposition_segment(segment, np.arange(50, 60))
+    assert reposition_error(segment, moved) <= 1e-6
     # large jumps on the default model: far back to the start, and from the
     # start to near max_positions (4096)
     model = build_model(ModelConfig())
     for start, new_start in ((3000, 0), (0, 3900)):
         seg, _ = encode(model, rng.integers(0, 256, 12).tolist(), start)
-        moved = reposition_segment(seg, np.arange(new_start, new_start + 12), model.rope_params)
-        assert reposition_error(seg, moved, model.rope_params) <= 1e-6
+        moved = reposition_segment(seg, np.arange(new_start, new_start + 12))
+        assert reposition_error(seg, moved) <= 1e-6
 
 
-def test_reposition_leaves_values_bit_identical(segment, params):
-    moved = reposition_segment(segment, np.arange(30, 40), params)
+@pytest.mark.parametrize("head_dim", [8, 16])
+def test_reposition_rotates_at_the_head_dim_of_the_keys(head_dim, rng):
+    model = build_model(ModelConfig(num_layers=2, head_dim=head_dim, max_positions=512))
+    seg, _ = encode(model, rng.integers(0, 256, 9).tolist(), 40)
+    assert seg.head_dim == head_dim
+    moved = reposition_segment(seg, np.arange(300, 309))
+    assert reposition_error(seg, moved) <= 1e-6
+
+
+def test_reposition_leaves_values_bit_identical(segment):
+    moved = reposition_segment(segment, np.arange(30, 40))
     for l in range(segment.num_layers):
         assert np.array_equal(moved.values[l], segment.values[l])
 
 
-def test_reposition_round_trip(segment, params):
-    there = reposition_segment(segment, np.arange(100, 110), params)
-    back = reposition_segment(there, segment.positions, params)
+def test_reposition_round_trip(segment):
+    there = reposition_segment(segment, np.arange(100, 110))
+    back = reposition_segment(there, segment.positions)
     for l in range(segment.num_layers):
         assert np.abs(back.keys[l] - segment.keys[l]).max() <= 1e-5
 
 
-def test_reposition_composition(segment, params):
+def test_reposition_composition(segment):
     q = np.arange(200, 210)
     r = np.arange(7, 17)
-    via_q = reposition_segment(reposition_segment(segment, q, params), r, params)
-    direct = reposition_segment(segment, r, params)
+    via_q = reposition_segment(reposition_segment(segment, q), r)
+    direct = reposition_segment(segment, r)
     for l in range(segment.num_layers):
         assert np.abs(via_q.keys[l] - direct.keys[l]).max() <= 1e-5
 
 
-def test_reposition_preserves_subvector_norms(segment, params):
-    moved = reposition_segment(segment, np.arange(400, 410), params)
+def test_reposition_preserves_subvector_norms(segment):
+    moved = reposition_segment(segment, np.arange(400, 410))
     for l in range(segment.num_layers):
         before = segment.keys[l].reshape(segment.num_kv_heads, segment.span_len, -1, 2)
         after = moved.keys[l].reshape(segment.num_kv_heads, segment.span_len, -1, 2)
@@ -125,30 +141,30 @@ def test_reposition_preserves_subvector_norms(segment, params):
         ).max() <= 1e-6
 
 
-def test_reposition_length_mismatch(segment, params):
+def test_reposition_length_mismatch(segment):
     with pytest.raises(PositionError):
-        reposition_segment(segment, np.arange(3), params)
+        reposition_segment(segment, np.arange(3))
     with pytest.raises(PositionError):
-        reposition_segment(segment, np.zeros(segment.span_len, dtype=np.int64), params)
+        reposition_segment(segment, np.zeros(segment.span_len, dtype=np.int64))
 
 
 def test_rotate_keys_matches_scalar_apply(rng):
-    params = RopeParams(6, 500.0)
     keys = rng.standard_normal((2, 4, 6)).astype(np.float32)
     positions = np.array([3, 10, 11, 40])
-    rotated = rotate_pairs(keys, *cos_sin_table(params, positions))
+    rotated = rotate_pairs(keys, *cos_sin_table(6, positions))
     for h in range(2):
         for t in range(4):
-            theta = angles(params, int(positions[t]))
+            theta = angles(6, int(positions[t]))
             for i in range(3):
                 want = rope_apply(keys[h, t, 2 * i : 2 * i + 2], theta[i])
                 assert np.allclose(rotated[h, t, 2 * i : 2 * i + 2], want, atol=1e-6)
 
 
-def float64_grid_rows(params, positions):
-    """Reference: float32 of cos/sin of the float64 angle grid, half width."""
-    i = np.arange(params.head_dim // 2, dtype=np.float64)
-    freq = params.base ** (-2.0 * i / params.head_dim)
+def float64_grid_rows(head_dim, positions):
+    """Reference: float32 of cos/sin of the float64 angle grid at the
+    config's base, half width."""
+    i = np.arange(head_dim // 2, dtype=np.float64)
+    freq = config.ROPE_BASE ** (-2.0 * i / head_dim)
     grid = np.asarray(positions, dtype=np.float64)[:, None] * freq[None, :]
     return np.cos(grid).astype(np.float32), np.sin(grid).astype(np.float32)
 
@@ -157,10 +173,10 @@ def bits(a):
     return np.ascontiguousarray(a).view(np.uint32)
 
 
-def assert_rows_match_grid(params, positions):
-    cos, sin = cos_sin_table(params, positions)
-    want_cos, want_sin = float64_grid_rows(params, positions)
-    assert cos.shape == sin.shape == (len(positions), params.head_dim)
+def assert_rows_match_grid(head_dim, positions):
+    cos, sin = cos_sin_table(head_dim, positions)
+    want_cos, want_sin = float64_grid_rows(head_dim, positions)
+    assert cos.shape == sin.shape == (len(positions), head_dim)
     assert cos.dtype == sin.dtype == np.float32
     assert np.array_equal(bits(cos[:, 0::2]), bits(want_cos))
     assert np.array_equal(bits(cos[:, 1::2]), bits(want_cos))
@@ -168,38 +184,35 @@ def assert_rows_match_grid(params, positions):
     assert np.array_equal(bits(sin[:, 1::2]), bits(want_sin))
 
 
-@pytest.mark.parametrize("head_dim,base", [(6, 500.0), (16, 10000.0)])
-def test_table_rows_equal_the_float64_grid_bit_for_bit(head_dim, base):
-    params = RopeParams(head_dim, base)
-    assert_rows_match_grid(params, np.array([-4000, -129, -1, 0, 1, 2, 129, 3999]))
-    assert_rows_match_grid(params, np.arange(-300, 300))
+@pytest.mark.parametrize("head_dim", [6, 16])
+def test_table_rows_equal_the_float64_grid_bit_for_bit(head_dim):
+    assert_rows_match_grid(head_dim, np.array([-4000, -129, -1, 0, 1, 2, 129, 3999]))
+    assert_rows_match_grid(head_dim, np.arange(-300, 300))
 
 
 def test_table_grows_past_its_first_size():
-    params = RopeParams(10, 777.0)  # a table no other test builds
-    rope._TABLES.pop(params, None)
-    assert_rows_match_grid(params, np.arange(-5, 6))
-    first = len(rope._TABLES[params][0])
+    rope._TABLES.pop(10, None)  # head dim 10: a table no model here builds
+    assert_rows_match_grid(10, np.arange(-5, 6))
+    first = len(rope._TABLES[10][0])
     far = np.array([-3 * first, -first, 0, first, 5 * first + 3])
-    assert_rows_match_grid(params, far)
-    assert len(rope._TABLES[params][0]) > 5 * first + 3
-    assert_rows_match_grid(params, np.arange(-5, 6))
+    assert_rows_match_grid(10, far)
+    assert len(rope._TABLES[10][0]) > 5 * first + 3
+    assert_rows_match_grid(10, np.arange(-5, 6))
 
 
 def test_positions_past_the_table_cap_are_computed_not_tabled():
-    params = RopeParams(12, 900.0)  # a table no other test builds
-    rope._TABLES.pop(params, None)
+    rope._TABLES.pop(12, None)  # head dim 12: a table no model here builds
     cap = rope.MAX_TABLE_ROWS
-    assert_rows_match_grid(params, np.array([-(2**32 - 1), -cap, 3, cap - 1, cap, 7 * cap]))
-    assert params not in rope._TABLES
+    assert_rows_match_grid(12, np.array([-(2**32 - 1), -cap, 3, cap - 1, cap, 7 * cap]))
+    assert 12 not in rope._TABLES
     # doubling stops at the cap
-    assert_rows_match_grid(params, np.array([3 * cap // 4 - 1]))
-    assert_rows_match_grid(params, np.array([-3, 3 * cap // 4]))
-    assert len(rope._TABLES[params][0]) == cap
+    assert_rows_match_grid(12, np.array([3 * cap // 4 - 1]))
+    assert_rows_match_grid(12, np.array([-3, 3 * cap // 4]))
+    assert len(rope._TABLES[12][0]) == cap
 
 
 def test_table_refuses_float_positions():
     with pytest.raises(PositionError):
-        cos_sin_table(RopeParams(8), np.array([0.0, 1.0]))
+        cos_sin_table(8, np.array([0.0, 1.0]))
     with pytest.raises(PositionError):
-        cos_sin_table(RopeParams(8), [0.5])
+        cos_sin_table(8, [0.5])
