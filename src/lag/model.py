@@ -132,19 +132,17 @@ class Model:
             return self.new_cache(capacity)
         return KvCache.from_segment(prefix, capacity)
 
-    def _check_cache(self, cache: KvCache, start_position: int) -> None:
-        """O(1): a cache's positions increase by construction."""
+    def check_kv(self, kv: KvSegment | KvCache) -> None:
+        """Refuse KV that this model cannot attend to: another model's
+        fingerprint, or another (layers, KV heads, head dim) shape."""
         cfg = self.config
-        if cache.model_fingerprint != self.fingerprint:
-            raise IncompatibilityError("KV prefix was produced by a different model")
-        if cache.num_layers != cfg.num_layers:
-            raise IncompatibilityError("KV prefix layer count mismatch")
-        if cache.num_kv_heads != cfg.num_kv_heads or cache.head_dim != cfg.head_dim:
-            raise IncompatibilityError("KV prefix head shape mismatch")
-        if cache.last_position >= start_position:
-            raise PositionError(
-                f"prefix positions reach {cache.last_position}, new tokens start at "
-                f"{start_position}"
+        if kv.model_fingerprint != self.fingerprint:
+            raise IncompatibilityError("KV belongs to a different model")
+        shape = (kv.num_layers, kv.num_kv_heads, kv.head_dim)
+        want = (cfg.num_layers, cfg.num_kv_heads, cfg.head_dim)
+        if shape != want:
+            raise IncompatibilityError(
+                f"KV shape (layers, KV heads, head dim) {shape} is not the model's {want}"
             )
 
     def _forward(self, tokens, start_position: int, cache: KvCache) -> np.ndarray:
@@ -161,7 +159,12 @@ class Model:
                 f"sequence end {start_position + t_new} exceeds max_positions "
                 f"{self.config.max_positions}"
             )
-        self._check_cache(cache, start_position)
+        self.check_kv(cache)
+        if cache.last_position >= start_position:  # O(1): a cache's positions increase
+            raise PositionError(
+                f"prefix positions reach {cache.last_position}, new tokens start at "
+                f"{start_position}"
+            )
         n_prefix = cache.span_len
 
         cfg = self.config

@@ -21,7 +21,7 @@ from .backends import Backends, CosineDocRetriever
 from .codec import AgentTranscript, LogEntry, SelectionStrategy
 from .config import TEXT_FINGERPRINT
 from .datasets import KNOWLEDGE, REASONING, TaskRecord
-from .errors import BackendError, ConfigurationError, IncompatibilityError, InputError
+from .errors import BackendError, ConfigurationError
 from .model import Model
 from .prompts import assemble_prompt
 from .rope import reposition_segment
@@ -73,22 +73,10 @@ def assemble_kv_prefix(
     0..total_span, so the prompt that follows starts at total_span. A
     token's rotation depends only on its stored and new positions, so one
     rotation of the concatenated stored spans equals rotating each span to
-    its slot and concatenating the results, bit for bit. An entry of
-    another model's fingerprint or KV shape is refused.
+    its slot and concatenating the results, bit for bit. No entry is
+    checked here: the store holds one KV geometry and ``run_task`` checks it
+    against the model once, so ``model`` is not read.
     """
-    cfg = model.config
-    want = (cfg.num_layers, cfg.num_kv_heads, cfg.head_dim)
-    for e in entries:
-        if e.kv is None:
-            raise InputError("text log entries cannot join a KV prefix")
-        if e.kv.model_fingerprint != model.fingerprint:
-            raise IncompatibilityError(f"log entry {e.entry_id}: KV belongs to a different model")
-        shape = (e.kv.num_layers, e.kv.num_kv_heads, e.kv.head_dim)
-        if shape != want:
-            raise IncompatibilityError(
-                f"log entry {e.entry_id}: KV shape (layers, KV heads, head dim) "
-                f"{shape} is not the model's {want}"
-            )
     stored = KvSegment.concat([e.kv for e in entries])
     if stored.span_len == 0:
         return None
@@ -116,13 +104,11 @@ def run_task(
             raise ConfigurationError(f"mode {mode} needs a KV-capable generator")
         if backends.model is None:
             raise ConfigurationError(f"mode {mode} needs a model for the prefix")
-        if log_store.fingerprint != backends.model.fingerprint:
-            raise IncompatibilityError(
-                "log store fingerprint does not match the generation model"
-            )
+        backends.model.check_kv(log_store.get(0).kv)  # the store holds one geometry
 
-    retriever = CosineDocRetriever(task.corpus or [], backends.embedder)
-    uses_docs = cfg.k_docs > 0 and bool(retriever.passages)
+    corpus = (task.corpus or []) if cfg.k_docs > 0 else []  # k_docs 0 embeds no passage
+    retriever = CosineDocRetriever(corpus, backends.embedder)
+    uses_docs = bool(retriever.passages)
     uses_logs = mode != STANDARD
 
     action_text = task.question

@@ -54,8 +54,9 @@ class LogStore:
     Every entry, loaded on open or just put, enters through ``_admit``: it
     is decoded from the store's own bytes, so its embedding, keys and values
     are read-only views over them, and an entry whose embedding is not
-    finite, or whose fingerprint or embedding dimension differs from entry
-    0's, is refused. Ids are the insertion ordinals (sequential from 0).
+    finite, or whose fingerprint, KV shape (layers, KV heads, head dim) or
+    embedding dimension differs from entry 0's, is refused, so a store holds
+    one KV geometry. Ids are the insertion ordinals (sequential from 0).
     """
 
     def __init__(self, path: str | Path, mode: str = "r"):
@@ -103,8 +104,14 @@ class LogStore:
         if not np.isfinite(entry.embedding).all():
             raise InputError(f"entry {i}: embedding holds NaN or inf")
         first = self._entries[0] if self._entries else entry
-        if entry.fingerprint != first.fingerprint:
-            raise IncompatibilityError(f"entry {i}: fingerprint differs from the store's")
+        got, want = (
+            (e.fingerprint, e.kv and (e.kv.num_layers, e.kv.num_kv_heads, e.kv.head_dim))
+            for e in (entry, first)
+        )
+        if got != want:
+            raise IncompatibilityError(
+                f"entry {i}: fingerprint or KV shape {got[1]} differs from the store's {want[1]}"
+            )
         dim, want = len(entry.embedding), len(first.embedding)
         if dim != want:
             raise IncompatibilityError(f"entry {i}: embedding dim {dim} != store dim {want}")

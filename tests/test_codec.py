@@ -162,7 +162,9 @@ def test_kv_strategy_without_model_raises(embedder):
         encode_log(None, THREE_ROUNDS, SelectionStrategy("last_round"), embedder)
 
 
-def _random_entry(rng, kv=True):
+def _random_entry(rng, kv=True, geometry=None):
+    """A random entry; a KV one has random (layers, KV heads, head dim)
+    unless ``geometry`` fixes them."""
     strategy_kind = (
         rng.choice(["last_action", "last_round", "last_2_rounds", "last_3_rounds"])
         if kv
@@ -177,6 +179,8 @@ def _random_entry(rng, kv=True):
         span = int(rng.integers(1, 7))
         dim = int(rng.integers(1, 4)) * 2
         start = int(rng.integers(0, 50))
+        if geometry is not None:
+            layers, heads, dim = geometry
         segment = KvSegment(
             keys=rng.standard_normal((layers, heads, span, dim)).astype(np.float32),
             values=rng.standard_normal((layers, heads, span, dim)).astype(np.float32),

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import re
 import subprocess
 import sys
@@ -118,6 +119,28 @@ def test_every_class_member_is_used(module):
     used = referenced_names()
     dead = [n for n in class_members(ROOT / "src" / "lag" / module) if n not in used]
     assert dead == []
+
+
+def lag_imports(path: Path) -> list[tuple[str, str]]:
+    """(module, name) of every ``from lag... import name`` in a file, lazy
+    imports inside functions included."""
+    return [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level == 0
+        and node.module.split(".")[0] == "lag"
+        for alias in node.names
+    ]
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "benchmarks").glob("*.py")))
+def test_every_lag_import_in_the_benchmarks_resolves(script):
+    # the benchmarks import lag lazily, inside the functions that time it
+    missing = [
+        f"{module}.{name}" for module, name in lag_imports(ROOT / "benchmarks" / script)
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert missing == []
 
 
 def test_setup_path_imports_no_serving_module():

@@ -128,6 +128,33 @@ def test_prefix_fingerprint_mismatch(small_model, rng):
         forward_with_prefix(small_model, seg, [4, 5], 3)
 
 
+@pytest.mark.parametrize("of", ["segment", "cache"])
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"model_fingerprint": "00" * 32},
+        {"num_layers": SMALL_CONFIG.num_layers + 1},
+        {"num_kv_heads": SMALL_CONFIG.num_kv_heads * 2},
+        {"head_dim": SMALL_CONFIG.head_dim + 2},
+    ],
+    ids=["fingerprint", "layers", "kv_heads", "head_dim"],
+)
+def test_check_kv_refuses_kv_of_another_model(small_model, of, change):
+    cfg = small_model.config
+    own = dict(
+        num_layers=cfg.num_layers, num_kv_heads=cfg.num_kv_heads, head_dim=cfg.head_dim,
+        capacity=4, model_fingerprint=small_model.fingerprint,
+    )
+
+    def kv(**geometry):
+        cache = KvCache(**geometry)
+        return cache if of == "cache" else cache.segment()
+
+    small_model.check_kv(kv(**own))
+    with pytest.raises(IncompatibilityError):
+        small_model.check_kv(kv(**{**own, **change}))
+
+
 def test_prefix_position_overlap(small_model):
     seg, _ = encode(small_model, [1, 2, 3], 0)
     with pytest.raises(PositionError):

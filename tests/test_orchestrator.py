@@ -1,3 +1,4 @@
+import hashlib
 import weakref
 from dataclasses import replace
 
@@ -347,7 +348,7 @@ def test_run_refuses_kv_of_another_shape(misshapen_store, generator, tmp_path, c
         "--store", str(misshapen_store), "--generator", generator, "--out", str(out),
     ]) == 5
     assert not out.exists()
-    assert "log entry 0: KV shape" in capsys.readouterr().err
+    assert "KV shape (layers, KV heads, head dim)" in capsys.readouterr().err
 
 
 def test_kv_mode_requires_capable_generator(tmp_path, small_model, embedder):
@@ -361,6 +362,28 @@ def test_kv_mode_requires_capable_generator(tmp_path, small_model, embedder):
     with LogStore(tmp_path / "s", mode="r") as store:
         with pytest.raises(ConfigurationError, match="KV-capable"):
             run_task(task, RunConfig(max_steps=2), backends, store)
+
+
+@pytest.mark.parametrize("generator", ["synth-hop", "reference"])
+def test_k_docs_zero_embeds_no_passage(generator, tmp_path, monkeypatch):
+    # a 2-round, store-less run of a task with 6 passages: no retrieval reads
+    # them and no log is queried, so nothing is embedded at all
+    calls = []
+    embed = HashedBagOfWordsEmbedder.embed
+    monkeypatch.setattr(
+        HashedBagOfWordsEmbedder, "embed", lambda self, text: calls.append(text) or embed(self, text)
+    )
+    seen, _ = build_reuse_suite()
+    save_tasks(seen[:1], tmp_path / "seen.jsonl")
+    out = tmp_path / "r.json"
+    assert main([
+        "run", "--dataset", str(tmp_path / "seen.jsonl"), "--split", "all", "--generator",
+        generator, "--k-docs", "0", "--max-steps", "2", "--out", str(out),
+    ]) == 0
+    assert calls == []
+    # the report's bytes are those of the same run with every passage embedded
+    digest = "c20671354134a575ab23a6b8d38177c0030100f26b743c1d334924bb06c3a307"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_k_logs_zero_over_a_kv_store_is_standard(tmp_path, small_model, embedder, monkeypatch):
@@ -581,25 +604,6 @@ def test_prefix_is_none_only_without_tokens(wide_model, embedder):
     assert assemble_kv_prefix(empty, wide_model) is None
     one = stored_logs(wide_model, embedder, [(0, 5), (1, 9), (0, 2)])
     assert assemble_kv_prefix(one, wide_model).span_len == 1
-
-
-def test_prefix_rejects_text_entries(small_model, embedder):
-    text = LogEntry(
-        task_text="t",
-        retrieval_key_text="t",
-        embedding=normalize(embedder.embed("t")),
-        strategy=SelectionStrategy("last_round_text"),
-        text_payload="a remembered answer",
-    )
-    with pytest.raises(InputError):
-        assemble_kv_prefix([kv_entry(small_model, embedder, "abc"), text], small_model)
-
-
-def test_prefix_rejects_foreign_fingerprint(small_model, embedder):
-    entry = kv_entry(small_model, embedder, "abc")
-    entry.kv.model_fingerprint = "00" * 32
-    with pytest.raises(IncompatibilityError):
-        assemble_kv_prefix([entry], small_model)
 
 
 def test_reference_generator_consumes_injected_prefix(tmp_path, small_model, embedder):

@@ -8,7 +8,7 @@ import pytest
 
 from lag.cli import main
 from lag.codec import LogEntry, SelectionStrategy, encode_log, serialize
-from lag.config import TEXT_FINGERPRINT
+from lag.config import TEXT_FINGERPRINT, ModelConfig
 from lag.datasets import TaskRecord, save_tasks
 from lag.errors import FormatError, IncompatibilityError, InputError, NotFoundError
 from lag.store import ENTRIES_NAME, OFFSETS_NAME, LogStore, normalize
@@ -59,6 +59,30 @@ def test_put_wrong_fingerprint_rejected(tmp_path, small_model, embedder, reopen)
         store = LogStore(tmp_path / "s", mode="w")
     with pytest.raises(IncompatibilityError):
         store.put(text_entry(np.ones(embedder.dimension, dtype=np.float32)))
+    store.close()
+
+
+def default_model_entry(rng, layers):
+    """A KV entry stamped with the default model's fingerprint, with its KV
+    heads and head dim but ``layers`` layers."""
+    cfg = ModelConfig()
+    _, entry = _sized_entry(rng, 3, layers, cfg.num_kv_heads, cfg.head_dim)
+    entry.kv.model_fingerprint = cfg.fingerprint()
+    return entry
+
+
+@pytest.mark.parametrize("reopen", [False, True], ids=["kept_open", "reopened"])
+def test_put_other_kv_shape_rejected(tmp_path, rng, reopen):
+    store = LogStore(tmp_path / "s", mode="w")
+    store.put(default_model_entry(rng, layers=4))
+    if reopen:
+        store.close()
+        store = LogStore(tmp_path / "s", mode="w")
+    before = _store_bytes(tmp_path / "s")
+    with pytest.raises(IncompatibilityError, match=r"entry 1: .*\(3, 2, 16\).*\(4, 2, 16\)"):
+        store.put(default_model_entry(rng, layers=3))
+    assert store.count == 1
+    assert _store_bytes(tmp_path / "s") == before
     store.close()
 
 
@@ -152,7 +176,7 @@ def test_close_reopen_preserves_everything(tmp_path, rng):
     store = LogStore(path, mode="w")
     entries = []
     for i in range(40):
-        entry = _random_entry(rng, kv=True)
+        entry = _random_entry(rng, kv=True, geometry=(2, 1, 4))
         entry.kv.model_fingerprint = "ab" * 32  # one model per store
         entry.embedding = normalize(rng.standard_normal(6).astype(np.float32))
         store.put(entry)
@@ -322,13 +346,19 @@ def _append_raw(path, entry):
         fh.write(struct.pack("<Q", offset))
 
 
-@pytest.mark.parametrize("differs", ["dimension", "fingerprint"])
+@pytest.mark.parametrize("differs", ["dimension", "fingerprint", "kv_shape"])
 def test_mixed_store_is_refused_on_open(tmp_path, rng, differs):
     path = tmp_path / "s"
-    _three_entry_store(path, rng)
-    if differs == "dimension":
+    if differs == "kv_shape":  # 4-layer entries, then a 3-layer one, all of one fingerprint
+        with LogStore(path, mode="w") as store:
+            for _ in range(3):
+                store.put(default_model_entry(rng, layers=4))
+        odd = default_model_entry(rng, layers=3)
+    elif differs == "dimension":
+        _three_entry_store(path, rng)
         odd = text_entry(normalize(rng.standard_normal(5).astype(np.float32)), "3")
     else:
+        _three_entry_store(path, rng)
         odd = _random_entry(rng, kv=True)
         odd.embedding = normalize(rng.standard_normal(4).astype(np.float32))
     _append_raw(path, odd)
