@@ -14,8 +14,8 @@ Workloads, on the default ``ModelConfig`` (4 layers, 4 query heads over
   998 + 392 keys;
 * ``attention.decode``: one query over 2048 keys;
 * ``greedy_decode.prefixN``: 64 greedy tokens after a 16-token prompt and a
-  KV prefix of N = 0, 512 and 2048 tokens, copied into a new ``KvCache``
-  in each repeat;
+  KV prefix of N = 0, 512 and 2048 tokens, copied into a new
+  ``Model.prefix_cache`` in each repeat;
 * ``model.decode_step``: one ``forward_with_prefix`` of one token over a
   ``Model.prefix_cache`` of 1390 tokens, today's kv_agent decode shape; each
   repeat first truncates the cache back to those 1390 tokens;
@@ -25,7 +25,9 @@ Workloads, on the default ``ModelConfig`` (4 layers, 4 query heads over
   24 logs of that store (24 logs are ~3200 tokens, the hop_reuse tail
   shape), as the opened store serves them: read-only views over its bytes,
   every other one unaligned, as in hop_reuse. It concatenates the stored
-  spans and moves them to their slots in the prefix with one rotation;
+  spans and moves them to their slots in the prefix with one rotation. A
+  tree whose ``assemble_kv_prefix`` takes two parameters is passed the
+  model as the second;
 * ``store.put``: 500 ``put`` calls of one ingest_text-sized text log (about
   1.9 KB serialized, a 256-dim embedding) into a new store in a temporary
   directory, timed together with the store's creation and close;
@@ -63,8 +65,8 @@ hook, which counts its Python calls (``py_calls``) and C calls
 slows a timed repeat. These are medians over the rounds too. Only
 names both trees define are used:
 ``lag._kernels.causal_attention``, ``lag.model.{build_model, encode,
-forward_with_prefix, greedy_decode}``, ``Model.{new_cache, prefix_cache}``,
-``lag.segment.KvCache.{from_segment, truncate}``,
+forward_with_prefix, greedy_decode}``, ``Model.prefix_cache``,
+``lag.segment.KvCache.truncate``,
 ``lag.codec.{LogEntry, SelectionStrategy, encode_log}``,
 ``lag.orchestrator.{assemble_kv_prefix, RunConfig, run_task}``,
 ``lag.backends.{Backends, HashedBagOfWordsEmbedder, ReferenceModelGenerator}``,
@@ -75,6 +77,7 @@ forward_with_prefix, greedy_decode}``, ``Model.{new_cache, prefix_cache}``,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import platform
@@ -160,7 +163,6 @@ def measure() -> dict[str, dict[str, float]]:
     from lag.config import ModelConfig
     from lag.model import build_model, encode, forward_with_prefix, greedy_decode
     from lag.orchestrator import RunConfig, assemble_kv_prefix, run_task
-    from lag.segment import KvCache
     from lag.store import LogStore
     from lag.synth import FactChainGenerator, build_reuse_suite
 
@@ -191,11 +193,7 @@ def measure() -> dict[str, dict[str, float]]:
         prefix = encode(model, rng.integers(0, 256, n).tolist(), 0)[0] if n else None
 
         def decode():
-            cache = (
-                KvCache.from_segment(prefix, cfg.max_positions) if prefix is not None
-                else model.new_cache(cfg.max_positions)
-            )
-            greedy_decode(model, cache, prompt, 64)
+            greedy_decode(model, model.prefix_cache(prefix), prompt, 64)
 
         out[f"greedy_decode.prefix{n}"] = _timed(decode, 3, speed)
 
@@ -224,9 +222,11 @@ def measure() -> dict[str, dict[str, float]]:
         out["store.open"] = _timed(lambda: LogStore(Path(tmp) / "store", "r"), 10, speed)
         opened = LogStore(Path(tmp) / "store", "r")
     served = [opened.get(i) for i in range(24)]
+    # an older tree's assemble_kv_prefix takes the model, which it does not read
+    extra = (model,) if len(inspect.signature(assemble_kv_prefix).parameters) == 2 else ()
     for n in (3, 10, 24):
         out[f"assemble.prefix{n}"] = _timed(
-            lambda: assemble_kv_prefix(served[:n], model), 50, speed
+            lambda: assemble_kv_prefix(served[:n], *extra), 50, speed
         )
 
     # a last_round_text log of an ingest_text task: the last message is both

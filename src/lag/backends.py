@@ -67,15 +67,13 @@ class ReferenceModelGenerator(GeneratorBackend):
     def generate(self, messages, kv_prefix: KvSegment | None = None, log_entries=None) -> str:
         text = "\n".join(m["content"] for m in messages)
         tokens = self.tokenizer.encode(text)
-        start = 0
-        if kv_prefix is not None and kv_prefix.span_len:
-            start = int(kv_prefix.positions.max()) + 1
+        m = kv_prefix.span_len if kv_prefix is not None else 0
+        start = int(kv_prefix.positions[-1]) + 1 if m else 0
         budget = self.model.config.max_positions - start - self.max_new
         if budget <= 0:
             raise BackendError("KV prefix leaves no room for the prompt")
         if len(tokens) > budget:
             tokens = tokens[-budget:]  # keep the most recent context
-        m = kv_prefix.span_len if kv_prefix is not None else 0
         # the memo is taken until this call succeeds, so a decode that
         # raises leaves none
         memo, self._memo = self._memo, None

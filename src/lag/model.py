@@ -118,19 +118,23 @@ class Model:
         ):
             raise InputError("token id out of vocabulary")
 
-    def new_cache(self, capacity: int) -> KvCache:
-        cfg = self.config
-        return KvCache(
-            cfg.num_layers, cfg.num_kv_heads, cfg.head_dim, capacity, self.fingerprint
-        )
-
     def prefix_cache(self, prefix: KvSegment | None) -> KvCache:
-        """A cache of ``max_positions`` slots holding a validated copy of
-        ``prefix``; empty for None or an empty segment."""
-        capacity = self.config.max_positions
-        if prefix is None or prefix.span_len == 0:
-            return self.new_cache(capacity)
-        return KvCache.from_segment(prefix, capacity)
+        """A cache of ``max_positions`` slots holding a copy of ``prefix``,
+        empty for None or an empty segment. The prefix is validated, checked
+        against the model and written through ``stage`` and ``commit``, as a
+        forward pass writes its tokens."""
+        cfg = self.config
+        cache = KvCache(
+            cfg.num_layers, cfg.num_kv_heads, cfg.head_dim, cfg.max_positions,
+            self.fingerprint,
+        )
+        if prefix is not None and prefix.span_len:
+            prefix.validate()
+            self.check_kv(prefix)
+            for layer in range(cfg.num_layers):
+                cache.stage(layer, prefix.keys[layer], prefix.values[layer])
+            cache.commit(prefix.positions)
+        return cache
 
     def check_kv(self, kv: KvSegment | KvCache) -> None:
         """Refuse KV that this model cannot attend to: another model's
@@ -201,7 +205,10 @@ def encode(
 ) -> tuple[KvSegment, np.ndarray]:
     """Full KV cache for a token sequence encoded at the given positions,
     plus the final hidden states."""
-    cache = model.new_cache(len(tokens))
+    cfg = model.config
+    cache = KvCache(
+        cfg.num_layers, cfg.num_kv_heads, cfg.head_dim, len(tokens), model.fingerprint
+    )
     hidden = model._forward(tokens, start_position, cache)
     return cache.segment(), hidden
 

@@ -21,8 +21,7 @@ from .backends import Backends, CosineDocRetriever
 from .codec import AgentTranscript, LogEntry, SelectionStrategy
 from .config import TEXT_FINGERPRINT
 from .datasets import KNOWLEDGE, REASONING, TaskRecord
-from .errors import BackendError, ConfigurationError
-from .model import Model
+from .errors import BackendError, ConfigurationError, InputError
 from .prompts import assemble_prompt
 from .rope import reposition_segment
 from .segment import KvSegment
@@ -63,9 +62,7 @@ class TaskError(BackendError):
         self.partial_transcript = transcript
 
 
-def assemble_kv_prefix(
-    entries: list[LogEntry], model: Model
-) -> KvSegment | None:
+def assemble_kv_prefix(entries: list[LogEntry]) -> KvSegment | None:
     """Concatenate KV log payloads and move them into one prefix.
 
     Entries are injected in the given order (callers order them by
@@ -75,7 +72,7 @@ def assemble_kv_prefix(
     rotation of the concatenated stored spans equals rotating each span to
     its slot and concatenating the results, bit for bit. No entry is
     checked here: the store holds one KV geometry and ``run_task`` checks it
-    against the model once, so ``model`` is not read.
+    against the model once.
     """
     stored = KvSegment.concat([e.kv for e in entries])
     if stored.span_len == 0:
@@ -97,7 +94,9 @@ def run_task(
     backends: Backends,
     log_store: LogStore | None = None,
 ) -> tuple[Action, AgentTranscript, list[int]]:
-    """Execute one task; returns (final action, transcript, retrieved ids)."""
+    """Execute one task; returns (final action, transcript, retrieved ids).
+    A generator failure raises a ``TaskError`` with the partial transcript,
+    except an ``InputError`` (bad local data), which is raised as it is."""
     mode = mode_of(log_store, cfg.k_logs)
     if mode == LAG_KV:
         if not backends.generator.accepts_kv_prefix:
@@ -135,7 +134,7 @@ def run_task(
         if mode == LAG_KV and order != prefix_order:
             # the same ids in the same order hand over the last round's prefix
             kv_prefix = None  # frees the last round's prefix before the next is built
-            kv_prefix = assemble_kv_prefix(ordered, backends.model)
+            kv_prefix = assemble_kv_prefix(ordered)
             prefix_order = order
         elif mode == LAG_TEXT:
             text_logs = [e.text_payload for e in ordered]
@@ -145,6 +144,8 @@ def run_task(
             response = backends.generator.generate(
                 messages, kv_prefix=kv_prefix, log_entries=ordered
             )
+        except InputError:  # such as non-finite stored KV: it fails the run
+            raise
         except Exception as err:
             partial = AgentTranscript(turns, final_action) if turns else None
             raise TaskError(f"generator failed on task {task.id}: {err}", partial) from err

@@ -123,15 +123,16 @@ class KvCache:
     filled in place, after the preallocated KV blocks of vLLM/PagedAttention
     (Kwon et al., 2023, arXiv 2309.06180).
 
-    The first ``span_len`` slots are live. A forward pass writes its new
-    tokens after them with ``stage`` and makes them live with ``commit``.
-    Live slots are never rewritten until ``truncate(n)`` frees the slots
-    from ``n`` on: the next forward pass writes there, so a ``segment``
-    (views of the live slots, not a copy) taken before a truncate is valid
-    only up to ``n``. Positions increase by construction: a segment is
-    validated on the way in, commits only append later positions and a
-    truncate keeps a leading run, so checking a new start against
-    ``last_position`` is O(1).
+    The first ``span_len`` slots are live. The buffers are written only by
+    ``stage``, after the live slots, and made live only by ``commit``: a
+    forward pass writes its new tokens so, and ``Model.prefix_cache`` a
+    prefix. Live slots are never rewritten until ``truncate(n)`` frees the
+    slots from ``n`` on: the next forward pass writes there, so a
+    ``segment`` (views of the live slots, not a copy) taken before a
+    truncate is valid only up to ``n``. Positions increase by construction:
+    a prefix is validated on the way in, commits only append later
+    positions and a truncate keeps a leading run, so checking a new start
+    against ``last_position`` is O(1).
     """
 
     def __init__(
@@ -149,21 +150,6 @@ class KvCache:
         self.capacity = capacity
         self.model_fingerprint = model_fingerprint
         self.span_len = 0
-
-    @classmethod
-    def from_segment(cls, segment: KvSegment, capacity: int) -> "KvCache":
-        """A validated copy of ``segment`` in a new cache."""
-        segment.validate()
-        n = segment.span_len
-        if n > capacity:
-            raise CapacityError(f"span {n} exceeds cache capacity {capacity}")
-        layers, heads, _, dim = segment.keys.shape
-        cache = cls(layers, heads, dim, capacity, segment.model_fingerprint)
-        cache._keys[:, :, :n] = segment.keys
-        cache._values[:, :, :n] = segment.values
-        cache._positions[:n] = segment.positions
-        cache.span_len = n
-        return cache
 
     @property
     def num_layers(self) -> int:

@@ -3,7 +3,7 @@ retrieval over precomputed embeddings.
 
 Layout of a store directory:
     entries.lag    concatenated serialized entries
-    offsets.idx    little-endian u64 byte offset of each entry
+    offsets.idx    little-endian u64 byte offset of each entry, the first 0
 
 Nothing else is read or written: the count, model fingerprint, embedding
 dimension and strategy mix are derived from the entries on open.
@@ -89,6 +89,8 @@ class LogStore:
         if len(raw_offsets) % 8:
             raise FormatError(f"torn index {self.path / OFFSETS_NAME}: {len(raw_offsets)} bytes")
         offsets = list(struct.unpack(f"<{len(raw_offsets) // 8}Q", raw_offsets))
+        if offsets and offsets[0] != 0:  # the bytes before it would never be read
+            raise FormatError(f"{self.path / OFFSETS_NAME}: first offset {offsets[0]}, not 0")
         blob = memoryview((self.path / ENTRIES_NAME).read_bytes())
         bounds = offsets + [len(blob)]
         for i in range(len(offsets)):

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import json
 import re
 import subprocess
 import sys
@@ -141,6 +142,30 @@ def test_every_lag_import_in_the_benchmarks_resolves(script):
         if not hasattr(importlib.import_module(module), name)
     ]
     assert missing == []
+
+
+BENCH_KERNELS_ROWS = [
+    "attention.prefill", "attention.prefill392", "attention.decode",
+    "greedy_decode.prefix0", "greedy_decode.prefix512", "greedy_decode.prefix2048",
+    "model.decode_step", "store.open",
+    "assemble.prefix3", "assemble.prefix10", "assemble.prefix24",
+    "store.put", "generate.rounds4", "generate.repeat4", "encode_log.last_round",
+]
+
+
+def test_bench_kernels_measures_every_row():
+    # one child of benchmarks/bench_kernels.py, as the script starts each:
+    # one BLAS thread, over this suite's lag; it calls what the imports
+    # above only resolve
+    env = child_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "bench_kernels.py"), "--measure"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout)
+    assert sorted(rows) == sorted(BENCH_KERNELS_ROWS)
+    assert all(row["ms"] > 0 for row in rows.values())
 
 
 def test_setup_path_imports_no_serving_module():

@@ -25,7 +25,8 @@ from lag.model import (
     forward_with_prefix,
     greedy_decode,
 )
-from lag.segment import KvCache
+from lag.rope import reposition_segment
+from lag.segment import KvCache, KvSegment
 from tests.conftest import SMALL_CONFIG, child_env
 from tests.oracles import injection_error, stepwise_greedy_decode, unfused_logits
 
@@ -128,7 +129,7 @@ def test_prefix_fingerprint_mismatch(small_model, rng):
         forward_with_prefix(small_model, seg, [4, 5], 3)
 
 
-@pytest.mark.parametrize("of", ["segment", "cache"])
+@pytest.mark.parametrize("of", ["segment", "cache", "prefix_cache"])
 @pytest.mark.parametrize(
     "change",
     [
@@ -140,19 +141,25 @@ def test_prefix_fingerprint_mismatch(small_model, rng):
     ids=["fingerprint", "layers", "kv_heads", "head_dim"],
 )
 def test_check_kv_refuses_kv_of_another_model(small_model, of, change):
+    # prefix_cache checks a one-token segment as it builds the cache
     cfg = small_model.config
     own = dict(
         num_layers=cfg.num_layers, num_kv_heads=cfg.num_kv_heads, head_dim=cfg.head_dim,
-        capacity=4, model_fingerprint=small_model.fingerprint,
+        model_fingerprint=small_model.fingerprint,
     )
 
-    def kv(**geometry):
-        cache = KvCache(**geometry)
-        return cache if of == "cache" else cache.segment()
+    def check(num_layers, num_kv_heads, head_dim, model_fingerprint):
+        if of == "prefix_cache":
+            kv = np.zeros((num_layers, num_kv_heads, 1, head_dim), dtype=np.float32)
+            positions = np.zeros(1, dtype=np.int64)
+            small_model.prefix_cache(KvSegment(kv, kv, positions, model_fingerprint))
+            return
+        cache = KvCache(num_layers, num_kv_heads, head_dim, 4, model_fingerprint)
+        small_model.check_kv(cache if of == "cache" else cache.segment())
 
-    small_model.check_kv(kv(**own))
+    check(**own)
     with pytest.raises(IncompatibilityError):
-        small_model.check_kv(kv(**{**own, **change}))
+        check(**{**own, **change})
 
 
 def test_prefix_position_overlap(small_model):
@@ -270,12 +277,28 @@ def test_cache_capacity():
         forward_with_prefix(model, cache, [3], 8)
     assert cache.span_len == 8
     # the cache itself refuses to overflow its buffers
-    small = model.new_cache(2)
+    small = KvCache(2, 1, 4, 2, model.fingerprint)
     k = np.zeros((1, 3, 4), dtype=np.float32)
     with pytest.raises(CapacityError):
         small.stage(0, k, k)
+    # so a prefix longer than max_positions is refused as it is staged
+    halves = [encode(model, [1] * 5, 0)[0], encode(model, [2] * 4, 0)[0]]
     with pytest.raises(CapacityError):
-        KvCache.from_segment(encode(model, [1, 2, 3], 0)[0], 2)
+        model.prefix_cache(reposition_segment(KvSegment.concat(halves), np.arange(9)))
+
+
+def test_prefix_cache_holds_a_copy_of_its_prefix(small_model, rng):
+    prefix, _ = encode(small_model, rng.integers(0, 256, 7).tolist(), 3)
+    kept = KvSegment(
+        prefix.keys.copy(), prefix.values.copy(), prefix.positions.copy(),
+        prefix.model_fingerprint,
+    )
+    cache = small_model.prefix_cache(prefix)
+    assert cache.capacity == small_model.config.max_positions
+    assert cache.segment().equals(prefix)
+    assert not np.shares_memory(cache.segment().keys, prefix.keys)
+    forward_with_prefix(small_model, cache, [1, 2], 10)  # extends the copy only
+    assert prefix.equals(kept)
 
 
 def test_truncate_bounds(small_model, rng):
@@ -410,7 +433,7 @@ def test_forward_matches_the_unfused_forward_bit_for_bit(config):
     # one query) and 40 greedy decode steps, on both forms of the pass
     model = build_model(config)
     tokens = np.random.default_rng(3).integers(0, 256, 179).tolist()
-    lean, unfused = model.new_cache(256), model.new_cache(256)
+    lean, unfused = model.prefix_cache(None), model.prefix_cache(None)
 
     def step(tokens, start):
         got, _ = forward_with_prefix(model, lean, tokens, start)

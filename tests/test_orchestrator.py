@@ -424,9 +424,9 @@ def test_a_rounds_prefix_is_freed_before_the_next_is_built(
     built = []
     real = lag.orchestrator.assemble_kv_prefix
 
-    def tracked(entries, model):
+    def tracked(entries):
         assert all(ref() is None for ref in built)
-        prefix = real(entries, model)
+        prefix = real(entries)
         built.append(weakref.ref(prefix))
         return prefix
 
@@ -451,7 +451,7 @@ def test_an_unchanged_prefix_is_handed_over_not_rebuilt(
     real = lag.orchestrator.assemble_kv_prefix
     monkeypatch.setattr(
         lag.orchestrator, "assemble_kv_prefix",
-        lambda entries, model: built.append(len(entries)) or real(entries, model),
+        lambda entries: built.append(len(entries)) or real(entries),
     )
     handed = []
 
@@ -465,7 +465,7 @@ def test_an_unchanged_prefix_is_handed_over_not_rebuilt(
     task = TaskRecord(id="t", question="alpha", answers=["x"])
     with LogStore(tmp_path / "s", mode="r") as store:
         run_task(task, RunConfig(max_steps=8, k_docs=0, k_logs=1), backends, store)
-        both = assemble_kv_prefix([store.get(0), store.get(1)], small_model)
+        both = assemble_kv_prefix([store.get(0), store.get(1)])
     assert built == [1, 2]
     assert handed[1] is handed[0]  # every round is still handed its prefix
     assert handed[2] is not handed[1] and handed[2].equals(both)
@@ -508,7 +508,7 @@ def kv_entry(small_model, embedder, text, start=0):
 
 def test_prefix_single_log_at_original_positions(small_model, embedder):
     entry = kv_entry(small_model, embedder, "abcde", start=0)
-    prefix = assemble_kv_prefix([entry], small_model)
+    prefix = assemble_kv_prefix([entry])
     assert list(prefix.positions) == list(range(5))
     for l in range(prefix.num_layers):
         assert np.abs(prefix.keys[l] - entry.kv.keys[l]).max() <= 1e-6
@@ -517,7 +517,7 @@ def test_prefix_single_log_at_original_positions(small_model, embedder):
 def test_prefix_two_logs_concatenate_contiguously(small_model, embedder):
     e1 = kv_entry(small_model, embedder, "abc", start=10)
     e2 = kv_entry(small_model, embedder, "vwxyz", start=3)
-    prefix = assemble_kv_prefix([e1, e2], small_model)
+    prefix = assemble_kv_prefix([e1, e2])
     assert prefix.span_len == 8
     assert list(prefix.positions) == list(range(8))
     for l in range(prefix.num_layers):
@@ -530,8 +530,8 @@ def test_prefix_two_logs_concatenate_contiguously(small_model, embedder):
     assert reposition_error(e2.kv, prefix.slice(3, 8)) <= 1e-6
 
 
-def test_prefix_empty_list(small_model):
-    assert assemble_kv_prefix([], small_model) is None
+def test_prefix_empty_list():
+    assert assemble_kv_prefix([]) is None
 
 
 @pytest.fixture(scope="module")
@@ -575,7 +575,7 @@ def longhand_prefix(entries):
 )
 def test_prefix_equals_per_entry_repositioning(wide_model, embedder, layout):
     entries = stored_logs(wide_model, embedder, layout)
-    prefix = assemble_kv_prefix(entries, wide_model)
+    prefix = assemble_kv_prefix(entries)
     longhand = longhand_prefix(entries)
     total = sum(span for span, _ in layout)
     assert np.array_equal(prefix.positions, np.arange(total))
@@ -593,17 +593,17 @@ def test_prefix_repositions_once_per_assembly(wide_model, embedder, monkeypatch)
         lambda seg, *args: (calls.append(seg.span_len), reposition_segment(seg, *args))[1],
     )
     entries = stored_logs(wide_model, embedder, [(4, 9), (0, 0), (5, 3000), (7, 1)])
-    assemble_kv_prefix(entries, wide_model)
+    assemble_kv_prefix(entries)
     assert calls == [16]
-    assemble_kv_prefix(entries[:2], wide_model)
+    assemble_kv_prefix(entries[:2])
     assert calls == [16, 4]
 
 
 def test_prefix_is_none_only_without_tokens(wide_model, embedder):
     empty = stored_logs(wide_model, embedder, [(0, 5), (0, 9)])
-    assert assemble_kv_prefix(empty, wide_model) is None
+    assert assemble_kv_prefix(empty) is None
     one = stored_logs(wide_model, embedder, [(0, 5), (1, 9), (0, 2)])
-    assert assemble_kv_prefix(one, wide_model).span_len == 1
+    assert assemble_kv_prefix(one).span_len == 1
 
 
 def test_reference_generator_consumes_injected_prefix(tmp_path, small_model, embedder):
@@ -661,9 +661,7 @@ def test_nonfinite_stored_kv_is_caught_before_the_forward_pass(
     # and the generator refuses the prefix before running the model
     damaged = kv_entry(small_model, embedder, "damaged log", start=4)
     damaged.kv.keys[1][0, 2, 3] = np.nan
-    prefix = assemble_kv_prefix(
-        [kv_entry(small_model, embedder, "healthy log"), damaged], small_model
-    )
+    prefix = assemble_kv_prefix([kv_entry(small_model, embedder, "healthy log"), damaged])
     forwards = []
     monkeypatch.setattr(Model, "_forward", lambda *args: forwards.append(args))
     with pytest.raises(InputError):

@@ -2,6 +2,7 @@ import struct
 import tracemalloc
 import warnings
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -277,6 +278,19 @@ def test_torn_offsets_index_is_format_error(tmp_path, rng):
     assert main(["store", "inspect", "--store", str(path)]) == 3
 
 
+def test_bytes_before_the_first_offset_are_format_error(tmp_path, rng):
+    # 18 bytes put in front of the entries, and every offset shifted past them
+    path = tmp_path / "s"
+    _three_entry_store(path, rng)
+    raw = (path / OFFSETS_NAME).read_bytes()
+    offsets = struct.unpack(f"<{len(raw) // 8}Q", raw)
+    (path / ENTRIES_NAME).write_bytes(bytes(18) + (path / ENTRIES_NAME).read_bytes())
+    (path / OFFSETS_NAME).write_bytes(struct.pack(f"<{len(offsets)}Q", *(o + 18 for o in offsets)))
+    with pytest.raises(FormatError, match="first offset 18"):
+        LogStore(path)
+    assert main(["store", "inspect", "--store", str(path)]) == 3
+
+
 def test_reopened_store_holds_its_bytes_once(tmp_path, rng):
     # 15 KV entries of 133 tokens, 4 layers, 2 KV heads, head_dim 16: ~2 MB
     path = tmp_path / "s"
@@ -461,4 +475,27 @@ def test_an_entry_with_a_nan_embedding_fails_to_open(tmp_path, rng):
     out = tmp_path / "r.json"
     assert main(["run", "--dataset", str(dataset), "--split", "all", "--store", str(path),
                  "--generator", "synth-hop", "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_an_entry_with_non_finite_kv_fails_the_run(tmp_path, rng):
+    # a default-model entry with its first key set to NaN and its CRC
+    # recomputed, written past put: open does not scan KV, but the entry's
+    # prefix is refused, and that fails the run, not just its task
+    entry = replace(default_model_entry(rng, layers=4),
+                    embedding=normalize(np.ones(256, dtype=np.float32)))
+    blob = bytearray(serialize(entry))
+    first_key = len(blob) - 4 - entry.kv.payload_nbytes
+    blob[first_key : first_key + 4] = struct.pack("<f", np.nan)
+    blob[-4:] = struct.pack("<I", zlib.crc32(blob[:-4]))
+    path = tmp_path / "s"
+    path.mkdir()
+    (path / ENTRIES_NAME).write_bytes(bytes(blob))
+    (path / OFFSETS_NAME).write_bytes(struct.pack("<Q", 0))
+    assert main(["store", "inspect", "--store", str(path)]) == 0
+    dataset = tmp_path / "tasks.jsonl"
+    save_tasks([TaskRecord(id="t", question="q", answers=["a"])], dataset)
+    out = tmp_path / "r.json"
+    assert main(["run", "--dataset", str(dataset), "--split", "all", "--store", str(path),
+                 "--generator", "reference", "--max-steps", "2", "--out", str(out)]) == 3
     assert not out.exists()

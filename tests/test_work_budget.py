@@ -86,9 +86,9 @@ def test_kv_run_keeps_the_generators_reuse(tmp_path, monkeypatch, default_model)
     assemblies = []
     real_assemble = lag.orchestrator.assemble_kv_prefix
 
-    def counting_assemble(entries, model):
+    def counting_assemble(entries):
         assemblies.append(len(entries))
-        return real_assemble(entries, model)
+        return real_assemble(entries)
 
     passes_per_call = []
     real_generate = backends.generator.generate
