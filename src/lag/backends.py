@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import is_unicode
 from .errors import BackendError, InputError
 from .model import ByteTokenizer, Model, greedy_decode
 from .segment import KvSegment
@@ -139,6 +140,8 @@ class ScriptedGenerator(GeneratorBackend):
                 data = json.load(fh)
             except ValueError as err:  # bad JSON or bad UTF-8
                 raise InputError(f"{path}: not a JSON file: {err}") from err
+        if not is_unicode(data):
+            raise InputError(f"{path}: text is not valid Unicode (a lone surrogate)")
         scripts = data.get("scripts", {}) if isinstance(data, dict) else None
         if not isinstance(scripts, dict):
             raise InputError(f"{path}: expected an object with a 'scripts' object")

@@ -121,36 +121,22 @@ class LogEntry:
             self.kv.validate()
 
 
-def _trace_and_offsets(messages: list[str]) -> tuple[bytes, list[int]]:
-    """Newline-joined assistant trace plus the byte offset where each
-    message starts. With byte tokenization, byte offsets are token offsets."""
-    encoded = [m.encode("utf-8") for m in messages]
-    starts = []
-    pos = 0
-    for i, b in enumerate(encoded):
-        starts.append(pos)
-        pos += len(b) + (1 if i < len(encoded) - 1 else 0)
-    return b"\n".join(encoded), starts
-
-
-def _select_span(
-    messages: list[str], kind: str, starts: list[int], end: int
-) -> tuple[int, int, bool]:
-    """Token span [start, end) of the stored content within the full trace,
-    given where each message starts in it and its length. Returns (start,
-    end, fallback) where fallback is True when a last_action strategy found
-    no tag and fell back to the whole last round."""
-    last_start = starts[-1]
-    if kind == "last_action":
-        span = find_last_action_span(messages[-1])
-        if span is None:
-            return last_start, end, True
+def _select_span(messages: list[str], kind: str, end: int) -> tuple[int, int, bool]:
+    """Token span [start, end) of the stored content within the newline-joined
+    trace of ``messages``, ``end`` bytes long. With byte tokenization, byte
+    offsets are token offsets, and each span is measured back from the end:
+    the last r messages joined by newlines are the trace's tail. Returns
+    (start, end, fallback) where fallback is True when a last_action strategy
+    found no tag and fell back to the whole last round."""
+    last = messages[-1]
+    span = find_last_action_span(last) if kind == "last_action" else None
+    if span is not None:
+        last_start = end - len(last.encode("utf-8"))
         c0, c1 = span
-        b0 = len(messages[-1][:c0].encode("utf-8"))
-        b1 = len(messages[-1][:c1].encode("utf-8"))
-        return last_start + b0, last_start + b1, False
-    rounds = min(_ROUNDS_BACK[kind], len(messages))
-    return starts[-rounds], end, False
+        return (last_start + len(last[:c0].encode("utf-8")),
+                last_start + len(last[:c1].encode("utf-8")), False)
+    tail = "\n".join(messages[-_ROUNDS_BACK[kind]:]).encode("utf-8")
+    return end - len(tail), end, kind == "last_action"
 
 
 def encode_log(
@@ -165,42 +151,27 @@ def encode_log(
     The encoding context is the concatenation of all assistant messages
     (user prompts and retrieved documents are never encoded). The retrieval
     key is the last assistant message, except for all_rounds_text which is
-    keyed by the whole trace.
+    keyed by the whole trace. A text entry's payload is its key.
     """
     messages = transcript.assistant_messages
-    trace, starts = _trace_and_offsets(messages)
-
-    if strategy.is_text:
-        if strategy.kind == "all_rounds_text":
-            payload = trace.decode("utf-8")
-            key_text = payload
+    key_text = "\n".join(messages) if strategy.kind == "all_rounds_text" else messages[-1]
+    kv, fallback = None, False
+    if not strategy.is_text:
+        if model is None:
+            raise InputError("KV strategies need a model to encode with")
+        trace = "\n".join(messages).encode("utf-8")
+        start, end, fallback = _select_span(messages, strategy.kind, len(trace))
+        if strategy.encoding == "isolated":
+            kv, _ = encode(model, list(trace[start:end]), 0)
         else:
-            payload = messages[-1]
-            key_text = messages[-1]
-        return LogEntry(
-            task_text=task_text,
-            retrieval_key_text=key_text,
-            embedding=np.asarray(embedder.embed(key_text), dtype=np.float32),
-            strategy=strategy,
-            text_payload=payload,
-        )
-
-    if model is None:
-        raise InputError("KV strategies need a model to encode with")
-    start, end, fallback = _select_span(messages, strategy.kind, starts, len(trace))
-    if strategy.encoding == "isolated":
-        span_tokens = list(trace[start:end])
-        segment, _ = encode(model, span_tokens, 0)
-    else:
-        full_segment, _ = encode(model, list(trace), 0)
-        segment = full_segment.slice(start, end)
-    key_text = messages[-1]
+            kv = encode(model, list(trace), 0)[0].slice(start, end)
     return LogEntry(
         task_text=task_text,
         retrieval_key_text=key_text,
         embedding=np.asarray(embedder.embed(key_text), dtype=np.float32),
         strategy=strategy,
-        kv=segment,
+        kv=kv,
+        text_payload=key_text if strategy.is_text else None,
         fallback_warning=fallback,
     )
 

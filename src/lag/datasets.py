@@ -27,6 +27,17 @@ class TaskRecord:
         return REASONING if self.choices else KNOWLEDGE
 
 
+def is_unicode(data) -> bool:
+    """Whether every string in a parsed JSON value, keys too, is valid
+    Unicode: JSON's ``\\ud800`` escape lets through a lone surrogate, which
+    UTF-8 cannot encode."""
+    try:
+        json.dumps(data, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _text(value, field: str) -> str:
     if not isinstance(value, str):
         raise InputError(f"task record {field} is not a string: {value!r:.60}")
@@ -36,6 +47,8 @@ def _text(value, field: str) -> str:
 def task_from_json(data) -> TaskRecord:
     if not isinstance(data, dict):
         raise InputError(f"task record is not a JSON object: {data!r:.60}")
+    if not is_unicode(data):
+        raise InputError("task record text is not valid Unicode (a lone surrogate)")
     answers = data.get("answers")
     if not isinstance(answers, list) or not answers:
         raise InputError(f"task record needs a non-empty 'answers' list: {answers!r:.60}")

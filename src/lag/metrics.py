@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from .datasets import is_unicode
 from .errors import ConfigurationError, DegenerateStatisticError, InputError
 
 _ARTICLES_RE = re.compile(r"\b(a|an|the)\b")
@@ -184,6 +185,8 @@ class EvalReport:
                 data = json.load(fh)
             except ValueError as err:  # bad JSON or bad UTF-8
                 raise InputError(f"{path}: not a JSON file: {err}") from err
+        if not is_unicode(data):
+            raise InputError(f"{path}: text is not valid Unicode (a lone surrogate)")
         if not isinstance(data, dict):
             raise InputError(f"{path}: expected a report object")
         try:

@@ -55,11 +55,11 @@ class RunConfig:
 
 
 class TaskError(BackendError):
-    """Backend failure mid-run; carries the partial transcript."""
+    """Backend failure mid-run; carries the number of rounds completed."""
 
-    def __init__(self, message: str, transcript: AgentTranscript | None):
+    def __init__(self, message: str, iterations: int):
         super().__init__(message)
-        self.partial_transcript = transcript
+        self.iterations = iterations
 
 
 def assemble_kv_prefix(entries: list[LogEntry]) -> KvSegment | None:
@@ -95,7 +95,7 @@ def run_task(
     log_store: LogStore | None = None,
 ) -> tuple[Action, AgentTranscript, list[int]]:
     """Execute one task; returns (final action, transcript, retrieved ids).
-    A generator failure raises a ``TaskError`` with the partial transcript,
+    A generator failure raises a ``TaskError`` with the rounds completed,
     except an ``InputError`` (bad local data), which is raised as it is."""
     mode = mode_of(log_store, cfg.k_logs)
     if mode == LAG_KV:
@@ -147,8 +147,7 @@ def run_task(
         except InputError:  # such as non-finite stored KV: it fails the run
             raise
         except Exception as err:
-            partial = AgentTranscript(turns, final_action) if turns else None
-            raise TaskError(f"generator failed on task {task.id}: {err}", partial) from err
+            raise TaskError(f"generator failed on task {task.id}: {err}", len(turns)) from err
 
         turns.append((messages[-1]["content"], response))
         act = extract_action(response)

@@ -13,6 +13,7 @@ import urllib.error
 import urllib.request
 
 from .backends import GeneratorBackend
+from .datasets import is_unicode
 from .errors import BackendError, ConfigurationError
 
 RETRY_DELAY_S = 0.05  # first wait before a retry; doubles per retry
@@ -23,10 +24,11 @@ MAX_TOKENS = 512
 
 class HttpGeneratorBackend(GeneratorBackend):
     """POSTs {"messages": [...], "max_tokens": 512, "temperature": 0} and
-    expects {"text": "<str>"} back. Other JSON and a 4xx other than 429 fail
-    at once; connection errors, timeouts, 5xx, 429 and bad JSON are retried
-    after a capped exponential backoff. Credentials come from LAG_API_KEY
-    (sent as a bearer token), never from flags."""
+    expects {"text": "<str>"} back. Other JSON, a text that is not valid
+    Unicode and a 4xx other than 429 fail at once; connection errors,
+    timeouts, 5xx, 429 and bad JSON are retried after a capped exponential
+    backoff. Credentials come from LAG_API_KEY (sent as a bearer token),
+    never from flags."""
 
     accepts_kv_prefix = False
 
@@ -70,5 +72,7 @@ class HttpGeneratorBackend(GeneratorBackend):
             else:
                 if not isinstance(payload, dict) or not isinstance(payload.get("text"), str):
                     raise BackendError("generator response is not an object with a 'text' string")
+                if not is_unicode(payload["text"]):
+                    raise BackendError("generator response 'text' is not valid Unicode")
                 return payload["text"]
         raise BackendError(f"generator endpoint failed: {last_err}")

@@ -32,9 +32,7 @@ def run_one(
         predicted = final.payload if answered else None
         iterations = transcript.iterations
     except TaskError as err:
-        answered, predicted = False, None
-        partial = err.partial_transcript
-        iterations = partial.iterations if partial is not None else 0
+        answered, predicted, iterations = False, None, err.iterations
     em, score_f1 = _score(task, predicted)
     return TaskRow(
         id=task.id,

@@ -54,7 +54,8 @@ class _Handler(BaseHTTPRequestHandler):
 @pytest.fixture()
 def http_server():
     server = HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll interval, so shutdown() waits 10 ms, not 0.5 s
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     _Handler.requests = []
     _Handler.failures = []
@@ -131,7 +132,8 @@ def test_http_backoff_is_capped(http_server, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "reply", [5, ["text"], {"text": None}], ids=["number", "list", "text-not-str"]
+    "reply", [5, ["text"], {"text": None}, {"text": "\ud800"}],
+    ids=["number", "list", "text-not-str", "text-not-unicode"],  # sent as a \ud800 escape
 )
 def test_http_reply_without_a_text_string_fails_at_once(http_server, reply):
     _Handler.reply = reply
@@ -378,6 +380,14 @@ def test_nan_prefix_is_rejected_after_a_clean_one(small_model, log_prefix):
         log_prefix.keys, values, log_prefix.positions, log_prefix.model_fingerprint)
     with pytest.raises(InputError):
         gen.generate(messages, kv_prefix=bad)
+
+
+def test_a_prefix_that_leaves_no_room_for_the_prompt_is_refused(small_model):
+    gen = ReferenceModelGenerator(small_model, max_new=6)
+    # the prefix ends where the max_new output slots begin
+    prefix, _ = encode(small_model, [1], small_model.config.max_positions - 7)
+    with pytest.raises(BackendError, match="no room for the prompt"):
+        gen.generate(_prompts()[0], kv_prefix=prefix)
 
 
 def test_an_empty_prompt_after_a_call_is_rejected(small_model):

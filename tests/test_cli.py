@@ -483,7 +483,8 @@ class _AnswerHandler(BaseHTTPRequestHandler):
 @pytest.fixture()
 def answer_server():
     server = HTTPServer(("127.0.0.1", 0), _AnswerHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll interval, so shutdown() waits 10 ms, not 0.5 s
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     _AnswerHandler.requests = []
     _AnswerHandler.reply = {"text": "<ans>x</ans>"}
@@ -612,9 +613,10 @@ def test_out_of_range_numeric_flag_fails_before_any_task(
     "content",
     ['{"scripts": {"What is x?": ["<ans>x</ans>"]', '["a"]',
      '{"scripts": {"What is x?": "<ans>x</ans>"}}', '{"scripts": ["What is x?"]}',
-     '{"scripts": {"What is x?": []}}', '{"default": [1]}'],
+     '{"scripts": {"What is x?": []}}', '{"default": [1]}',
+     '{"scripts": {"What is x?": ["<ans>\\ud800</ans>"]}}'],
     ids=["truncated", "top-level-list", "reply-not-list", "scripts-not-object",
-         "replies-empty", "default-not-strings"],
+         "replies-empty", "default-not-strings", "reply-not-unicode"],
 )
 def test_malformed_script_file_is_an_input_error(tmp_path, capsys, one_task, content):
     script = tmp_path / "script.json"
@@ -672,14 +674,29 @@ def test_malformed_task_record_names_its_line(tmp_path, capsys):
         ({**good, "corpus": [{"title": None, "text": 5}]}, "corpus title is not a string"),
         ({**good, "corpus": [{"title": "t", "text": 5}]}, "corpus text is not a string: 5"),
         ({**good, "choices": [None, 3]}, "choice is not a string: None"),
+        ({**good, "corpus": [{"text": "t"}]}, "malformed task record: 'title'"),
+        # JSON's \ud800 escape loads as a lone surrogate, which UTF-8 cannot encode
+        ({**good, "question": "What is \ud800?"}, "text is not valid Unicode"),
     ):
-        dataset.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        # the first line's own id, so a bad record let through is not refused as a repeat
+        dataset.write_text(json.dumps({**good, "id": "0"}) + "\n" + json.dumps(bad) + "\n")
         assert run_cli(
             "run", "--dataset", dataset, "--split", "all",
             "--generator", "synth-hop", "--out", tmp_path / "o.json",
         ) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: {dataset}:2: ") and reason in err
+
+
+def test_task_line_that_is_not_json_names_its_line(tmp_path, capsys):
+    dataset = tmp_path / "bad.jsonl"
+    good = json.dumps({"id": "a", "question": "What is x?", "answers": ["x"]})
+    dataset.write_text(f'{good}\n{{"id": "b", "question": \n')
+    assert run_cli(
+        "run", "--dataset", dataset, "--split", "all",
+        "--generator", "synth-hop", "--out", tmp_path / "o.json",
+    ) == 3
+    assert capsys.readouterr().err.startswith(f"error: {dataset}:2: invalid JSON")
 
 
 _ROW = {"id": "a", "predicted": "x", "gold": ["x"], "em": 1, "f1": 1.0,
@@ -694,10 +711,12 @@ _ROW = {"id": "a", "predicted": "x", "gold": ["x"], "em": 1, "f1": 1.0,
        for bad in ({"answered": "false"}, {"gold": "abc"}, {"em": 0.9},
                    {"f1": float("nan")}, {"f1": float("inf")}, {"f1": 7.5},
                    {"f1": -0.5}, {"iterations": -4})),
-     '{"mode": "standard", "label": null, "rows": []}', '{"mode": 5, "rows": []}'],
+     '{"mode": "standard", "label": null, "rows": []}', '{"mode": 5, "rows": []}',
+     '{"mode": "standard", "label": "\\ud800", "rows": []}'],
     ids=["row-without-em", "truncated", "top-level-list", "answered-string",
          "gold-string", "em-fraction", "f1-nan", "f1-inf", "f1-above-one",
-         "f1-negative", "iterations-negative", "label-null", "mode-int"],
+         "f1-negative", "iterations-negative", "label-null", "mode-int",
+         "label-not-unicode"],
 )
 def test_malformed_report_is_an_input_error(tmp_path, capsys, content):
     report = tmp_path / "report.json"

@@ -304,6 +304,13 @@ def test_bad_magic_is_format_error(rng):
         deserialize(bytes(blob))
 
 
+def test_bytes_after_a_kv_payload_are_format_error(rng):
+    blob = bytearray(serialize(_random_entry(rng))[:-4] + b"\0" * 4)
+    blob += struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)
+    with pytest.raises(FormatError, match="trailing bytes"):
+        deserialize(bytes(blob))
+
+
 @pytest.mark.parametrize("kv", [True, False], ids=["kv", "text"])
 def test_crc_valid_mutation_decodes_or_is_format_error(kv):
     # a damaged byte under a matching CRC: bad UTF-8 in a text field must

@@ -301,6 +301,31 @@ def test_prefix_cache_holds_a_copy_of_its_prefix(small_model, rng):
     assert prefix.equals(kept)
 
 
+def test_prefix_cache_refuses_a_malformed_prefix(small_model):
+    seg, _ = encode(small_model, [1, 2, 3], 0)
+    fp = seg.model_fingerprint
+    # validated before the shape check, so 3-D keys fail as InputError, not IndexError
+    with pytest.raises(InputError, match="are not"):
+        small_model.prefix_cache(KvSegment(seg.keys[0], seg.values[0], seg.positions, fp))
+    with pytest.raises(PositionError, match="strictly increasing"):
+        small_model.prefix_cache(KvSegment(seg.keys, seg.values, seg.positions[::-1], fp))
+
+
+def test_concat_refuses_spans_of_two_models_or_two_shapes(small_model):
+    seg, _ = encode(small_model, [1, 2], 0)
+    with pytest.raises(IncompatibilityError):
+        KvSegment.concat([seg, KvSegment(seg.keys, seg.values, seg.positions, "00" * 32)])
+    # one KV head would broadcast into two without the check
+    narrow = KvSegment(seg.keys[:, :1], seg.values[:, :1], seg.positions, seg.model_fingerprint)
+    with pytest.raises(InputError, match="cannot concat a span of shape"):
+        KvSegment.concat([seg, narrow])
+
+
+def test_negative_start_position_is_refused(small_model):
+    with pytest.raises(InputError, match="start_position must be >= 0"):
+        forward_with_prefix(small_model, None, [1, 2], -1)
+
+
 def test_truncate_bounds(small_model, rng):
     _, cache = forward_with_prefix(small_model, None, rng.integers(0, 256, 5).tolist(), 0)
     for bad in (-1, 6):

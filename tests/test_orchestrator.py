@@ -364,6 +364,16 @@ def test_kv_mode_requires_capable_generator(tmp_path, small_model, embedder):
             run_task(task, RunConfig(max_steps=2), backends, store)
 
 
+def test_kv_mode_requires_a_model(tmp_path, small_model, embedder):
+    with LogStore(tmp_path / "s", mode="w") as store:
+        store.put(kv_entry(small_model, embedder, "q"))
+    task = TaskRecord(id="t", question="q", answers=["a"])
+    backends = Backends(generator=ScriptedGenerator({}), embedder=embedder, model=None)
+    with LogStore(tmp_path / "s", mode="r") as store:
+        with pytest.raises(ConfigurationError, match="needs a model"):
+            run_task(task, RunConfig(max_steps=2), backends, store)
+
+
 @pytest.mark.parametrize("generator", ["synth-hop", "reference"])
 def test_k_docs_zero_embeds_no_passage(generator, tmp_path, monkeypatch):
     # a 2-round, store-less run of a task with 6 passages: no retrieval reads
@@ -489,7 +499,7 @@ def test_backend_failure_carries_partial_transcript():
     )
     with pytest.raises(TaskError) as err:
         run_task(task, RunConfig(max_steps=8, k_docs=0), backends, None)
-    assert err.value.partial_transcript.iterations == 1
+    assert err.value.iterations == 1
 
 
 # -- KV prefix assembly ------------------------------------------------------
