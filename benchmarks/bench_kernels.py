@@ -44,10 +44,16 @@ Workloads, on the default ``ModelConfig`` (4 layers, 4 query heads over
   hops (124 to 529 trace tokens), run once per child with
   ``FactChainGenerator``: the KV write path of ``lag ingest``.
 
-Every measurement runs in a fresh child interpreter with one BLAS thread.
-With ``--baseline`` the children alternate between this checkout's ``src/``
-and the baseline tree, round by round, so that a drift in the host's speed
-falls on both sides alike. A child also runs lagbench's speed probe
+Every measurement runs in a fresh child interpreter with one BLAS thread;
+the attention kernel may still run its KV-head groups on the other usable
+CPUs, whose count the report records. With ``--baseline`` the children
+alternate between this checkout's ``src/`` and the baseline tree, round by
+round, so that a drift in the host's speed falls on both sides alike, and
+each row reports its paired wins (``src_wins``): the rounds, of ``ROUNDS``,
+in which this checkout's child was faster than the baseline's. The
+quartiles over the rounds can miss an offset between two children that
+the speed probe leaves; the paired wins count each round as one
+comparison. A child also runs lagbench's speed probe
 (``lagbench/speed.py``, imported as it is) before its first row, after
 every 30 ms of timed repeats and after its last row, and scales each
 repeat's time to the probe's reference speed by the probes around it, as
@@ -62,7 +68,10 @@ the timed repeats, each row runs one more call under a ``sys.setprofile``
 hook, which counts its Python calls (``py_calls``) and C calls
 (``c_calls``), the row's own function included, and one more under
 ``tracemalloc``, for the peak KiB it allocates (``peak_kb``); neither
-slows a timed repeat. These are medians over the rounds too. Only
+slows a timed repeat. The profile hook sees only the calling thread, so
+``py_calls`` and ``c_calls`` leave out the calls a worker thread makes;
+``peak_kb`` and ``minflt`` cover every thread. These are medians over the
+rounds too. Only
 names both trees define are used:
 ``lag._kernels.causal_attention``, ``lag.model.{build_model, encode,
 forward_with_prefix, greedy_decode}``, ``Model.prefix_cache``,
@@ -354,15 +363,22 @@ def main() -> None:
         side: {name: summary([run[name] for run in rs]) for name in rs[0]}
         for side, rs in runs.items()
     }
+    # per row, the rounds in which this checkout's child was the faster
+    wins = {
+        name: sum(a[name]["ms"] < b[name]["ms"] for a, b in zip(runs["src"], runs["baseline"]))
+        for name in results["src"]
+    } if args.baseline else {}
     head = ": ms [q1, q3] raw_ms minflt py/c calls peak_kb"
-    print(f"{'workload':<24}" + "".join(f"{side + head:>72}" for side in results))
+    print(f"{'workload':<24}" + "".join(f"{side + head:>72}" for side in results)
+          + ("  src wins" if wins else ""))
     for name in results["src"]:
         cells = (
             f"{r['ms']:.3f} [{r['ms_q1']:.3f}, {r['ms_q3']:.3f}] {r['raw_ms']:.3f} "
             f"{r['minflt']:.1f} {r['py_calls']:.0f}/{r['c_calls']:.0f} {r['peak_kb']:.1f}"
             for r in (results[side][name] for side in results)
         )
-        print(f"{name:<24}" + "".join(f"{cell:>72}" for cell in cells))
+        won = f"{wins[name]:>8}/{ROUNDS}" if wins else ""
+        print(f"{name:<24}" + "".join(f"{cell:>72}" for cell in cells) + won)
     report = {
         "unit": "ms at the speed probe's reference speed (lagbench/speed.py REF_MS); "
                 "raw_ms unscaled; minflt in minor page faults per repeat; py_calls "
@@ -372,9 +388,12 @@ def main() -> None:
         "machine": {
             "cpu": cpu_name(),
             "nproc": os.cpu_count(),
+            "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count(),
             "python": platform.python_version(),
         },
         "results": results,
+        "src_wins": wins,
         "runs": runs,
     }
     OUT.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")

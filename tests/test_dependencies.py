@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tests.conftest import child_env
@@ -178,6 +179,32 @@ def test_setup_path_imports_no_serving_module():
     proc = subprocess.run([sys.executable, "-c", code], check=True, env=child_env(),
                           capture_output=True, text=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_setup_path_starts_no_thread(tmp_path):
+    # the attention kernel's workers start with the first split call, so set-up
+    # pays neither for a thread nor for a thread-pool import
+    from lag.codec import LogEntry, SelectionStrategy
+    from lag.config import ModelConfig
+    from lag.model import build_model, encode
+    from lag.store import LogStore
+
+    model = build_model(ModelConfig())
+    with LogStore(tmp_path / "s", "w") as store:
+        store.put(LogEntry(
+            task_text="t", retrieval_key_text="k", embedding=np.ones(4, dtype=np.float32) / 2,
+            strategy=SelectionStrategy("last_round"), kv=encode(model, list(range(16)))[0],
+        ))
+    code = (
+        "import sys, threading, lag.config, lag.model, lag.store; "
+        "lag.model.build_model(lag.config.ModelConfig()); "
+        f"lag.store.LogStore({str(tmp_path / 's')!r}, 'r'); "
+        "print(threading.active_count(), sorted(m for m in ('concurrent.futures', "
+        "'multiprocessing', 'queue') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], check=True, env=child_env(),
+                          capture_output=True, text=True)
+    assert proc.stdout.strip() == "1 []"
 
 
 IN_PROCESS_RUN = (

@@ -5,9 +5,12 @@ with no memo writes the same ones. Forward-pass counts do, and they are
 deterministic, so a lost reuse fails here instead of only in a timed run.
 """
 
+import os
+
 import numpy as np
 import pytest
 
+import lag._kernels
 import lag.model
 import lag.orchestrator
 from lag.backends import Backends, HashedBagOfWordsEmbedder, ReferenceModelGenerator
@@ -42,6 +45,12 @@ INGEST_EMBEDS, RUN_EMBEDS = 44, 40
 # Rotations per forward pass: one of the q and k heads together per layer
 # (rotating q and k apart made it two per layer)
 ROTATIONS_PER_LAYER = 1
+# Attention calls split over KV heads, with two usable CPUs: each prefill in
+# every layer (1012 tokens after a 194-token prefix, 4.9M score elements, or
+# 208 after 998 cached ones, 1.0M). A draft check of at most 25 tokens scores
+# at most 0.13M elements, under SPLIT_WORK, and a one-token pass ~5k, so
+# neither splits
+SPLIT_PASSES = [1012, 208, 208, 208]
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +99,22 @@ def test_kv_run_keeps_the_generators_reuse(tmp_path, monkeypatch, default_model)
         assemblies.append(len(entries))
         return real_assemble(entries)
 
+    splits = []  # one per attention call that hands groups to the workers
+    real_workers = lag._kernels._workers
+
+    def counting_workers():
+        splits.append(1)
+        return real_workers()
+
+    attention = []  # (new tokens, whether it split) of every attention call
+    real_attention = lag.model.causal_attention
+
+    def counting_attention(q, k, v, n_prefix):
+        before = len(splits)
+        out = real_attention(q, k, v, n_prefix)
+        attention.append((q.shape[1], len(splits) > before))
+        return out
+
     passes_per_call = []
     real_generate = backends.generator.generate
 
@@ -103,6 +128,10 @@ def test_kv_run_keeps_the_generators_reuse(tmp_path, monkeypatch, default_model)
     # greedy_decode looks forward_with_prefix up as a module global
     monkeypatch.setattr(lag.model, "forward_with_prefix", counting_forward)
     monkeypatch.setattr(lag.model, "rotate_pairs", counting_rotate)
+    monkeypatch.setattr(lag.model, "causal_attention", counting_attention)
+    monkeypatch.setattr(lag._kernels, "_workers", counting_workers)
+    # two usable CPUs, whatever the host has, so the split count is fixed
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(backends.generator, "generate", counting_generate)
     monkeypatch.setattr(lag.orchestrator, "assemble_kv_prefix", counting_assemble)
     store = LogStore(tmp_path / "s", mode="r")
@@ -120,6 +149,9 @@ def test_kv_run_keeps_the_generators_reuse(tmp_path, monkeypatch, default_model)
     assert len(passes_per_call) == CALLS
     assert passes_per_call.count(0) == CALLS_WITHOUT_A_PASS
     assert len(assemblies) == ASSEMBLIES
+    layers = default_model.config.num_layers
+    assert len(attention) == PASSES * layers
+    assert [t for t, split in attention if split] == [t for t in SPLIT_PASSES for _ in range(layers)]
 
 
 def test_a_decode_whose_drafts_fail_feeds_at_most_twice_the_tokens(
