@@ -26,8 +26,15 @@ Workloads, on the default ``ModelConfig`` (4 layers, 4 query heads over
   shape), as the opened store serves them: read-only views over its bytes,
   every other one unaligned, as in hop_reuse. It concatenates the stored
   spans and moves them to their slots in the prefix with one rotation. A
-  tree whose ``assemble_kv_prefix`` takes two parameters is passed the
-  model as the second;
+  tree whose ``assemble_kv_prefix`` has a parameter named ``model`` is
+  passed the model as the second argument;
+* ``assemble.rounds``: the three assemblies of a hop_reuse-like task over
+  the same served logs: 3 logs, then 6 and then 9, each round inserting 3
+  new logs at fixed ranks (2, 4 and 5, then 3, 6 and 8), so that the
+  leading run of unchanged logs is 2, then 3 logs long. Each round is
+  passed the last round's entries and prefix as ``last=`` where the tree's
+  ``assemble_kv_prefix`` takes it, so such a tree rotates only the logs
+  after the leading run; another tree builds every prefix anew;
 * ``store.put``: 500 ``put`` calls of one ingest_text-sized text log (about
   1.9 KB serialized, a 256-dim embedding) into a new store in a temporary
   directory, timed together with the store's creation and close;
@@ -231,12 +238,34 @@ def measure() -> dict[str, dict[str, float]]:
         out["store.open"] = _timed(lambda: LogStore(Path(tmp) / "store", "r"), 10, speed)
         opened = LogStore(Path(tmp) / "store", "r")
     served = [opened.get(i) for i in range(24)]
-    # an older tree's assemble_kv_prefix takes the model, which it does not read
-    extra = (model,) if len(inspect.signature(assemble_kv_prefix).parameters) == 2 else ()
+    # an older tree's assemble_kv_prefix takes the model, which it does not
+    # read; a newer one takes the last round's entries and prefix
+    params = inspect.signature(assemble_kv_prefix).parameters
+    extra = (model,) if "model" in params else ()
     for n in (3, 10, 24):
         out[f"assemble.prefix{n}"] = _timed(
             lambda: assemble_kv_prefix(served[:n], *extra), 50, speed
         )
+
+    def insert(logs, new, ranks):
+        logs = list(logs)
+        for rank, log in zip(ranks, new):
+            logs.insert(rank, log)
+        return logs
+
+    # a hop_reuse-like task's rounds: 3, 6 and 9 logs, each round's new logs
+    # at fixed ranks among the last round's, after a leading run of 2, then 3
+    task_rounds = [served[:3]]
+    task_rounds.append(insert(task_rounds[-1], served[3:6], (2, 4, 5)))
+    task_rounds.append(insert(task_rounds[-1], served[6:9], (3, 6, 8)))
+
+    def assemble_rounds():
+        last = None
+        for logs in task_rounds:
+            chained = {"last": last} if "last" in params else {}
+            last = (logs, assemble_kv_prefix(logs, *extra, **chained))
+
+    out["assemble.rounds"] = _timed(assemble_rounds, 30, speed)
 
     # a last_round_text log of an ingest_text task: the last message is both
     # the retrieval key and the payload

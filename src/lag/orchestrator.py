@@ -12,7 +12,7 @@ when the step cap is hit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -62,22 +62,42 @@ class TaskError(BackendError):
         self.iterations = iterations
 
 
-def assemble_kv_prefix(entries: list[LogEntry]) -> KvSegment | None:
+def assemble_kv_prefix(
+    entries: list[LogEntry],
+    last: tuple[list[LogEntry], KvSegment | None] | None = None,
+) -> KvSegment | None:
     """Concatenate KV log payloads and move them into one prefix.
 
     Entries are injected in the given order (callers order them by
     descending retrieval similarity, ties by id) and occupy positions
-    0..total_span, so the prompt that follows starts at total_span. A
-    token's rotation depends only on its stored and new positions, so one
-    rotation of the concatenated stored spans equals rotating each span to
-    its slot and concatenating the results, bit for bit. No entry is
-    checked here: the store holds one KV geometry and ``run_task`` checks it
-    against the model once.
+    0..total_span, so the prompt that follows starts at total_span. ``last``
+    is the previous round's (entries, prefix) of the same task: the leading
+    run of entries that are the same objects in the same order holds the
+    same slots there, so its rows are copied from that prefix, and only the
+    stored spans after it are rotated, in place, in one
+    ``reposition_segment`` call. A token's rotation depends only on its
+    stored and new positions, so one rotation of the concatenated stored
+    spans equals rotating each span to its slot and concatenating the
+    results, bit for bit, and a row copied from the last prefix equals one
+    rotated anew. The first round is the case of an empty leading run. No
+    entry is checked here: the store holds one KV geometry and ``run_task``
+    checks it against the model once.
     """
-    stored = KvSegment.concat([e.kv for e in entries])
-    if stored.span_len == 0:
+    last_entries, last_prefix = last or ((), None)
+    kept = 0
+    for entry, old in zip(entries, last_entries):
+        if entry is not old:
+            break
+        kept += 1
+    lead = sum(e.kv.span_len for e in entries[:kept])
+    head = [last_prefix.view(0, lead)] if lead else []
+    stored = KvSegment.concat(head + [e.kv for e in entries[kept:]])
+    total = stored.span_len
+    if total == 0:
         return None
-    return reposition_segment(stored, np.arange(stored.span_len))
+    tail = stored.view(lead, total)
+    reposition_segment(tail, np.arange(lead, total), out=tail.keys)
+    return replace(stored, positions=np.arange(total))
 
 
 def mode_of(log_store: LogStore | None, k_logs: int) -> str:
@@ -115,7 +135,7 @@ def run_task(
     docs: dict[tuple[str, str], None] = {}  # an ordered set, first retrieval first
     logs: dict[int, float] = {}  # id -> latest similarity, first retrieval first
     turns: list[tuple[str, str]] = []
-    kv_prefix, prefix_order = None, None  # the assembled prefix and its entry ids
+    kv_prefix, prefix_order, prefix_entries = None, [], []  # the last prefix and its logs
     final_action = Action()
     max_steps = cfg.max_steps if cfg.max_steps is not None else DEFAULT_MAX_STEPS[task.family]
 
@@ -132,10 +152,13 @@ def run_task(
 
         text_logs: list[str] = []
         if mode == LAG_KV and order != prefix_order:
-            # the same ids in the same order hand over the last round's prefix
-            kv_prefix = None  # frees the last round's prefix before the next is built
-            kv_prefix = assemble_kv_prefix(ordered)
-            prefix_order = order
+            # the same ids in the same order hand over the last round's prefix;
+            # a new order reuses the last prefix's rows of its leading logs, and
+            # one that shares no leading log frees it before the next is built
+            last = (prefix_entries, kv_prefix) if order[:1] == prefix_order[:1] else None
+            kv_prefix = None
+            kv_prefix = assemble_kv_prefix(ordered, last=last)
+            prefix_order, prefix_entries, last = order, ordered, None
         elif mode == LAG_TEXT:
             text_logs = [e.text_payload for e in ordered]
 

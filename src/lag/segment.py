@@ -61,18 +61,29 @@ class KvSegment:
         if span > 1 and not (np.diff(self.positions) > 0).all():
             raise PositionError("positions must be strictly increasing")
 
+    def view(self, start: int, stop: int) -> "KvSegment":
+        """Sub-span [start, stop) as views of this segment's arrays: no copy,
+        so a write to it writes through, and it keeps the whole buffer alive."""
+        if not (0 <= start <= stop <= self.span_len):
+            raise InputError(f"bad sub-span [{start}:{stop}] of span {self.span_len}")
+        return KvSegment(
+            keys=self.keys[:, :, start:stop],
+            values=self.values[:, :, start:stop],
+            positions=self.positions[start:stop],
+            model_fingerprint=self.model_fingerprint,
+        )
+
     def slice(self, start: int, stop: int) -> "KvSegment":
         """Sub-span [start, stop) as a copy; position metadata is preserved.
 
         It copies because a view would keep the whole source buffer alive:
         a log encoded from a full trace would pin that trace's entire KV
         inside the stored entry."""
-        if not (0 <= start <= stop <= self.span_len):
-            raise InputError(f"bad slice [{start}:{stop}] of span {self.span_len}")
+        part = self.view(start, stop)
         return KvSegment(
-            keys=self.keys[:, :, start:stop].copy(),
-            values=self.values[:, :, start:stop].copy(),
-            positions=self.positions[start:stop].copy(),
+            keys=part.keys.copy(),
+            values=part.values.copy(),
+            positions=part.positions.copy(),
             model_fingerprint=self.model_fingerprint,
         )
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -19,6 +20,7 @@ from lag.errors import BackendError, InputError
 from lag.model import encode, forward_with_prefix
 from lag.remote import HttpGeneratorBackend
 from lag.segment import KvSegment
+from lag.store import normalize
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -180,6 +182,47 @@ def test_embedder_seed_zero_vectors_are_unchanged():
     assert hashlib.sha256(vec.tobytes()).hexdigest() == (
         "4220cdbee1116db8a2169fcfd507c911f553fa5e4b14dd01bc26e130fb901450"
     )
+
+
+def longhand_embedding(text, dimension, seed):
+    """The per-token loop: +1 or -1 per token into its hashed bucket."""
+    vec = np.zeros(dimension, dtype=np.float64)
+    for token in re.findall(r"[a-z0-9]+", text.lower()):
+        digest = hashlib.blake2b(token.encode(), digest_size=8, salt=str(seed).encode())
+        h = int.from_bytes(digest.digest(), "little")
+        vec[h % dimension] += 1.0 if h >> 63 else -1.0
+    return normalize(vec.astype(np.float32))
+
+
+def random_texts(rng, n, vocabulary):
+    words = ["".join(rng.choice(list("aBc1z_é "), rng.integers(1, 5))) for _ in range(vocabulary)]
+    return [" ".join(rng.choice(words, rng.integers(0, 80))) + ", " + str(i) for i in range(n)]
+
+
+@pytest.mark.parametrize("dimension, seed", [(1, 0), (7, 3), (64, 0), (256, 0)])
+def test_embedder_memo_equals_the_per_token_loop(dimension, seed):
+    rng = np.random.default_rng(dimension)
+    embedder = HashedBagOfWordsEmbedder(dimension=dimension, seed=seed)
+    for text in random_texts(rng, 200, 60) * 2:  # a cold memo, then a warm one
+        assert np.array_equal(embedder.embed(text), longhand_embedding(text, dimension, seed))
+
+
+def test_embedder_memo_is_capped(monkeypatch):
+    monkeypatch.setattr(lag.backends, "MEMO_TOKENS", 16)
+    hashed = []
+    blake2b = hashlib.blake2b
+    monkeypatch.setattr(
+        hashlib, "blake2b", lambda data, **kw: hashed.append(data) or blake2b(data, **kw))
+    embedder = HashedBagOfWordsEmbedder(dimension=32, seed=5)
+    rng = np.random.default_rng(0)
+    for text in random_texts(rng, 100, 200):  # up to 80 distinct tokens a text
+        assert np.array_equal(embedder.embed(text), longhand_embedding(text, 32, 5))
+        assert len(embedder._codes) <= 16
+    hashed.clear()
+    embedder.embed("one two two three one")
+    assert len(hashed) == 3  # each distinct token hashed once
+    embedder.embed("three two one")
+    assert len(hashed) == 3
 
 
 @pytest.mark.parametrize("seed", [10**16, 10**16 + 1, -(10**15)])

@@ -149,7 +149,7 @@ BENCH_KERNELS_ROWS = [
     "attention.prefill", "attention.prefill392", "attention.decode",
     "greedy_decode.prefix0", "greedy_decode.prefix512", "greedy_decode.prefix2048",
     "model.decode_step", "store.open",
-    "assemble.prefix3", "assemble.prefix10", "assemble.prefix24",
+    "assemble.prefix3", "assemble.prefix10", "assemble.prefix24", "assemble.rounds",
     "store.put", "generate.rounds4", "generate.repeat4", "encode_log.last_round",
 ]
 

@@ -422,32 +422,48 @@ def test_k_logs_zero_over_a_kv_store_is_standard(tmp_path, small_model, embedder
     assert handed == [(None, []), (None, [])]
 
 
-def test_a_rounds_prefix_is_freed_before_the_next_is_built(
+def test_only_the_last_rounds_prefix_is_alive_while_the_next_is_built(
     tmp_path, small_model, embedder, monkeypatch
 ):
-    # two prefixes alive at once make every round map fresh memory: on the
-    # hop_reuse workload that was ~27x the page faults and a slower op. Each
-    # round retrieves one more log, so each builds a new prefix.
+    # two prefixes alive at once make every round map fresh memory (on the
+    # hop_reuse workload, once ~27x the page faults), so a build may keep
+    # only the last round's prefix, whose leading rows it reuses, and drops
+    # it before the generator runs. Rounds 1-3 each retrieve one more log
+    # after alpha; round 4's query ranks beta above alpha, so it shares no
+    # leading log and frees the last prefix before the build.
     with LogStore(tmp_path / "s", mode="w") as store:
         for text in ("alpha", "beta", "gamma"):
             store.put(kv_entry(small_model, embedder, text))
-    built = []
+    built, lasts = [], []
     real = lag.orchestrator.assemble_kv_prefix
 
-    def tracked(entries):
-        assert all(ref() is None for ref in built)
-        prefix = real(entries)
+    def tracked(entries, last=None):
+        assert all(ref() is None for ref in built[:-1])
+        if last is None:  # nothing to reuse: the last prefix is gone too
+            assert all(ref() is None for ref in built)
+        else:
+            assert last[1] is built[-1]()
+        lasts.append(last is not None)
+        prefix = real(entries, last=last)
         built.append(weakref.ref(prefix))
         return prefix
 
+    class Spy(ScriptedGenerator):
+        def generate(self, messages, kv_prefix=None, log_entries=None):
+            assert kv_prefix is built[-1]()
+            assert all(ref() is None for ref in built[:-1])
+            return super().generate(messages, kv_prefix=kv_prefix, log_entries=log_entries)
+
     monkeypatch.setattr(lag.orchestrator, "assemble_kv_prefix", tracked)
-    replies = ["<keywords>beta</keywords>", "<keywords>gamma</keywords>", "<ans>x</ans>"]
-    backends = scripted_backends({"alpha": replies}, model=small_model)
+    replies = ["<keywords>beta</keywords>", "<keywords>gamma</keywords>",
+               "<keywords>alpha beta</keywords>", "<ans>x</ans>"]
+    backends = Backends(Spy({"alpha": replies}), embedder, small_model)
     task = TaskRecord(id="t", question="alpha", answers=["x"])
     with LogStore(tmp_path / "s", mode="r") as store:
-        _, _, log_ids = run_task(task, RunConfig(max_steps=8, k_docs=0, k_logs=1), backends, store)
-    assert log_ids == [0, 1, 2]
-    assert len(built) == 3
+        _, transcript, log_ids = run_task(
+            task, RunConfig(max_steps=8, k_docs=0, k_logs=1), backends, store)
+    assert log_ids == [0, 1, 2] and transcript.iterations == 4
+    assert lasts == [False, True, True, False]
 
 
 def test_an_unchanged_prefix_is_handed_over_not_rebuilt(
@@ -461,7 +477,7 @@ def test_an_unchanged_prefix_is_handed_over_not_rebuilt(
     real = lag.orchestrator.assemble_kv_prefix
     monkeypatch.setattr(
         lag.orchestrator, "assemble_kv_prefix",
-        lambda entries: built.append(len(entries)) or real(entries),
+        lambda entries, last=None: built.append(len(entries)) or real(entries, last=last),
     )
     handed = []
 
@@ -600,7 +616,8 @@ def test_prefix_repositions_once_per_assembly(wide_model, embedder, monkeypatch)
     monkeypatch.setattr(
         lag.orchestrator,
         "reposition_segment",
-        lambda seg, *args: (calls.append(seg.span_len), reposition_segment(seg, *args))[1],
+        lambda seg, *args, **kwargs: (
+            calls.append(seg.span_len), reposition_segment(seg, *args, **kwargs))[1],
     )
     entries = stored_logs(wide_model, embedder, [(4, 9), (0, 0), (5, 3000), (7, 1)])
     assemble_kv_prefix(entries)
@@ -614,6 +631,114 @@ def test_prefix_is_none_only_without_tokens(wide_model, embedder):
     assert assemble_kv_prefix(empty) is None
     one = stored_logs(wide_model, embedder, [(0, 5), (1, 9), (0, 2)])
     assert assemble_kv_prefix(one).span_len == 1
+
+
+# spans and stored positions of the logs the chained-assembly tests serve:
+# empty ones among them, and positions past 3000
+CHAIN_LAYOUT = [(4, 9), (0, 0), (5, 3000), (7, 1), (3, 40), (0, 7), (6, 200), (2, 5),
+                (9, 77), (1, 0), (5, 2500), (8, 13)]
+
+
+def served_logs(model, embedder, path):
+    """The logs of ``CHAIN_LAYOUT`` as an opened store serves them: read-only
+    views over its bytes, the same object for an id on every ``get``."""
+    with LogStore(path, mode="w") as store:
+        for entry in stored_logs(model, embedder, CHAIN_LAYOUT):
+            store.put(entry)
+    store = LogStore(path, mode="r")
+    return store, [store.get(i) for i in range(store.count)]
+
+
+def chain_step(rng, order, pool):
+    """The next round's order and what changed: a log added first, in the
+    middle or last, the order shuffled, or a new task (no last prefix)."""
+    kind = str(rng.choice(["first", "middle", "last", "reorder", "new task"]))
+    if kind == "new task":
+        return kind, [pool[i] for i in rng.permutation(len(pool))[: rng.integers(1, 4)]]
+    unused = [e for e in pool if not any(e is o for o in order)]
+    if kind == "reorder" or not unused:
+        return "reorder", [order[i] for i in rng.permutation(len(order))]
+    if kind == "middle" and len(order) < 2:
+        kind = "last"
+    at = {"first": 0, "last": len(order)}.get(kind)
+    if at is None:
+        at = int(rng.integers(1, len(order)))
+    return kind, order[:at] + [unused[int(rng.integers(len(unused)))]] + order[at:]
+
+
+def test_chained_assembly_equals_a_build_from_scratch(tmp_path, wide_model, embedder):
+    # seeded random sequences of orders: every chained prefix equals one
+    # built anew (and the per-entry longhand), bit for bit
+    store, pool = served_logs(wide_model, embedder, tmp_path / "s")
+    assert not all(e.kv.keys.ctypes.data % 8 == 0 for e in pool)  # unaligned views
+    rng = np.random.default_rng(11)
+    seen = set()
+    order, last = [], None
+    for _ in range(300):
+        kind, order = chain_step(rng, order, pool)
+        if kind == "new task":
+            last = None
+        kept = 0 if last is None else next(
+            (i for i, (a, b) in enumerate(zip(order, last[0])) if a is not b),
+            min(len(order), len(last[0])))
+        seen.add(kind)
+        if any(e.kv.span_len == 0 for e in order[:kept]) and kept < len(order):
+            seen.add("empty span in the leading run")
+        if sum(e.kv.span_len for e in order[:kept]) > 0:
+            seen.add("rows reused")
+        prefix = assemble_kv_prefix(order, last=last)
+        scratch = assemble_kv_prefix(order)
+        longhand = longhand_prefix(order)
+        if longhand.span_len == 0:
+            assert prefix is None and scratch is None
+        else:
+            assert prefix.equals(scratch) and prefix.equals(longhand)
+        last = (order, prefix)
+    store.close()
+    assert seen == {"first", "middle", "last", "reorder", "new task",
+                    "empty span in the leading run", "rows reused"}
+
+
+def test_chained_assembly_rotates_only_the_tail(tmp_path, wide_model, embedder, monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        lag.orchestrator, "reposition_segment",
+        lambda seg, *args, **kwargs: (
+            calls.append(seg.span_len), reposition_segment(seg, *args, **kwargs))[1],
+    )
+    store, (a, empty, b, c, d, *_) = served_logs(wide_model, embedder, tmp_path / "s")
+    first = assemble_kv_prefix([a, empty, b, c])
+    second = assemble_kv_prefix([a, empty, b, d, c], last=([a, empty, b, c], first))
+    third = assemble_kv_prefix([d, a], last=([a, empty, b, d, c], second))
+    store.close()
+    assert calls == [4 + 5 + 7, 3 + 7, 3 + 4]
+    assert second.equals(longhand_prefix([a, empty, b, d, c]))
+    assert third.equals(longhand_prefix([d, a]))
+
+
+def test_only_the_same_entry_objects_reuse_the_last_prefix(
+    tmp_path, wide_model, embedder
+):
+    # a last prefix with poisoned rows shows what is read from it: the rows
+    # of the same entry objects, and nothing for the same logs served by
+    # another store
+    path = tmp_path / "s"
+    store, pool = served_logs(wide_model, embedder, path)
+    other = LogStore(path, mode="r")
+    logs = pool[:4]
+    twins = [other.get(i) for i in range(4)]
+    built = assemble_kv_prefix(logs)
+    poisoned = replace(built, keys=np.full_like(built.keys, np.nan),
+                       values=np.full_like(built.values, np.nan))
+    grown = logs[:2] + [pool[6]] + logs[2:]
+    reused = assemble_kv_prefix(grown, last=(logs, poisoned))
+    lead = logs[0].kv.span_len + logs[1].kv.span_len
+    assert np.isnan(reused.keys[:, :, :lead]).all()
+    assert not np.isnan(reused.keys[:, :, lead:]).any()
+    fresh = assemble_kv_prefix(twins[:2] + [pool[6]] + twins[2:], last=(logs, poisoned))
+    assert fresh.equals(longhand_prefix(grown))
+    store.close()
+    other.close()
 
 
 def test_reference_generator_consumes_injected_prefix(tmp_path, small_model, embedder):

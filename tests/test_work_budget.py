@@ -20,7 +20,7 @@ from lag.model import build_model, greedy_decode
 from lag.orchestrator import LAG_KV, RunConfig
 from lag.runner import ingest_tasks, run_tasks
 from lag.store import LogStore
-from lag.synth import build_reuse_suite
+from lag.synth import FactChainGenerator, build_reuse_suite
 from tests.oracles import stepwise_greedy_decode
 
 # Recorded at commit 1cc223a and re-pinned when greedy_decode began to check
@@ -51,6 +51,17 @@ ROTATIONS_PER_LAYER = 1
 # at most 0.13M elements, under SPLIT_WORK, and a one-token pass ~5k, so
 # neither splits
 SPLIT_PASSES = [1012, 208, 208, 208]
+
+
+# Prefix tokens of a synth-hop run of the reuse suite's unseen tasks over the
+# seen tasks' last_round KV logs (4 logs of 119 tokens), at hop_reuse's
+# k_logs 3 and k_docs 1. An order changes when a round's similarities do, so
+# the 11 assemblies of 3 or 4 logs assemble 4641 tokens. The rows of a
+# leading run of unchanged logs are copied from the last round's prefix, so
+# 3927 are rotated: 714 fewer, in the 4 assemblies whose leading run is 1,
+# 3, 1 and 1 logs long
+HOP_ASSEMBLED = [357, 476, 357, 476, 476, 357, 357, 357, 476, 476, 476]
+HOP_ROTATED = [357, 476, 357, 476, 357, 357, 357, 357, 119, 357, 357]
 
 
 @pytest.fixture(scope="module")
@@ -95,9 +106,9 @@ def test_kv_run_keeps_the_generators_reuse(tmp_path, monkeypatch, default_model)
     assemblies = []
     real_assemble = lag.orchestrator.assemble_kv_prefix
 
-    def counting_assemble(entries):
+    def counting_assemble(entries, last=None):
         assemblies.append(len(entries))
-        return real_assemble(entries)
+        return real_assemble(entries, last=last)
 
     splits = []  # one per attention call that hands groups to the workers
     real_workers = lag._kernels._workers
@@ -183,3 +194,34 @@ def test_a_decode_whose_drafts_fail_feeds_at_most_twice_the_tokens(
         assert drafted <= 2 * oracle
         rejected += drafted - oracle
     assert rejected > 0  # some drafts did fail
+
+
+def test_assembly_rotates_only_the_tokens_after_the_leading_run(
+    tmp_path, monkeypatch, default_model
+):
+    seen, unseen = build_reuse_suite()
+    backends = Backends(FactChainGenerator(), HashedBagOfWordsEmbedder(dimension=256, seed=0),
+                        default_model)
+    ingest_tasks(seen, SelectionStrategy("last_round"), backends, tmp_path / "s",
+                 max_steps=8, k_docs=1)
+    assembled, rotated = [], []
+    real_assemble = lag.orchestrator.assemble_kv_prefix
+    real_reposition = lag.orchestrator.reposition_segment
+
+    def counting_assemble(entries, last=None):
+        prefix = real_assemble(entries, last=last)
+        assembled.append(prefix.span_len)
+        return prefix
+
+    def counting_reposition(segment, *args, **kwargs):
+        rotated.append(segment.span_len)
+        return real_reposition(segment, *args, **kwargs)
+
+    monkeypatch.setattr(lag.orchestrator, "assemble_kv_prefix", counting_assemble)
+    monkeypatch.setattr(lag.orchestrator, "reposition_segment", counting_reposition)
+    with LogStore(tmp_path / "s", mode="r") as store:
+        assert [store.get(i).kv.span_len for i in range(store.count)] == [119] * 4
+        cfg = RunConfig(max_steps=8, k_logs=3, k_docs=1)
+        assert run_tasks(unseen, cfg, backends, store).mode == LAG_KV
+    assert assembled == HOP_ASSEMBLED
+    assert rotated == HOP_ROTATED
