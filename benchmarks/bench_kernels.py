@@ -19,6 +19,10 @@ Workloads, on the default ``ModelConfig`` (4 layers, 4 query heads over
 * ``model.decode_step``: one ``forward_with_prefix`` of one token over a
   ``Model.prefix_cache`` of 1390 tokens, today's kv_agent decode shape; each
   repeat first truncates the cache back to those 1390 tokens;
+* ``model.prefill392``: ``greedy_decode`` of one token after a 392-token
+  prompt over a ``Model.prefix_cache`` of 998 tokens, today's kv_agent
+  prefill shape: one forward pass of the prompt, whose last row alone is
+  read. Each repeat first truncates the cache back to those 998 tokens;
 * ``store.open``: ``LogStore(path, "r")`` of a store of 100 KV logs of 133
   tokens each, written once per child into a temporary directory;
 * ``assemble.prefixN``: ``assemble_kv_prefix`` over the first N = 3, 10 and
@@ -220,6 +224,19 @@ def measure() -> dict[str, dict[str, float]]:
         forward_with_prefix(model, context, prompt[:1], 1390)
 
     out["model.decode_step"] = _timed(step, 200, speed)
+
+    # a generator of its own, so the rows after this one draw what they drew
+    # before it was added
+    prefill_rng = np.random.default_rng(392)
+    prefilled = model.prefix_cache(
+        encode(model, prefill_rng.integers(0, 256, 998).tolist(), 0)[0])
+    long_prompt = prefill_rng.integers(0, 256, 392).tolist()
+
+    def prefill():
+        prefilled.truncate(998)
+        greedy_decode(model, prefilled, long_prompt, 1)
+
+    out["model.prefill392"] = _timed(prefill, 20, speed)
 
     # logs stored from later rounds of their transcripts, so every one moves
     logs = [

@@ -41,9 +41,11 @@ the serial and split paths in alternating calls. Handing a group to a
 worker costs ~0.09 ms: a one-token call over 1400 keys took 0.03 ms serial
 and 0.12 ms split. From ~100k to ~400k elements the split path was faster
 in 66-96% of 300 pairs, and at the kv_agent prefill (392 queries over 1390
-keys, 2.2M elements) in all of them, 4.8 -> 2.6 ms. At 200k the prefills
-split, while kv_agent's draft checks (at most ~33 tokens over ~1400 keys)
-and one-token passes stay serial.
+keys, 2.2M elements) in all of them, 4.8 -> 2.6 ms. At 200k a prefill
+splits in every layer but the last, whose attention runs only the one row
+that decoding reads (``Model._forward``'s ``rows``), while kv_agent's draft
+checks (at most ~33 tokens over ~1400 keys) and one-token passes stay
+serial.
 
 One path serves every query count, a decode step's one query being one
 unmasked tile: with prompt-lookup drafting a kv_agent op makes ~9.4 forward

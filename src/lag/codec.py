@@ -161,10 +161,11 @@ def encode_log(
             raise InputError("KV strategies need a model to encode with")
         trace = "\n".join(messages).encode("utf-8")
         start, end, fallback = _select_span(messages, strategy.kind, len(trace))
+        # rows=0: only the K/V are kept, so the last layer stops at them
         if strategy.encoding == "isolated":
-            kv, _ = encode(model, list(trace[start:end]), 0)
+            kv, _ = encode(model, list(trace[start:end]), 0, rows=0)
         else:
-            kv = encode(model, list(trace), 0)[0].slice(start, end)
+            kv = encode(model, list(trace), 0, rows=0)[0].slice(start, end)
     return LogEntry(
         task_text=task_text,
         retrieval_key_text=key_text,

@@ -149,13 +149,27 @@ class Model:
                 f"KV shape (layers, KV heads, head dim) {shape} is not the model's {want}"
             )
 
-    def _forward(self, tokens, start_position: int, cache: KvCache) -> np.ndarray:
+    def _forward(
+        self, tokens, start_position: int, cache: KvCache, rows: int | None = None
+    ) -> np.ndarray:
         """Runs the new tokens over the cache, extends it in place with their
         KV (keys rotated at their absolute positions) and returns the final
-        hidden states [T, hidden]."""
+        hidden states of the last ``rows`` tokens [rows, hidden], of every
+        token for None.
+
+        Every layer stages the K/V of all the new tokens. The last layer then
+        runs its attention, ``wo``, MLP and the final norm for the rows read
+        only: its K/V are staged by then, and nothing else reads its output.
+        With ``rows=0`` the pass ends at that staging. The cache is the same
+        for any ``rows``; a row's hidden state agrees with the full pass's up
+        to float order, since a query slice rounds apart from the whole."""
         tokens = np.asarray(tokens, dtype=np.int64)
         self._check_tokens(tokens)
         t_new = tokens.shape[0]
+        if rows is None:
+            rows = t_new
+        elif not 0 <= rows <= t_new:
+            raise InputError(f"rows must be in [0, {t_new}], not {rows}")
         if start_position < 0:
             raise InputError("start_position must be >= 0")
         if start_position + t_new > self.config.max_positions:
@@ -176,6 +190,8 @@ class Model:
         positions = np.arange(start_position, start_position + t_new, dtype=np.int64)
         cos, sin = cos_sin_table(d, positions)
 
+        last = len(self.layers) - 1
+        skip = 0  # the new tokens whose output no later step reads
         x = self.embedding[tokens]
         for li, layer in enumerate(self.layers):
             xn = _rmsnorm(x)
@@ -186,8 +202,13 @@ class Model:
             qk = np.concatenate((q, k))
             rotate_pairs(qk, cos, sin, out=qk)
             k_all, v_all = cache.stage(li, qk[nh:], v)
-            att = causal_attention(qk[:nh], k_all, v_all, n_prefix)
-            x = x + att.transpose(1, 0, 2).reshape(t_new, nh * d) @ layer["wo"]
+            if li == last:
+                skip = t_new - rows
+                x = x[skip:]
+                if not rows:
+                    break
+            att = causal_attention(qk[:nh, skip:], k_all, v_all, n_prefix + skip)
+            x = x + att.transpose(1, 0, 2).reshape(t_new - skip, nh * d) @ layer["wo"]
             xf = _rmsnorm(x)
             x = x + _gelu(xf @ layer["w1"]) @ layer["w2"]
         cache.commit(positions)
@@ -201,15 +222,17 @@ def build_model(config: ModelConfig) -> Model:
 
 
 def encode(
-    model: Model, tokens, start_position: int = 0
+    model: Model, tokens, start_position: int = 0, rows: int | None = None
 ) -> tuple[KvSegment, np.ndarray]:
     """Full KV cache for a token sequence encoded at the given positions,
-    plus the final hidden states."""
+    plus the final hidden states of its last ``rows`` tokens (all for None).
+    ``rows=0`` returns no hidden state and skips the last layer's work after
+    its K/V, with the same KV."""
     cfg = model.config
     cache = KvCache(
         cfg.num_layers, cfg.num_kv_heads, cfg.head_dim, len(tokens), model.fingerprint
     )
-    hidden = model._forward(tokens, start_position, cache)
+    hidden = model._forward(tokens, start_position, cache, rows)
     return cache.segment(), hidden
 
 
@@ -218,9 +241,11 @@ def forward_with_prefix(
     prefix: KvSegment | KvCache | None,
     tokens,
     start_position: int,
+    rows: int | None = None,
 ) -> tuple[np.ndarray, KvCache]:
-    """Logits for new tokens attending to an injected KV prefix; returns the
-    combined cache (prefix followed by the new tokens' KV).
+    """Logits [rows, vocab] of the last ``rows`` new tokens (all for None)
+    attending to an injected KV prefix; returns the combined cache (prefix
+    followed by the KV of every new token, whatever ``rows`` is).
 
     A KvSegment prefix is validated and copied into a new KvCache of
     ``max_positions`` slots, and is left unchanged. A KvCache prefix is
@@ -228,7 +253,7 @@ def forward_with_prefix(
     token without copying the cache.
     """
     cache = prefix if isinstance(prefix, KvCache) else model.prefix_cache(prefix)
-    hidden = model._forward(tokens, start_position, cache)
+    hidden = model._forward(tokens, start_position, cache, rows)
     return hidden @ model.head, cache
 
 
@@ -243,7 +268,8 @@ def greedy_decode(
     span. A generated stop id is consumed but excluded from the returned
     sequence. The cache is extended in place and ends holding the prompt and
     the output, less its last token on a ``max_new`` stop (it is never fed
-    back), and never a stop id.
+    back), and never a stop id. The prompt's pass computes the logits of its
+    last row only, the one row it reads.
 
     Tokens are checked in batches, as in speculative decoding (Leviathan et
     al., 2023) with a draft copied from the context, as in LLMA (Yang et al.,
@@ -258,7 +284,9 @@ def greedy_decode(
     ``max(1, accepted)`` after one is not. It is also capped so the pass
     fits in ``max_new``, ``max_positions`` and the cache. The output is the
     one-token-per-pass loop's up to float order: a pass of several rows
-    rounds differently from a pass of one, so logits are not bit-identical.
+    rounds differently from a pass of one, and the prompt's last row
+    computed alone differently from the whole prompt's, so logits are not
+    bit-identical.
     """
     out: list[int] = []
     if max_new <= 0:
@@ -267,7 +295,7 @@ def greedy_decode(
     if not context:
         raise InputError("greedy_decode needs a non-empty prompt")
     pos = cache.last_position + 1
-    logits, _ = forward_with_prefix(model, cache, context, pos)
+    logits, _ = forward_with_prefix(model, cache, context, pos, rows=1)
     pos += len(context)
     firsts: dict[tuple[int, ...], int] = {}  # n-gram -> its first start in context
     for n in _DRAFT_NGRAMS:

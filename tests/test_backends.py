@@ -292,8 +292,8 @@ def forwards(monkeypatch):
     calls = []
     real = lag.model.forward_with_prefix
 
-    def recording(model, prefix, tokens, start_position):
-        logits, cache = real(model, prefix, tokens, start_position)
+    def recording(model, prefix, tokens, start_position, **kwargs):
+        logits, cache = real(model, prefix, tokens, start_position, **kwargs)
         calls.append((len(tokens), logits[-1].copy()))
         return logits, cache
 

@@ -148,7 +148,7 @@ def test_every_lag_import_in_the_benchmarks_resolves(script):
 BENCH_KERNELS_ROWS = [
     "attention.prefill", "attention.prefill392", "attention.decode",
     "greedy_decode.prefix0", "greedy_decode.prefix512", "greedy_decode.prefix2048",
-    "model.decode_step", "store.open",
+    "model.decode_step", "model.prefill392", "store.open",
     "assemble.prefix3", "assemble.prefix10", "assemble.prefix24", "assemble.rounds",
     "store.put", "generate.rounds4", "generate.repeat4", "encode_log.last_round",
 ]

@@ -477,6 +477,64 @@ def test_forward_matches_the_unfused_forward_bit_for_bit(config):
     assert got.positions.tobytes() == want.positions.tobytes()
 
 
+# -- a pass that computes only the rows its caller reads ----------------------
+
+# token counts around the attention kernel's query tiles
+ROWS_TOKEN_COUNTS = [1, TILE - 1, TILE, TILE + 1, 2 * TILE + 1]
+
+
+@pytest.mark.parametrize("t_new", ROWS_TOKEN_COUNTS)
+def test_a_pass_of_some_rows_caches_what_the_full_pass_does(small_model, t_new):
+    # every layer stages the K/V of all the new tokens, so the cache is the
+    # full pass's bit for bit; the rows computed agree with the full pass's
+    # last rows up to float order
+    rng = np.random.default_rng(t_new)
+    for _ in range(3):
+        n_prefix = int(rng.integers(0, 300))
+        prefix = encode(small_model, rng.integers(0, 256, n_prefix).tolist(), 0)[0]
+        tokens = rng.integers(0, 256, t_new).tolist()
+        full, full_cache = forward_with_prefix(small_model, prefix, tokens, n_prefix)
+        assert full.shape == (t_new, VOCAB_SIZE)
+        alone = encode(small_model, tokens, n_prefix)[0]  # with no prefix to attend to
+        picks = {0, 1, t_new - 1, t_new, *rng.integers(0, t_new + 1, 3).tolist()}
+        for rows in sorted(picks):
+            logits, cache = forward_with_prefix(small_model, prefix, tokens, n_prefix, rows=rows)
+            assert cache.segment().equals(full_cache.segment())
+            assert logits.shape == (rows, VOCAB_SIZE)
+            assert np.abs(logits - full[t_new - rows:]).max(initial=0.0) <= 1e-5
+            seg, hidden = encode(small_model, tokens, n_prefix, rows=rows)
+            assert seg.equals(alone)
+            assert hidden.shape == (rows, SMALL_CONFIG.hidden_dim)
+
+
+@pytest.mark.parametrize("rows", [-1, 4])
+def test_a_bad_rows_count_is_refused_before_anything_is_staged(small_model, rng, rows):
+    prefix = encode(small_model, rng.integers(0, 256, 5).tolist(), 0)[0]
+    cache = small_model.prefix_cache(prefix)
+    keys = cache.segment().keys.copy()
+    with pytest.raises(InputError, match="rows must be in"):
+        forward_with_prefix(small_model, cache, [1, 2, 3], 5, rows=rows)
+    with pytest.raises(InputError, match="rows must be in"):
+        encode(small_model, [1, 2, 3], 0, rows=rows)
+    assert cache.span_len == 5 and cache.last_position == 4
+    assert np.array_equal(cache.segment().keys, keys)
+    # the cache still takes the tokens afterwards
+    forward_with_prefix(small_model, cache, [1, 2, 3], 5, rows=3)
+    assert cache.span_len == 8
+
+
+def test_greedy_decode_of_random_prompts_matches_one_token_per_pass():
+    # greedy_decode's prompt pass computes its last row only; the oracle's
+    # computes every row and reads the last
+    model = decode_model("default")
+    rng = np.random.default_rng(38)
+    for trial in range(12):
+        n_prefix = int(rng.integers(1, 400)) if trial % 2 else 0
+        prefix = encode(model, rng.integers(0, 256, n_prefix).tolist(), 0)[0] if n_prefix else None
+        prompt = rng.integers(0, 256, int(rng.integers(1, 2 * TILE + 2))).tolist()
+        assert_decodes_like_the_oracle(model, lambda: model.prefix_cache(prefix), prompt, 8)
+
+
 # -- greedy_decode's drafts against one token per pass --------------------------
 
 DECODE_CONFIGS = {
@@ -543,9 +601,9 @@ def test_greedy_decode_never_accepts_a_stop_id_from_a_draft(monkeypatch):
     fed = []
     real = lag.model.forward_with_prefix
 
-    def recording(model, prefix, tokens, start_position):
+    def recording(model, prefix, tokens, start_position, **kwargs):
         fed.append(list(tokens))
-        return real(model, prefix, tokens, start_position)
+        return real(model, prefix, tokens, start_position, **kwargs)
 
     monkeypatch.setattr(lag.model, "forward_with_prefix", recording)
     got = assert_decodes_like_the_oracle(

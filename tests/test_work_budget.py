@@ -5,6 +5,7 @@ with no memo writes the same ones. Forward-pass counts do, and they are
 deterministic, so a lost reuse fails here instead of only in a timed run.
 """
 
+import itertools
 import os
 
 import numpy as np
@@ -46,11 +47,14 @@ INGEST_EMBEDS, RUN_EMBEDS = 44, 40
 # (rotating q and k apart made it two per layer)
 ROTATIONS_PER_LAYER = 1
 # Attention calls split over KV heads, with two usable CPUs: each prefill in
-# every layer (1012 tokens after a 194-token prefix, 4.9M score elements, or
-# 208 after 998 cached ones, 1.0M). A draft check of at most 25 tokens scores
-# at most 0.13M elements, under SPLIT_WORK, and a one-token pass ~5k, so
-# neither splits
+# every layer but the last (1012 tokens after a 194-token prefix, 4.9M score
+# elements, or 208 after 998 cached ones, 1.0M). greedy_decode reads only the
+# prefill's last row, so the last layer's attention runs that one query over
+# all 1206 keys (~5k elements). A draft check of at most 25 tokens scores at
+# most 0.13M elements, under SPLIT_WORK, and a one-token pass ~5k, so neither
+# splits
 SPLIT_PASSES = [1012, 208, 208, 208]
+PREFILL_LAST_LAYER_ROWS = 1
 
 
 # Prefix tokens of a synth-hop run of the reuse suite's unseen tasks over the
@@ -92,9 +96,9 @@ def test_kv_run_keeps_the_generators_reuse(tmp_path, monkeypatch, default_model)
     fed = []  # tokens of every forward pass
     real_forward = lag.model.forward_with_prefix
 
-    def counting_forward(model, prefix, tokens, start_position):
+    def counting_forward(model, prefix, tokens, start_position, **kwargs):
         fed.append(len(tokens))
-        return real_forward(model, prefix, tokens, start_position)
+        return real_forward(model, prefix, tokens, start_position, **kwargs)
 
     rotations = []  # every rotate_pairs call of a forward pass
     real_rotate = lag.model.rotate_pairs
@@ -162,7 +166,17 @@ def test_kv_run_keeps_the_generators_reuse(tmp_path, monkeypatch, default_model)
     assert len(assemblies) == ASSEMBLIES
     layers = default_model.config.num_layers
     assert len(attention) == PASSES * layers
-    assert [t for t, split in attention if split] == [t for t in SPLIT_PASSES for _ in range(layers)]
+    assert [t for t, split in attention if split] == [
+        t for t in SPLIT_PASSES for _ in range(layers - 1)]
+    # query rows per layer of every pass: all the tokens fed, but in the last
+    # layer of a decoding call's first pass (its prefill); draft checks keep
+    # every row, since each row's argmax is compared
+    starts = itertools.accumulate(passes_per_call, initial=0)
+    prefills = {start for start, n in zip(starts, passes_per_call) if n}
+    assert [[t for t, _ in attention[i * layers:(i + 1) * layers]] for i in range(PASSES)] == [
+        [n] * (layers - 1) + [PREFILL_LAST_LAYER_ROWS if i in prefills else n]
+        for i, n in enumerate(fed)
+    ]
 
 
 def test_a_decode_whose_drafts_fail_feeds_at_most_twice_the_tokens(
@@ -174,9 +188,9 @@ def test_a_decode_whose_drafts_fail_feeds_at_most_twice_the_tokens(
     fed = []
     real_forward = lag.model.forward_with_prefix
 
-    def counting_forward(model, prefix, tokens, start_position):
+    def counting_forward(model, prefix, tokens, start_position, **kwargs):
         fed.append(len(tokens))
-        return real_forward(model, prefix, tokens, start_position)
+        return real_forward(model, prefix, tokens, start_position, **kwargs)
 
     monkeypatch.setattr(lag.model, "forward_with_prefix", counting_forward)
     rng = np.random.default_rng(0)
