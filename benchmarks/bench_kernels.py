@@ -45,7 +45,9 @@ Workloads, on the default ``ModelConfig`` (4 layers, 4 query heads over
 * ``generate.rounds4``: the four rounds of a kv_agent task on one new
   ``ReferenceModelGenerator``: ``generate`` of 64 tokens after the same
   194-token KV prefix, with a ~800-token prompt head followed by one to four
-  documents of ~100 tokens, one more each round;
+  documents of ~100 tokens, one more each round. The generator carries its
+  draft count across the four calls: each of the last three starts from
+  the count the calls before it left;
 * ``generate.repeat4``: four identical ``generate`` calls of 64 tokens after
   the same 194-token KV prefix on one new ``ReferenceModelGenerator`` (the
   kv_agent rounds whose messages repeat), so calls 2-4 are exact repeats

@@ -43,14 +43,15 @@ and 0.12 ms split. From ~100k to ~400k elements the split path was faster
 in 66-96% of 300 pairs, and at the kv_agent prefill (392 queries over 1390
 keys, 2.2M elements) in all of them, 4.8 -> 2.6 ms. At 200k a prefill
 splits in every layer but the last, whose attention runs only the one row
-that decoding reads (``Model._forward``'s ``rows``), while kv_agent's draft
-checks (at most ~33 tokens over ~1400 keys) and one-token passes stay
-serial.
+that decoding reads (``Model._forward``'s ``rows``). kv_agent's 61-token
+draft check (61 queries over ~1460 keys, ~0.36M elements) splits in every
+layer, and was faster split in 276 of 300 pairs at 61 over 1270 keys; its
+one-token passes and short draft checks stay serial.
 
 One path serves every query count, a decode step's one query being one
-unmasked tile: with prompt-lookup drafting a kv_agent op makes ~9.4 forward
-passes of which ~2.4 are one-token passes, so a separate one-query branch
-saved ~25 us of a ~37 ms op.
+unmasked tile: with prompt-lookup drafting a kv_agent decoding call makes
+~4.4 forward passes of which ~2.4 are one-token passes; a separate
+one-query branch saved ~25 us of a ~37 ms op when it was measured.
 """
 
 from __future__ import annotations

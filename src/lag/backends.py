@@ -17,7 +17,7 @@ import numpy as np
 
 from .datasets import is_unicode
 from .errors import BackendError, InputError
-from .model import ByteTokenizer, Model, greedy_decode
+from .model import ByteTokenizer, DraftCount, Model, greedy_decode
 from .segment import KvSegment
 from .store import normalize
 
@@ -50,11 +50,15 @@ class ReferenceModelGenerator(GeneratorBackend):
 
     Decoding is ``greedy_decode``'s: after each output token it drafts the
     tokens that followed the first earlier occurrence of the context's last
-    3 (else 2) tokens, up to a limit that starts at 1, doubles on a full
-    accept and falls to what was accepted otherwise, and checks them in one
-    pass. The output is the one-token loop's up to float order, as with the
-    memo's split prefill: a multi-row pass rounds differently from a one-row
-    pass.
+    3 (else 2) tokens, copied with overlap so a repeating context is drafted
+    past its end, and checks them in one pass. A draft holds at most one
+    token more than the draft tokens accepted since the last rejected draft.
+    The memo carries that count from call to call, whatever prefix the next
+    call has: an exact repeat leaves it as it was, a failed decode drops it
+    with the memo, and a new generator starts at 0. So a reply that loops as
+    the last one did is checked in one long draft. The output is the
+    one-token loop's up to float order, as with the memo's split prefill: a
+    multi-row pass rounds differently from a one-row pass.
     """
 
     accepts_kv_prefix = True
@@ -78,9 +82,9 @@ class ReferenceModelGenerator(GeneratorBackend):
         # the memo is taken until this call succeeds, so a decode that
         # raises leaves none
         memo, self._memo = self._memo, None
-        cache, reused = None, 0
+        cache, reused, count = None, 0, DraftCount()
         if memo is not None:
-            cache, cached_m, cached, p, max_new = memo
+            cache, cached_m, cached, p, max_new, count = memo
             if cached_m != m or (m and not kv_prefix.equals(cache.segment(m))):
                 cache = None
             elif cached[:p] == tokens and max_new == self.max_new:
@@ -99,11 +103,13 @@ class ReferenceModelGenerator(GeneratorBackend):
             tokens[reused:],
             self.max_new,
             stop_ids={ByteTokenizer.EOS},
+            count=count,
         )
-        # (cache, prefix span, prompt and output ids, prompt length, max_new);
-        # a decode stopped by max_new never feeds its last token back, so the
-        # cache's span, not the ids, bounds what the next call reuses
-        self._memo = (cache, m, tokens + out, len(tokens), self.max_new)
+        # (cache, prefix span, prompt and output ids, prompt length, max_new,
+        # draft count); a decode stopped by max_new never feeds its last token
+        # back, so the cache's span, not the ids, bounds what the next call
+        # reuses
+        self._memo = (cache, m, tokens + out, len(tokens), self.max_new, count)
         return self.tokenizer.decode(out)
 
 

@@ -257,12 +257,24 @@ def forward_with_prefix(
     return hidden @ model.head, cache
 
 
+class DraftCount:
+    """``greedy_decode``'s draft count, carried from one call to the next:
+    the draft tokens accepted since the last rejected draft. A new count is
+    0."""
+
+    __slots__ = ("accepted",)
+
+    def __init__(self, accepted: int = 0):
+        self.accepted = accepted
+
+
 def greedy_decode(
     model: Model,
     cache: KvCache,
     prompt,
     max_new: int,
     stop_ids=frozenset(),
+    count: DraftCount | None = None,
 ) -> list[int]:
     """Deterministic argmax decoding of ``prompt`` after the cache's live
     span. A generated stop id is consumed but excluded from the returned
@@ -275,18 +287,26 @@ def greedy_decode(
     al., 2023) with a draft copied from the context, as in LLMA (Yang et al.,
     2023). The context is this call's prompt plus the output so far. After
     each output token, its last 3 tokens, else its last 2, are looked up at
-    their first earlier occurrence, and the tokens that followed it are the
-    draft. One pass feeds the output token and the draft; the longest run of
-    the draft that the pass's argmaxes agree with, stopping before a stop
-    id, is output, the next token comes from the row after it and the cache
-    is truncated to drop the rest. The draft holds at most ``limit`` tokens:
-    1 at first, doubled after a draft is accepted in full, and
-    ``max(1, accepted)`` after one is not. It is also capped so the pass
-    fits in ``max_new``, ``max_positions`` and the cache. The output is the
-    one-token-per-pass loop's up to float order: a pass of several rows
-    rounds differently from a pass of one, and the prompt's last row
-    computed alone differently from the whole prompt's, so logits are not
-    bit-identical.
+    their first earlier occurrence, and the draft copies the tokens that
+    followed it. The copy overlaps as in LZ77: with ``period`` tokens from
+    there to the context's end, draft token ``i`` is the one ``i % period``
+    after the occurrence, so a repeating context is drafted past its end.
+    One pass feeds the output token and the draft; the longest run of the
+    draft that the pass's argmaxes agree with, stopping before a stop id, is
+    output, the next token comes from the row after it and the cache is
+    truncated to drop the rest.
+
+    A draft holds at most one token more than the draft tokens accepted
+    since the last rejected draft, and a rejected draft sets that count to
+    what it accepted. The count starts at ``count.accepted`` (0 for None)
+    and is written back there on return, so a caller can carry it into its
+    next call. A draft is also capped so its pass fits in ``max_new``,
+    ``max_positions`` and the cache.
+
+    The output is the one-token-per-pass loop's up to float order: a pass of
+    several rows rounds differently from a pass of one, and the prompt's
+    last row computed alone differently from the whole prompt's, so logits
+    are not bit-identical.
     """
     out: list[int] = []
     if max_new <= 0:
@@ -316,7 +336,7 @@ def greedy_decode(
         return after
 
     max_positions = model.config.max_positions
-    limit = 1
+    streak = count.accepted if count is not None else 0  # accepted since a rejection
     next_id = int(np.argmax(logits[-1]))
     while next_id not in stop_ids:
         after = push(next_id)
@@ -325,7 +345,10 @@ def greedy_decode(
         room = min(
             max_new - len(out), max_positions - pos, cache.capacity - cache.span_len
         ) - 1
-        draft = context[after : after + min(limit, room)] if after is not None else []
+        draft = []
+        if after is not None:
+            period = len(context) - after
+            draft = [context[after + i % period] for i in range(min(streak + 1, room))]
         logits, _ = forward_with_prefix(model, cache, [next_id] + draft, pos)
         best = np.argmax(logits, axis=-1).tolist()
         accepted = 0
@@ -335,11 +358,14 @@ def greedy_decode(
             and draft[accepted] not in stop_ids
         ):
             accepted += 1
-        if draft:
-            limit = 2 * limit if accepted == len(draft) else max(1, accepted)
+        if accepted < len(draft):
+            streak = 0  # rejected: the count restarts at what was accepted
+        streak += accepted
         cache.truncate(cache.span_len - len(draft) + accepted)
         pos += 1 + accepted
         for tok in draft[:accepted]:
             push(tok)
         next_id = best[accepted]
+    if count is not None:
+        count.accepted = streak
     return out

@@ -370,23 +370,30 @@ def test_reuse_stops_at_the_last_token_fed_back(small_model, forwards):
     assert text == _fresh(small_model, follow_up)
 
 
-def test_over_budget_prompts_match_fresh_generators(small_model, forwards):
-    gen = ReferenceModelGenerator(small_model, max_new=6)
-    budget = small_model.config.max_positions - 6
-    long = HEAD * 60
-    assert len(long) > budget
-    for messages in (
-        [{"role": "user", "content": long}],
-        [{"role": "user", "content": long + DOCS[0]}],  # shifts the kept window
-        [{"role": "user", "content": long + DOCS[0]}],  # same window again
-    ):
-        forwards.clear()
-        text = gen.generate(messages)
-        fed = [n for n, _ in forwards]
-        forwards.clear()
-        assert text == _fresh(small_model, messages)
-    # the repeated window returned the previous output with no pass
-    assert fed == []
+def test_over_budget_prompts_match_fresh_generators(small_model, log_prefix, forwards):
+    # an over-budget prompt keeps its last ``budget`` tokens, so a repeat is
+    # cut the same way and is an exact repeat of the memo
+    for kv in (None, log_prefix):
+        gen = ReferenceModelGenerator(small_model, max_new=6)
+        budget = small_model.config.max_positions - (kv.span_len if kv else 0) - 6
+        long = HEAD * 60
+        assert len(long) > budget  # ASCII: one token a character
+        fed = []
+        for messages in (
+            [{"role": "user", "content": long}],
+            [{"role": "user", "content": long + DOCS[0]}],  # shifts the kept window
+            [{"role": "user", "content": long + DOCS[0]}],  # same window again
+        ):
+            forwards.clear()
+            text = gen.generate(messages, kv_prefix=kv)
+            fed.append([n for n, _ in forwards])
+            forwards.clear()
+            assert text == _fresh(small_model, messages, kv)
+            tail = [{"role": "user", "content": messages[0]["content"][-budget:]}]
+            assert text == _fresh(small_model, tail, kv)
+        assert fed[0][0] == budget
+        # the repeated window returned the previous output with no pass
+        assert fed[2] == []
 
 
 def test_a_failed_decode_leaves_no_memo(small_model, log_prefix, forwards, monkeypatch):
@@ -396,7 +403,7 @@ def test_a_failed_decode_leaves_no_memo(small_model, log_prefix, forwards, monke
     gen.generate(first, kv_prefix=log_prefix)
     real = lag.backends.greedy_decode
 
-    def fails_midway(model, cache, prompt, max_new, stop_ids=frozenset()):
+    def fails_midway(model, cache, prompt, max_new, stop_ids=frozenset(), count=None):
         # writes part of the prompt over the cached slots, then fails
         real(model, cache, prompt[: len(prompt) // 2], 1)
         raise RuntimeError("decode interrupted")
@@ -504,3 +511,68 @@ def test_a_prompt_the_memo_does_not_start_with_gets_no_draft(small_model, log_pr
     assert 0 < fed < len(gen.tokenizer.encode(second[0]["content"]))  # still reused
     forwards.clear()
     assert text == _fresh(small_model, second, log_prefix)
+
+
+# -- the draft count the memo carries ------------------------------------------
+
+# the small model's replies to these loop on one byte; a 16-token reply to
+# the last, after the first two on one generator, is checked in one draft
+LOOPING = _prompts()[1:]
+
+
+def _drafts(forwards):
+    """The widths of the passes after the prefill that held a draft; the
+    record is cleared."""
+    drafts = [n for n, _ in forwards[1:] if n > 1]
+    forwards.clear()
+    return drafts
+
+
+def _warmed(model):
+    """A generator whose memo carries the count of two looping replies."""
+    gen = ReferenceModelGenerator(model, max_new=16)
+    gen.generate(LOOPING[0])
+    gen.generate(LOOPING[1])
+    return gen
+
+
+def test_the_draft_count_is_carried_into_the_next_call(small_model, forwards):
+    # a fresh generator drafts 1 token first; after looping replies, the
+    # next call checks the rest of its own looping reply in one pass
+    want = ReferenceModelGenerator(small_model, max_new=16).generate(LOOPING[2])
+    assert _drafts(forwards) == [2, 3, 5, 3]  # an output token and 1, 2, 4 and 2 drafted
+    gen = _warmed(small_model)
+    forwards.clear()
+    assert gen.generate(LOOPING[2]) == want
+    # the prefill and two one-token passes give 3 tokens; one pass of the
+    # 3rd and 12 drafted gives the other 13
+    assert _drafts(forwards) == [13]
+
+
+def test_an_exact_repeat_keeps_the_draft_count(small_model, forwards):
+    gen = _warmed(small_model)
+    gen.generate(LOOPING[1])  # decodes nothing
+    forwards.clear()
+    gen.generate(LOOPING[2])
+    assert _drafts(forwards) == [13]
+
+
+def test_a_failed_decode_drops_the_draft_count(small_model, forwards, monkeypatch):
+    want = ReferenceModelGenerator(small_model, max_new=16).generate(LOOPING[2])
+    fresh = [n for n, _ in forwards]
+    gen = _warmed(small_model)
+    real = lag.backends.greedy_decode
+
+    def fails_at_the_end(model, cache, prompt, max_new, stop_ids=frozenset(), count=None):
+        # decodes in full, so the count grows, then fails
+        real(model, cache, prompt, max_new, stop_ids, count=count)
+        raise RuntimeError("decode interrupted")
+
+    monkeypatch.setattr(lag.backends, "greedy_decode", fails_at_the_end)
+    with pytest.raises(RuntimeError):
+        gen.generate(LOOPING[0])
+    monkeypatch.setattr(lag.backends, "greedy_decode", real)
+    forwards.clear()
+    # no memo and no count: the whole prompt is fed, and 1 token drafted first
+    assert gen.generate(LOOPING[2]) == want
+    assert [n for n, _ in forwards] == fresh

@@ -19,6 +19,7 @@ from lag.errors import (
 from lag.model import (
     _NORM_EPS,
     ByteTokenizer,
+    DraftCount,
     _rmsnorm,
     build_model,
     encode,
@@ -558,16 +559,32 @@ def decode_prompt(kind, seed, n=24):
     return rng.integers(0, 256, n).tolist()
 
 
-def assert_decodes_like_the_oracle(model, make_cache, prompt, max_new, stop_ids=frozenset()):
-    """greedy_decode and one token per pass give the same ids and leave their
-    caches with the same span and positions."""
+def assert_decodes_like_the_oracle(
+    model, make_cache, prompt, max_new, stop_ids=frozenset(), count=None
+):
+    """greedy_decode, from a carried draft count if one is given, and one
+    token per pass give the same ids and leave their caches with the same
+    span and positions."""
     want_cache, got_cache = make_cache(), make_cache()
     want = stepwise_greedy_decode(model, want_cache, prompt, max_new, stop_ids)
-    got = greedy_decode(model, got_cache, prompt, max_new, stop_ids)
+    got = greedy_decode(model, got_cache, prompt, max_new, stop_ids, count=count)
     assert got == want
     assert got_cache.span_len == want_cache.span_len
     assert np.array_equal(got_cache.segment().positions, want_cache.segment().positions)
     return got
+
+
+def recorded_passes(monkeypatch):
+    """The tokens of every forward pass from now on, in a list."""
+    fed = []
+    real = lag.model.forward_with_prefix
+
+    def recording(model, prefix, tokens, start_position, **kwargs):
+        fed.append(list(tokens))
+        return real(model, prefix, tokens, start_position, **kwargs)
+
+    monkeypatch.setattr(lag.model, "forward_with_prefix", recording)
+    return fed
 
 
 @pytest.mark.parametrize("name", DECODE_CONFIGS)
@@ -598,14 +615,7 @@ def test_greedy_decode_never_accepts_a_stop_id_from_a_draft(monkeypatch):
     out = stepwise_greedy_decode(model, model.prefix_cache(None), head, 8)
     prompt, stop = head + out[:4], out[5]
     assert out[4:6] == out[:2]  # the output repeats with period 2
-    fed = []
-    real = lag.model.forward_with_prefix
-
-    def recording(model, prefix, tokens, start_position, **kwargs):
-        fed.append(list(tokens))
-        return real(model, prefix, tokens, start_position, **kwargs)
-
-    monkeypatch.setattr(lag.model, "forward_with_prefix", recording)
+    fed = recorded_passes(monkeypatch)
     got = assert_decodes_like_the_oracle(
         model, lambda: model.prefix_cache(None), prompt, 64, {stop})
     assert got == [out[4]]
@@ -632,7 +642,7 @@ def test_greedy_decode_near_max_positions_matches_one_token_per_pass(name, kind)
             decode(model, make_cache(), decode_prompt(kind, 10), 7)
 
 
-def test_greedy_decode_drafts_stop_at_the_last_position():
+def test_greedy_decode_drafts_stop_at_the_last_position(monkeypatch):
     # 16 tokens repeat and then the model predicts EOS; the prompt leaves
     # exactly 16 positions, so an uncapped draft of the repeat would need
     # positions past the end, where one token per pass stops on EOS in time
@@ -640,9 +650,79 @@ def test_greedy_decode_drafts_stop_at_the_last_position():
     end = model.config.max_positions
     prompt = decode_prompt("repeating", 1)
     prefix, _ = encode(model, prompt[:1], end - len(prompt) - 16 - 1)
+    for carried in (0, 64):
+        got = assert_decodes_like_the_oracle(
+            model, lambda: model.prefix_cache(prefix), prompt, 64, {ByteTokenizer.EOS},
+            DraftCount(carried))
+        assert got == [22] * 16
+    fed = recorded_passes(monkeypatch)
+    greedy_decode(model, model.prefix_cache(prefix), prompt, 64, {ByteTokenizer.EOS},
+                  count=DraftCount(64))
+    # one draft, cut from 65 tokens to the 13 positions left: its pass ends
+    # at the last position
+    assert [len(t) for t in fed] == [len(prompt), 1, 1, 14]
+    assert int(prefix.positions[-1]) + sum(map(len, fed)) == end - 1
+
+
+# (config, prompt kind, seed, period, where the period starts) of the
+# 64-token output of one token per pass after decode_prompt(kind, seed)
+PERIODIC_OUTPUTS = [
+    ("small", "repeating", 0, 1, 0),
+    ("kv3_d8", "periodic", 4, 2, 32),
+    ("default", "repeating", 18, 3, 41),
+]
+
+
+def periodic_case(name, kind, seed, period, start):
+    """The model, a prompt that ends with two periods of the model's own
+    periodic output, and the output that follows it."""
+    model = decode_model(name)
+    head = decode_prompt(kind, seed)
+    out = stepwise_greedy_decode(model, model.prefix_cache(None), head, 64)
+    cut = start + 2 * period
+    assert out[start:] == (out[start:cut] * 64)[: len(out) - start]
+    return model, head + out[:cut], out[cut:]
+
+
+@pytest.mark.parametrize("case", PERIODIC_OUTPUTS, ids=lambda c: f"period{c[3]}")
+def test_a_periodic_context_is_drafted_past_its_end(monkeypatch, case):
+    # the context after the last n-gram's first occurrence is one period, and
+    # the overlapping copy drafts the rest of the reply from it: with a
+    # carried count, one pass checks a draft many periods long
+    model, prompt, follow = periodic_case(*case)
+    period, max_new = case[3], len(follow)
     got = assert_decodes_like_the_oracle(
-        model, lambda: model.prefix_cache(prefix), prompt, 64, {ByteTokenizer.EOS})
-    assert got == [22] * 16
+        model, lambda: model.prefix_cache(None), prompt, max_new, count=DraftCount(64))
+    assert got == follow
+    fed = recorded_passes(monkeypatch)
+    count = DraftCount(64)
+    assert greedy_decode(model, model.prefix_cache(None), prompt, max_new, count=count) == got
+    # the prefill gives the first token; one pass feeds it and a draft of the
+    # rest less the last, which the max_new stop never feeds back
+    assert [len(t) for t in fed] == [len(prompt), max_new - 1]
+    draft = fed[1][1:]
+    assert len(draft) > 2 * period
+    assert draft == follow[1:-1]
+    assert count.accepted == 64 + len(draft)
+
+
+@pytest.mark.parametrize("case", PERIODIC_OUTPUTS[1:], ids=lambda c: f"period{c[3]}")
+def test_a_stop_id_in_a_periodic_draft_is_never_accepted(monkeypatch, case):
+    # the stop id is the last token of the reply's first period: one token
+    # per pass stops when it is predicted, and the draft holds it
+    model, prompt, follow = periodic_case(*case)
+    period = case[3]
+    stop = follow[period - 1]
+    assert stop not in follow[: period - 1]
+    got = assert_decodes_like_the_oracle(
+        model, lambda: model.prefix_cache(None), prompt, 64, {stop}, DraftCount(64))
+    assert got == follow[: period - 1]
+    fed = recorded_passes(monkeypatch)
+    count = DraftCount(64)
+    greedy_decode(model, model.prefix_cache(None), prompt, 64, {stop}, count=count)
+    assert stop in fed[1][1:]
+    # the draft was rejected at the stop id: the count is what it accepted
+    assert count.accepted == period - 2
 
 
 def test_tokenizer_round_trip():

@@ -17,7 +17,7 @@ import lag.orchestrator
 from lag.backends import Backends, HashedBagOfWordsEmbedder, ReferenceModelGenerator
 from lag.codec import SelectionStrategy
 from lag.config import ModelConfig
-from lag.model import build_model, greedy_decode
+from lag.model import DraftCount, build_model, greedy_decode
 from lag.orchestrator import LAG_KV, RunConfig
 from lag.runner import ingest_tasks, run_tasks
 from lag.store import LogStore
@@ -25,15 +25,20 @@ from lag.synth import FactChainGenerator, build_reuse_suite
 from tests.oracles import stepwise_greedy_decode
 
 # Recorded at commit 1cc223a and re-pinned when greedy_decode began to check
-# drafted tokens in batches. A change that moves them must say why the new
-# counts are right. Each of the 4 decoding calls prefills its prompt (1012
-# tokens, then 208 after the memo's reuse) and decodes 64 copies of one byte:
-# 1 token from the prefill, 2 passes of 1 token before a 2-gram repeats, then
-# drafts of 1, 2, 4, 8 and 16 accepted in full and one of 24 capped by
-# max_new. That is 9 passes a call, and 63 decode tokens fed, as before.
-PASSES = 36
+# drafted tokens in batches, and again when its drafts became overlapping
+# copies with a draft count carried across the generator's calls. A change
+# that moves them must say why the new counts are right. Each of the 4
+# decoding calls prefills its prompt (1012 tokens, then 208 after the memo's
+# reuse) and decodes 64 copies of one byte: 1 token from the prefill, 2
+# passes of 1 token before a 2-gram repeats, then one draft of 60 copies of
+# that byte, capped by max_new, checked with the output token in one pass
+# of 61. The ingest's decoding calls run on the same generator and accept
+# every draft, so the run's first call carries in a count of 227, and each
+# later one more: well over the 59 a draft of 60 needs. That is 4 passes a
+# call, and 63 decode tokens fed, as before.
+PASSES = 16
 TOKENS_FED = 1888
-DRAFT_PASSES = [2, 3, 5, 9, 17, 25]
+DRAFT_PASSES = [61]
 MULTI_TOKEN_PASSES = [1012, *DRAFT_PASSES] + [208, *DRAFT_PASSES] * 3
 CALLS, CALLS_WITHOUT_A_PASS = 16, 12
 # Prefix assemblies: every round of a task retrieves the same logs in the
@@ -50,10 +55,11 @@ ROTATIONS_PER_LAYER = 1
 # every layer but the last (1012 tokens after a 194-token prefix, 4.9M score
 # elements, or 208 after 998 cached ones, 1.0M). greedy_decode reads only the
 # prefill's last row, so the last layer's attention runs that one query over
-# all 1206 keys (~5k elements). A draft check of at most 25 tokens scores at
-# most 0.13M elements, under SPLIT_WORK, and a one-token pass ~5k, so neither
-# splits
-SPLIT_PASSES = [1012, 208, 208, 208]
+# all 1206 keys (~5k elements). A 61-token draft check reads every row, and
+# scores 4 heads x 61 rows x 1269 keys, ~0.31M elements, over SPLIT_WORK, so
+# it splits in every layer; a one-token pass scores ~5k and does not.
+# (tokens fed, attention calls that split) of each pass that splits any
+SPLIT_PASSES = [(1012, 3), (61, 4)] + [(208, 3), (61, 4)] * 3
 PREFILL_LAST_LAYER_ROWS = 1
 
 
@@ -166,8 +172,7 @@ def test_kv_run_keeps_the_generators_reuse(tmp_path, monkeypatch, default_model)
     assert len(assemblies) == ASSEMBLIES
     layers = default_model.config.num_layers
     assert len(attention) == PASSES * layers
-    assert [t for t, split in attention if split] == [
-        t for t in SPLIT_PASSES for _ in range(layers - 1)]
+    assert [t for t, split in attention if split] == [t for t, n in SPLIT_PASSES for _ in range(n)]
     # query rows per layer of every pass: all the tokens fed, but in the last
     # layer of a decoding call's first pass (its prefill); draft checks keep
     # every row, since each row's argmax is compared
@@ -208,6 +213,44 @@ def test_a_decode_whose_drafts_fail_feeds_at_most_twice_the_tokens(
         assert drafted <= 2 * oracle
         rejected += drafted - oracle
     assert rejected > 0  # some drafts did fail
+
+
+def test_a_carried_draft_count_feeds_at_most_twice_the_tokens(monkeypatch, default_model):
+    # one draft count carried over a mix of prompts: a repeating prompt's
+    # output loops, so the count grows, and a random prompt's call then
+    # starts with long drafts that fail. A rejection sets the count to what
+    # was accepted, so the decode passes still feed at most twice the tokens
+    # of one token per pass (1.49 times here)
+    fed = []
+    real_forward = lag.model.forward_with_prefix
+
+    def counting_forward(model, prefix, tokens, start_position, **kwargs):
+        fed.append(len(tokens))
+        return real_forward(model, prefix, tokens, start_position, **kwargs)
+
+    monkeypatch.setattr(lag.model, "forward_with_prefix", counting_forward)
+    rng = np.random.default_rng(1)
+    count = DraftCount()
+    oracle = drafted = 0
+    carried = []  # the count each call starts from
+    for call in range(12):
+        if call % 2:
+            prompt = rng.integers(0, 256, 16).tolist()
+        else:
+            prompt = [int(rng.integers(0, 256))] * 48
+        fed.clear()
+        want = stepwise_greedy_decode(
+            default_model, default_model.prefix_cache(None), prompt, 64)
+        oracle += sum(fed[1:])
+        fed.clear()
+        carried.append(count.accepted)
+        got = greedy_decode(default_model, default_model.prefix_cache(None), prompt, 64,
+                            count=count)
+        drafted += sum(fed[1:])
+        assert got == want
+    assert max(carried[1::2]) > 64  # a random prompt's call starts with long drafts
+    assert drafted <= 2 * oracle
+    assert drafted > oracle  # some drafts did fail
 
 
 def test_assembly_rotates_only_the_tokens_after_the_leading_run(
