@@ -9,15 +9,14 @@ external text-mode models is in ``lag.remote``.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import is_unicode
+from .datasets import load_json
 from .errors import BackendError, InputError
-from .model import ByteTokenizer, DraftCount, Model, greedy_decode
+from .model import ByteTokenizer, Model, greedy_decode
 from .segment import KvSegment
 from .store import normalize
 
@@ -53,12 +52,13 @@ class ReferenceModelGenerator(GeneratorBackend):
     3 (else 2) tokens, copied with overlap so a repeating context is drafted
     past its end, and checks them in one pass. A draft holds at most one
     token more than the draft tokens accepted since the last rejected draft.
-    The memo carries that count from call to call, whatever prefix the next
-    call has: an exact repeat leaves it as it was, a failed decode drops it
-    with the memo, and a new generator starts at 0. So a reply that loops as
-    the last one did is checked in one long draft. The output is the
-    one-token loop's up to float order, as with the memo's split prefill: a
-    multi-row pass rounds differently from a one-row pass.
+    The memo keeps that count, the int ``greedy_decode`` returns beside its
+    ids, and passes it into the next call, whatever prefix that call has: an
+    exact repeat leaves it as it was, a failed decode drops it with the memo,
+    and a new generator starts at 0. So a reply that loops as the last one
+    did is checked in one long draft. The output is the one-token loop's up
+    to float order, as with the memo's split prefill: a multi-row pass
+    rounds differently from a one-row pass.
     """
 
     accepts_kv_prefix = True
@@ -82,7 +82,7 @@ class ReferenceModelGenerator(GeneratorBackend):
         # the memo is taken until this call succeeds, so a decode that
         # raises leaves none
         memo, self._memo = self._memo, None
-        cache, reused, count = None, 0, DraftCount()
+        cache, reused, count = None, 0, 0
         if memo is not None:
             cache, cached_m, cached, p, max_new, count = memo
             if cached_m != m or (m and not kv_prefix.equals(cache.segment(m))):
@@ -97,7 +97,7 @@ class ReferenceModelGenerator(GeneratorBackend):
                 cache.truncate(m + reused)
         if cache is None:
             cache = self.model.prefix_cache(kv_prefix)
-        out = greedy_decode(
+        out, count = greedy_decode(
             self.model,
             cache,
             tokens[reused:],
@@ -141,13 +141,7 @@ class ScriptedGenerator(GeneratorBackend):
     def from_file(cls, path: str) -> "ScriptedGenerator":
         """``{"scripts": {question: [reply, ...]}, "default": [reply, ...]}``;
         both keys are optional."""
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except ValueError as err:  # bad JSON or bad UTF-8
-                raise InputError(f"{path}: not a JSON file: {err}") from err
-        if not is_unicode(data):
-            raise InputError(f"{path}: text is not valid Unicode (a lone surrogate)")
+        data = load_json(path)
         scripts = data.get("scripts", {}) if isinstance(data, dict) else None
         if not isinstance(scripts, dict):
             raise InputError(f"{path}: expected an object with a 'scripts' object")

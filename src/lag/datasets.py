@@ -38,6 +38,19 @@ def is_unicode(data) -> bool:
     return True
 
 
+def load_json(path: str | Path):
+    """The parsed JSON of the file at ``path``. Bad JSON, bad UTF-8 and text
+    that is not valid Unicode raise ``InputError``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as err:  # bad JSON or bad UTF-8
+            raise InputError(f"{path}: not a JSON file: {err}") from err
+    if not is_unicode(data):
+        raise InputError(f"{path}: text is not valid Unicode (a lone surrogate)")
+    return data
+
+
 def _text(value, field: str) -> str:
     if not isinstance(value, str):
         raise InputError(f"task record {field} is not a string: {value!r:.60}")

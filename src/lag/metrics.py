@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .datasets import is_unicode
+from .datasets import load_json
 from .errors import ConfigurationError, DegenerateStatisticError, InputError
 
 _ARTICLES_RE = re.compile(r"\b(a|an|the)\b")
@@ -180,13 +180,7 @@ class EvalReport:
 
     @staticmethod
     def load(path: str | Path) -> "EvalReport":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except ValueError as err:  # bad JSON or bad UTF-8
-                raise InputError(f"{path}: not a JSON file: {err}") from err
-        if not is_unicode(data):
-            raise InputError(f"{path}: text is not valid Unicode (a lone surrogate)")
+        data = load_json(path)
         if not isinstance(data, dict):
             raise InputError(f"{path}: expected a report object")
         try:

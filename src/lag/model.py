@@ -136,9 +136,10 @@ class Model:
             cache.commit(prefix.positions)
         return cache
 
-    def check_kv(self, kv: KvSegment | KvCache) -> None:
+    def check_kv(self, kv: KvSegment) -> None:
         """Refuse KV that this model cannot attend to: another model's
-        fingerprint, or another (layers, KV heads, head dim) shape."""
+        fingerprint, or another (layers, KV heads, head dim) shape. A cache
+        is checked by its ``slots``."""
         cfg = self.config
         if kv.model_fingerprint != self.fingerprint:
             raise IncompatibilityError("KV belongs to a different model")
@@ -177,7 +178,7 @@ class Model:
                 f"sequence end {start_position + t_new} exceeds max_positions "
                 f"{self.config.max_positions}"
             )
-        self.check_kv(cache)
+        self.check_kv(cache.slots)
         if cache.last_position >= start_position:  # O(1): a cache's positions increase
             raise PositionError(
                 f"prefix positions reach {cache.last_position}, new tokens start at "
@@ -257,25 +258,14 @@ def forward_with_prefix(
     return hidden @ model.head, cache
 
 
-class DraftCount:
-    """``greedy_decode``'s draft count, carried from one call to the next:
-    the draft tokens accepted since the last rejected draft. A new count is
-    0."""
-
-    __slots__ = ("accepted",)
-
-    def __init__(self, accepted: int = 0):
-        self.accepted = accepted
-
-
 def greedy_decode(
     model: Model,
     cache: KvCache,
     prompt,
     max_new: int,
     stop_ids=frozenset(),
-    count: DraftCount | None = None,
-) -> list[int]:
+    count: int = 0,
+) -> tuple[list[int], int]:
     """Deterministic argmax decoding of ``prompt`` after the cache's live
     span. A generated stop id is consumed but excluded from the returned
     sequence. The cache is extended in place and ends holding the prompt and
@@ -298,8 +288,8 @@ def greedy_decode(
 
     A draft holds at most one token more than the draft tokens accepted
     since the last rejected draft, and a rejected draft sets that count to
-    what it accepted. The count starts at ``count.accepted`` (0 for None)
-    and is written back there on return, so a caller can carry it into its
+    what it accepted. The count starts at ``count`` and is returned beside
+    the output ids, as ``(ids, count)``, so a caller can carry it into its
     next call. A draft is also capped so its pass fits in ``max_new``,
     ``max_positions`` and the cache.
 
@@ -310,13 +300,11 @@ def greedy_decode(
     """
     out: list[int] = []
     if max_new <= 0:
-        return out
+        return out, count
     context = list(prompt)
     if not context:
         raise InputError("greedy_decode needs a non-empty prompt")
-    pos = cache.last_position + 1
-    logits, _ = forward_with_prefix(model, cache, context, pos, rows=1)
-    pos += len(context)
+    logits, _ = forward_with_prefix(model, cache, context, cache.last_position + 1, rows=1)
     firsts: dict[tuple[int, ...], int] = {}  # n-gram -> its first start in context
     for n in _DRAFT_NGRAMS:
         for i in range(len(context) - n + 1):
@@ -336,20 +324,20 @@ def greedy_decode(
         return after
 
     max_positions = model.config.max_positions
-    streak = count.accepted if count is not None else 0  # accepted since a rejection
     next_id = int(np.argmax(logits[-1]))
     while next_id not in stop_ids:
         after = push(next_id)
         if len(out) >= max_new:
             break
+        start = cache.last_position + 1  # the output token's position
         room = min(
-            max_new - len(out), max_positions - pos, cache.capacity - cache.span_len
+            max_new - len(out), max_positions - start, cache.capacity - cache.span_len
         ) - 1
         draft = []
         if after is not None:
             period = len(context) - after
-            draft = [context[after + i % period] for i in range(min(streak + 1, room))]
-        logits, _ = forward_with_prefix(model, cache, [next_id] + draft, pos)
+            draft = [context[after + i % period] for i in range(min(count + 1, room))]
+        logits, _ = forward_with_prefix(model, cache, [next_id] + draft, start)
         best = np.argmax(logits, axis=-1).tolist()
         accepted = 0
         while (
@@ -359,13 +347,10 @@ def greedy_decode(
         ):
             accepted += 1
         if accepted < len(draft):
-            streak = 0  # rejected: the count restarts at what was accepted
-        streak += accepted
+            count = 0  # rejected: the count restarts at what was accepted
+        count += accepted
         cache.truncate(cache.span_len - len(draft) + accepted)
-        pos += 1 + accepted
         for tok in draft[:accepted]:
             push(tok)
         next_id = best[accepted]
-    if count is not None:
-        count.accepted = streak
-    return out
+    return out, count

@@ -135,7 +135,7 @@ def run_task(
     docs: dict[tuple[str, str], None] = {}  # an ordered set, first retrieval first
     logs: dict[int, float] = {}  # id -> latest similarity, first retrieval first
     turns: list[tuple[str, str]] = []
-    kv_prefix, prefix_order, prefix_entries = None, [], []  # the last prefix and its logs
+    kv_prefix, prefix_entries = None, []  # the last prefix and its logs
     final_action = Action()
     max_steps = cfg.max_steps if cfg.max_steps is not None else DEFAULT_MAX_STEPS[task.family]
 
@@ -151,14 +151,16 @@ def run_task(
         ordered = [log_store.get(i) for i in order]
 
         text_logs: list[str] = []
-        if mode == LAG_KV and order != prefix_order:
-            # the same ids in the same order hand over the last round's prefix;
-            # a new order reuses the last prefix's rows of its leading logs, and
-            # one that shares no leading log frees it before the next is built
-            last = (prefix_entries, kv_prefix) if order[:1] == prefix_order[:1] else None
+        if mode == LAG_KV and ordered != prefix_entries:
+            # the same logs in the same order hand over the last round's prefix
+            # (a LogEntry compares by identity, and the store returns one
+            # object per id); a new order reuses the last prefix's rows of its
+            # leading logs, and one that shares no leading log frees it before
+            # the next is built
+            last = (prefix_entries, kv_prefix) if ordered[:1] == prefix_entries[:1] else None
             kv_prefix = None
             kv_prefix = assemble_kv_prefix(ordered, last=last)
-            prefix_order, prefix_entries, last = order, ordered, None
+            prefix_entries, last = ordered, None
         elif mode == LAG_TEXT:
             text_logs = [e.text_payload for e in ordered]
 

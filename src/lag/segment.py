@@ -130,11 +130,11 @@ class KvSegment:
 
 
 class KvCache:
-    """Key and value buffers of shape [layers, kv_heads, capacity, head_dim],
-    filled in place, after the preallocated KV blocks of vLLM/PagedAttention
-    (Kwon et al., 2023, arXiv 2309.06180).
+    """One KvSegment of ``capacity`` slots, ``slots``, filled in place, after
+    the preallocated KV blocks of vLLM/PagedAttention (Kwon et al., 2023,
+    arXiv 2309.06180); its fingerprint and geometry are the cache's.
 
-    The first ``span_len`` slots are live. The buffers are written only by
+    The first ``span_len`` slots are live. The slots are written only by
     ``stage``, after the live slots, and made live only by ``commit``: a
     forward pass writes its new tokens so, and ``Model.prefix_cache`` a
     prefix. Live slots are never rewritten until ``truncate(n)`` frees the
@@ -155,29 +155,22 @@ class KvCache:
         model_fingerprint: str,
     ):
         shape = (num_layers, num_kv_heads, capacity, head_dim)
-        self._keys = np.empty(shape, dtype=np.float32)
-        self._values = np.empty(shape, dtype=np.float32)
-        self._positions = np.empty(capacity, dtype=np.int64)
-        self.capacity = capacity
-        self.model_fingerprint = model_fingerprint
+        self.slots = KvSegment(
+            keys=np.empty(shape, dtype=np.float32),
+            values=np.empty(shape, dtype=np.float32),
+            positions=np.empty(capacity, dtype=np.int64),
+            model_fingerprint=model_fingerprint,
+        )
         self.span_len = 0
 
     @property
-    def num_layers(self) -> int:
-        return self._keys.shape[0]
-
-    @property
-    def num_kv_heads(self) -> int:
-        return self._keys.shape[1]
-
-    @property
-    def head_dim(self) -> int:
-        return self._keys.shape[3]
+    def capacity(self) -> int:
+        return self.slots.span_len
 
     @property
     def last_position(self) -> int:
         """Position of the last live token, or -1 when the cache is empty."""
-        return int(self._positions[self.span_len - 1]) if self.span_len else -1
+        return int(self.slots.positions[self.span_len - 1]) if self.span_len else -1
 
     def stage(
         self, layer: int, keys: np.ndarray, values: np.ndarray
@@ -188,15 +181,16 @@ class KvCache:
         n, t = self.span_len, keys.shape[1]
         if n + t > self.capacity:
             raise CapacityError(f"{n} + {t} tokens exceed cache capacity {self.capacity}")
-        self._keys[layer, :, n : n + t] = keys
-        self._values[layer, :, n : n + t] = values
-        return self._keys[layer, :, : n + t], self._values[layer, :, : n + t]
+        slots = self.slots
+        slots.keys[layer, :, n : n + t] = keys
+        slots.values[layer, :, n : n + t] = values
+        return slots.keys[layer, :, : n + t], slots.values[layer, :, : n + t]
 
     def commit(self, positions: np.ndarray) -> None:
         """Make the staged tokens live at ``positions``, which the caller has
         checked lie after ``last_position`` and increase."""
         n, t = self.span_len, positions.shape[0]
-        self._positions[n : n + t] = positions
+        self.slots.positions[n : n + t] = positions
         self.span_len = n + t
 
     def truncate(self, n: int) -> None:
@@ -213,9 +207,4 @@ class KvCache:
         n = self.span_len if stop is None else stop
         if not 0 <= n <= self.span_len:
             raise InputError(f"no segment [:{n}] of a span of {self.span_len}")
-        return KvSegment(
-            keys=self._keys[:, :, :n],
-            values=self._values[:, :, :n],
-            positions=self._positions[:n],
-            model_fingerprint=self.model_fingerprint,
-        )
+        return self.slots.view(0, n)

@@ -403,7 +403,7 @@ def test_a_failed_decode_leaves_no_memo(small_model, log_prefix, forwards, monke
     gen.generate(first, kv_prefix=log_prefix)
     real = lag.backends.greedy_decode
 
-    def fails_midway(model, cache, prompt, max_new, stop_ids=frozenset(), count=None):
+    def fails_midway(model, cache, prompt, max_new, stop_ids=frozenset(), count=0):
         # writes part of the prompt over the cached slots, then fails
         real(model, cache, prompt[: len(prompt) // 2], 1)
         raise RuntimeError("decode interrupted")
@@ -563,7 +563,7 @@ def test_a_failed_decode_drops_the_draft_count(small_model, forwards, monkeypatc
     gen = _warmed(small_model)
     real = lag.backends.greedy_decode
 
-    def fails_at_the_end(model, cache, prompt, max_new, stop_ids=frozenset(), count=None):
+    def fails_at_the_end(model, cache, prompt, max_new, stop_ids=frozenset(), count=0):
         # decodes in full, so the count grows, then fails
         real(model, cache, prompt, max_new, stop_ids, count=count)
         raise RuntimeError("decode interrupted")

@@ -19,7 +19,6 @@ from lag.errors import (
 from lag.model import (
     _NORM_EPS,
     ByteTokenizer,
-    DraftCount,
     _rmsnorm,
     build_model,
     encode,
@@ -130,8 +129,7 @@ def test_prefix_fingerprint_mismatch(small_model, rng):
         forward_with_prefix(small_model, seg, [4, 5], 3)
 
 
-@pytest.mark.parametrize("of", ["segment", "cache", "prefix_cache"])
-@pytest.mark.parametrize(
+KV_CHANGES = pytest.mark.parametrize(
     "change",
     [
         {"model_fingerprint": "00" * 32},
@@ -141,26 +139,45 @@ def test_prefix_fingerprint_mismatch(small_model, rng):
     ],
     ids=["fingerprint", "layers", "kv_heads", "head_dim"],
 )
-def test_check_kv_refuses_kv_of_another_model(small_model, of, change):
-    # prefix_cache checks a one-token segment as it builds the cache
-    cfg = small_model.config
-    own = dict(
+
+
+def own_kv(model):
+    cfg = model.config
+    return dict(
         num_layers=cfg.num_layers, num_kv_heads=cfg.num_kv_heads, head_dim=cfg.head_dim,
-        model_fingerprint=small_model.fingerprint,
+        model_fingerprint=model.fingerprint,
     )
 
-    def check(num_layers, num_kv_heads, head_dim, model_fingerprint):
-        if of == "prefix_cache":
-            kv = np.zeros((num_layers, num_kv_heads, 1, head_dim), dtype=np.float32)
-            positions = np.zeros(1, dtype=np.int64)
-            small_model.prefix_cache(KvSegment(kv, kv, positions, model_fingerprint))
-            return
-        cache = KvCache(num_layers, num_kv_heads, head_dim, 4, model_fingerprint)
-        small_model.check_kv(cache if of == "cache" else cache.segment())
 
+@pytest.mark.parametrize("of", ["segment", "prefix_cache"])
+@KV_CHANGES
+def test_check_kv_refuses_kv_of_another_model(small_model, of, change):
+    # prefix_cache checks a one-token segment as it builds the cache
+    def check(num_layers, num_kv_heads, head_dim, model_fingerprint):
+        kv = np.zeros((num_layers, num_kv_heads, 1, head_dim), dtype=np.float32)
+        seg = KvSegment(kv, kv, np.zeros(1, dtype=np.int64), model_fingerprint)
+        if of == "prefix_cache":
+            small_model.prefix_cache(seg)
+        else:
+            small_model.check_kv(seg)
+
+    own = own_kv(small_model)
     check(**own)
     with pytest.raises(IncompatibilityError):
         check(**{**own, **change})
+
+
+@KV_CHANGES
+def test_a_forward_pass_refuses_a_cache_of_another_model(small_model, change):
+    # the pass checks the cache's slots before it stages anything
+    own = own_kv(small_model)
+    cache = KvCache(**own, capacity=4)
+    forward_with_prefix(small_model, cache, [1, 2], 0)
+    assert cache.span_len == 2
+    other = KvCache(**{**own, **change}, capacity=4)
+    with pytest.raises(IncompatibilityError):
+        forward_with_prefix(small_model, other, [1, 2], 0)
+    assert other.span_len == 0
 
 
 def test_prefix_position_overlap(small_model):
@@ -189,13 +206,13 @@ def test_shape_law(small_model, rng):
 
 
 def test_greedy_zero_budget(small_model):
-    assert greedy_decode(small_model, None, [1, 2], 0) == []
+    assert greedy_decode(small_model, None, [1, 2], 0) == ([], 0)
 
 
 def test_greedy_deterministic(small_model, rng):
     prompt = rng.integers(0, 256, 6).tolist()
-    a = greedy_decode(small_model, small_model.prefix_cache(None), prompt, 12)
-    b = greedy_decode(small_model, small_model.prefix_cache(None), prompt, 12)
+    a, _ = greedy_decode(small_model, small_model.prefix_cache(None), prompt, 12)
+    b, _ = greedy_decode(small_model, small_model.prefix_cache(None), prompt, 12)
     assert a == b
     assert len(a) == 12
 
@@ -205,7 +222,7 @@ def test_greedy_stop_id_consumed_and_excluded(small_model, rng):
     logits, _ = forward_with_prefix(small_model, None, prompt, 0)
     first = int(np.argmax(logits[-1]))
     cache = small_model.prefix_cache(None)
-    assert greedy_decode(small_model, cache, prompt, 10, stop_ids={first}) == []
+    assert greedy_decode(small_model, cache, prompt, 10, stop_ids={first})[0] == []
     assert cache.span_len == len(prompt)  # the stop id is not fed back
 
 
@@ -214,8 +231,8 @@ def test_greedy_with_prefix_matches_decoding_over_concat(small_model, rng):
     t2 = rng.integers(0, 256, 5).tolist()
     prefix, _ = encode(small_model, t1, 0)
     cache = small_model.prefix_cache(prefix)
-    with_prefix = greedy_decode(small_model, cache, t2, 8)
-    plain = greedy_decode(small_model, small_model.prefix_cache(None), t1 + t2, 8)
+    with_prefix, _ = greedy_decode(small_model, cache, t2, 8)
+    plain, _ = greedy_decode(small_model, small_model.prefix_cache(None), t1 + t2, 8)
     assert with_prefix == plain
     # decoded after the live span; the last output token is never fed back
     assert list(cache.segment().positions) == list(range(len(t1) + len(t2) + 7))
@@ -249,7 +266,7 @@ def test_cache_is_extended_in_place(small_model, rng):
     full, _ = encode(small_model, tokens, 0)
     live = cache.segment()
     assert list(live.positions) == list(range(10))
-    for l in range(cache.num_layers):
+    for l in range(live.num_layers):
         # live slots are never rewritten by an extension
         assert np.array_equal(live.keys[l][:, :7], keys[l])
         assert np.array_equal(live.values[l][:, :7], values[l])
@@ -347,6 +364,11 @@ def test_cache_segment_views_its_first_live_slots(small_model, rng):
         head = cache.segment(stop)
         assert head.equals(full.slice(0, stop))
     assert np.shares_memory(cache.segment(4).keys[0], full.keys[0])  # no copy
+    # views of the cache's one segment of slots
+    head, slots = cache.segment(4), cache.slots
+    for part, whole in ((head.keys, slots.keys), (head.values, slots.values),
+                        (head.positions, slots.positions)):
+        assert np.shares_memory(part, whole)
     for bad in (-1, 7):
         with pytest.raises(InputError):
             cache.segment(bad)
@@ -370,7 +392,7 @@ def test_forward_after_truncate_writes_from_the_cut(small_model, rng):
     assert list(live.positions) == list(range(len(tokens)))
     full, hidden = encode(small_model, tokens, 0)
     assert np.abs(logits[-1] - hidden[-1] @ small_model.head).max() <= 1e-5
-    for l in range(cache.num_layers):
+    for l in range(live.num_layers):
         assert np.array_equal(live.keys[l][:, :5], kept[l])
         assert np.abs(live.keys[l] - full.keys[l]).max() <= 1e-4
         assert np.abs(live.values[l] - full.values[l]).max() <= 1e-4
@@ -560,14 +582,14 @@ def decode_prompt(kind, seed, n=24):
 
 
 def assert_decodes_like_the_oracle(
-    model, make_cache, prompt, max_new, stop_ids=frozenset(), count=None
+    model, make_cache, prompt, max_new, stop_ids=frozenset(), count=0
 ):
     """greedy_decode, from a carried draft count if one is given, and one
     token per pass give the same ids and leave their caches with the same
     span and positions."""
     want_cache, got_cache = make_cache(), make_cache()
     want = stepwise_greedy_decode(model, want_cache, prompt, max_new, stop_ids)
-    got = greedy_decode(model, got_cache, prompt, max_new, stop_ids, count=count)
+    got, _ = greedy_decode(model, got_cache, prompt, max_new, stop_ids, count=count)
     assert got == want
     assert got_cache.span_len == want_cache.span_len
     assert np.array_equal(got_cache.segment().positions, want_cache.segment().positions)
@@ -653,11 +675,11 @@ def test_greedy_decode_drafts_stop_at_the_last_position(monkeypatch):
     for carried in (0, 64):
         got = assert_decodes_like_the_oracle(
             model, lambda: model.prefix_cache(prefix), prompt, 64, {ByteTokenizer.EOS},
-            DraftCount(carried))
+            carried)
         assert got == [22] * 16
     fed = recorded_passes(monkeypatch)
     greedy_decode(model, model.prefix_cache(prefix), prompt, 64, {ByteTokenizer.EOS},
-                  count=DraftCount(64))
+                  count=64)
     # one draft, cut from 65 tokens to the 13 positions left: its pass ends
     # at the last position
     assert [len(t) for t in fed] == [len(prompt), 1, 1, 14]
@@ -692,18 +714,18 @@ def test_a_periodic_context_is_drafted_past_its_end(monkeypatch, case):
     model, prompt, follow = periodic_case(*case)
     period, max_new = case[3], len(follow)
     got = assert_decodes_like_the_oracle(
-        model, lambda: model.prefix_cache(None), prompt, max_new, count=DraftCount(64))
+        model, lambda: model.prefix_cache(None), prompt, max_new, count=64)
     assert got == follow
     fed = recorded_passes(monkeypatch)
-    count = DraftCount(64)
-    assert greedy_decode(model, model.prefix_cache(None), prompt, max_new, count=count) == got
+    out, count = greedy_decode(model, model.prefix_cache(None), prompt, max_new, count=64)
+    assert out == got
     # the prefill gives the first token; one pass feeds it and a draft of the
     # rest less the last, which the max_new stop never feeds back
     assert [len(t) for t in fed] == [len(prompt), max_new - 1]
     draft = fed[1][1:]
     assert len(draft) > 2 * period
     assert draft == follow[1:-1]
-    assert count.accepted == 64 + len(draft)
+    assert count == 64 + len(draft)
 
 
 @pytest.mark.parametrize("case", PERIODIC_OUTPUTS[1:], ids=lambda c: f"period{c[3]}")
@@ -715,14 +737,13 @@ def test_a_stop_id_in_a_periodic_draft_is_never_accepted(monkeypatch, case):
     stop = follow[period - 1]
     assert stop not in follow[: period - 1]
     got = assert_decodes_like_the_oracle(
-        model, lambda: model.prefix_cache(None), prompt, 64, {stop}, DraftCount(64))
+        model, lambda: model.prefix_cache(None), prompt, 64, {stop}, 64)
     assert got == follow[: period - 1]
     fed = recorded_passes(monkeypatch)
-    count = DraftCount(64)
-    greedy_decode(model, model.prefix_cache(None), prompt, 64, {stop}, count=count)
+    _, count = greedy_decode(model, model.prefix_cache(None), prompt, 64, {stop}, count=64)
     assert stop in fed[1][1:]
     # the draft was rejected at the stop id: the count is what it accepted
-    assert count.accepted == period - 2
+    assert count == period - 2
 
 
 def test_tokenizer_round_trip():
